@@ -70,7 +70,7 @@ bench-json:
 # trajectory artifact (entries outside the smoke subset are retained).
 # allocs/op on the arena step is the number to watch — it must stay at 0.
 bench-smoke:
-	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_PATTERN='BenchmarkTrainStepArena|BenchmarkTrainStepCNNBackend|BenchmarkMatMulBackend|BenchmarkNoopSpan|BenchmarkSearchTelemetry|BenchmarkLedgerCharge|BenchmarkNoopLedgerCharge|BenchmarkFleetDeviceYears|BenchmarkIslandSearch|BenchmarkInt8Forward|BenchmarkFloatForward|BenchmarkServeLatency'
+	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_PATTERN='BenchmarkTrainStepArena|BenchmarkSurrogateEvaluation|BenchmarkTrainStepCNNBackend|BenchmarkMatMulBackend|BenchmarkNoopSpan|BenchmarkSearchTelemetry|BenchmarkLedgerCharge|BenchmarkNoopLedgerCharge|BenchmarkFleetDeviceYears|BenchmarkIslandSearch|BenchmarkInt8Forward|BenchmarkFloatForward|BenchmarkServeLatency'
 
 # bench-diff turns the BENCH_solarml.json trajectory into a perf gate:
 # compare the working tree's trajectory point against the last committed

@@ -203,6 +203,11 @@ func TestFrontEndValidate(t *testing.T) {
 		{SampleRate: 16000, StripeMS: 20, DurationMS: 25, NumFeatures: 9},
 		{SampleRate: 16000, StripeMS: 20, DurationMS: 25, NumFeatures: 41},
 		{SampleRate: 0, StripeMS: 20, DurationMS: 25, NumFeatures: 13},
+		// Positive rates too low for one sample per stripe or frame, and
+		// one large enough to overflow the frame arithmetic.
+		{SampleRate: 2, StripeMS: 20, DurationMS: 25, NumFeatures: 13},
+		{SampleRate: 34, StripeMS: 30, DurationMS: 18, NumFeatures: 13},
+		{SampleRate: 1 << 62, StripeMS: 20, DurationMS: 25, NumFeatures: 13},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

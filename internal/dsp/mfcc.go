@@ -31,9 +31,14 @@ func DurationBounds() (int, int) { return 18, 30 }
 // FeatureBounds is the Table II range for the feature count f.
 func FeatureBounds() (int, int) { return 10, 40 }
 
-// Validate checks the configuration against Table II.
+// maxSampleRate bounds the sample rate so the frame arithmetic cannot
+// overflow; it is far above any microphone front end.
+const maxSampleRate = 1 << 24
+
+// Validate checks the configuration against Table II, and that the sample
+// rate leaves at least one sample per frame and per stripe.
 func (c FrontEndConfig) Validate() error {
-	if c.SampleRate <= 0 {
+	if c.SampleRate <= 0 || c.SampleRate > maxSampleRate {
 		return fmt.Errorf("dsp: sample rate %d", c.SampleRate)
 	}
 	if lo, hi := StripeBounds(); c.StripeMS < lo || c.StripeMS > hi {
@@ -44,6 +49,9 @@ func (c FrontEndConfig) Validate() error {
 	}
 	if lo, hi := FeatureBounds(); c.NumFeatures < lo || c.NumFeatures > hi {
 		return fmt.Errorf("dsp: features %d outside [%d,%d]", c.NumFeatures, lo, hi)
+	}
+	if c.FrameLen() < 1 || c.FrameShift() < 1 {
+		return fmt.Errorf("dsp: sample rate %d Hz gives empty frames", c.SampleRate)
 	}
 	return nil
 }

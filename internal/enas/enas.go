@@ -179,7 +179,7 @@ func (p *policy) Init(_ []Entry, eMin, eMax float64) { p.eMin, p.eMax = eMin, eM
 func (p *policy) CycleScore(*rand.Rand, int) func(Entry) float64 {
 	return func(e Entry) float64 {
 		s := p.cfg.score(e, p.eMin, p.eMax)
-		if p.cfg.Constraints.CheckAccuracy(e.Res.Accuracy) != nil {
+		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
 			s -= 1
 		}
 		return s
@@ -259,7 +259,7 @@ func bestFeasible(history []Entry, cfg Config, eMin, eMax float64) Entry {
 	var best Entry
 	bestObj := math.Inf(-1)
 	for _, e := range history {
-		if cfg.Constraints.CheckAccuracy(e.Res.Accuracy) != nil {
+		if !cfg.Constraints.Feasible(e.Res.Accuracy) {
 			continue
 		}
 		if o := cfg.score(e, eMin, eMax); o > bestObj {

@@ -105,7 +105,7 @@ func (e *engine) evalOne(c, parent *nas.Candidate, timeIt bool) (Entry, bool) {
 	if e.memo != nil && !warmPath {
 		// The memo lookup runs before the static check: results are only
 		// memoized for candidates that passed it and evaluated cleanly, so
-		// a hit skips the constraint-check network build as well.
+		// a hit skips the static constraint check as well.
 		fp = c.Fingerprint()
 		if res, ok := e.memo.get(fp); ok {
 			return Entry{Cand: c, Res: res}, true

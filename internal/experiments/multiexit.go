@@ -164,7 +164,7 @@ func ObjectiveComparison(task nas.Task, scale Scale, seed int64) (*ObjectiveComp
 				return nil, err
 			}
 			for j, e := range out.History {
-				if nas.DefaultConstraints(task).CheckAccuracy(e.Res.Accuracy) != nil {
+				if !nas.DefaultConstraints(task).Feasible(e.Res.Accuracy) {
 					continue
 				}
 				pts = append(pts, truthPoint(truth, e.Cand, e.Res, i*100000+j))

@@ -118,7 +118,7 @@ func Fig10(task nas.Task, scale Scale, seed int64) (*Fig10Result, error) {
 		res.ENASBest = append(res.ENASBest, truthPoint(truth, out.Best.Cand, out.Best.Res, i))
 		res.ENASEntries = append(res.ENASEntries, out.Best)
 		for j, e := range out.History {
-			if nas.DefaultConstraints(task).CheckAccuracy(e.Res.Accuracy) != nil {
+			if !nas.DefaultConstraints(task).Feasible(e.Res.Accuracy) {
 				continue
 			}
 			enasAll = append(enasAll, truthPoint(truth, e.Cand, e.Res, i*100000+j))
@@ -150,7 +150,7 @@ func Fig10(task nas.Task, scale Scale, seed int64) (*Fig10Result, error) {
 		res.MuNASBest = append(res.MuNASBest, truthPoint(truth, best.Cand, best.Res, i))
 		res.MuNASEntries = append(res.MuNASEntries, best)
 		for j, e := range out.History {
-			if nas.DefaultConstraints(task).CheckAccuracy(e.Res.Accuracy) != nil {
+			if !nas.DefaultConstraints(task).Feasible(e.Res.Accuracy) {
 				continue
 			}
 			munasAll = append(munasAll, truthPoint(truth, e.Cand, e.Res, i*100000+j))

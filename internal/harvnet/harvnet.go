@@ -98,7 +98,7 @@ func (p *policy) Init([]Entry, float64, float64) {}
 
 func (p *policy) CycleScore(*rand.Rand, int) func(Entry) float64 {
 	return func(e Entry) float64 {
-		if p.cfg.Constraints.CheckAccuracy(e.Res.Accuracy) != nil {
+		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
 			return math.Inf(-1) // infeasible candidates never win tournaments
 		}
 		return ratio(e)
@@ -118,7 +118,7 @@ func (p *policy) Accepted(Entry) {}
 func (p *policy) Report(history []Entry) (Entry, []obs.Attr) {
 	var best Entry
 	for _, e := range history {
-		if p.cfg.Constraints.CheckAccuracy(e.Res.Accuracy) != nil {
+		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
 			continue
 		}
 		if best.Cand == nil || ratio(e) > ratio(best) {

@@ -124,7 +124,7 @@ func (p *policy) CycleScore(rng *rand.Rand, _ int) func(Entry) float64 {
 	eMax := p.eMax
 	return func(e Entry) float64 {
 		s := w*e.Res.Accuracy - (1-w)*e.Res.EnergyJ/eMax
-		if p.cfg.Constraints.CheckAccuracy(e.Res.Accuracy) != nil {
+		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
 			s -= 1
 		}
 		return s
@@ -149,7 +149,7 @@ func (p *policy) Accepted(e Entry) {
 func (p *policy) Report(history []Entry) (Entry, []obs.Attr) {
 	var best Entry
 	for _, e := range history {
-		if p.cfg.Constraints.CheckAccuracy(e.Res.Accuracy) != nil {
+		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
 			continue
 		}
 		if best.Cand == nil || e.Res.Accuracy > best.Res.Accuracy {

@@ -1,0 +1,29 @@
+//go:build !race
+
+package nas
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestStaticScreenZeroAllocs pins the search hot path: the static
+// constraint check on a feasible candidate and its fingerprint allocate
+// nothing. (Excluded under -race, whose instrumentation changes allocation
+// behaviour.)
+func TestStaticScreenZeroAllocs(t *testing.T) {
+	for _, space := range []*Space{GestureSpace(), KWSSpace()} {
+		ct := DefaultConstraints(space.Task)
+		rng := rand.New(rand.NewSource(5))
+		c := space.RandomCandidate(rng)
+		for ct.CheckStatic(c) != nil {
+			c = space.RandomCandidate(rng)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = ct.CheckStatic(c) }); allocs != 0 {
+			t.Errorf("%s CheckStatic: %.0f allocs/op, want 0", space.Task, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = c.Fingerprint() }); allocs != 0 {
+			t.Errorf("%s Fingerprint: %.0f allocs/op, want 0", space.Task, allocs)
+		}
+	}
+}

@@ -8,7 +8,7 @@ package nas
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"solarml/internal/dataset"
 	"solarml/internal/dsp"
@@ -76,26 +76,40 @@ func (c *Candidate) InputShape() []int {
 // Rebind updates the architecture's input shape from the sensing
 // configuration and reports whether the architecture still materializes.
 func (c *Candidate) Rebind() error {
+	_, err := c.rebind()
+	return err
+}
+
+// rebind is Rebind returning the architecture analysis.
+func (c *Candidate) rebind() (nn.Analysis, error) {
 	c.Arch.Input = c.InputShape()
 	c.Arch.Classes = c.Task.Classes()
-	return c.Arch.Validate()
+	return c.Arch.Analyze()
 }
 
 // Validate checks both halves of the candidate.
 func (c *Candidate) Validate() error {
+	_, err := c.Analyze()
+	return err
+}
+
+// Analyze validates both halves of the candidate, rebinding the
+// architecture to the sensing configuration, and returns the architecture
+// analysis (parameters, MACs by kind, activation peaks).
+func (c *Candidate) Analyze() (nn.Analysis, error) {
 	switch c.Task {
 	case TaskGesture:
 		if err := c.Gesture.Validate(); err != nil {
-			return err
+			return nn.Analysis{}, err
 		}
 	case TaskKWS:
 		if err := c.Audio.Validate(); err != nil {
-			return err
+			return nn.Analysis{}, err
 		}
 	default:
-		return fmt.Errorf("nas: unknown task %d", c.Task)
+		return nn.Analysis{}, fmt.Errorf("nas: unknown task %d", c.Task)
 	}
-	return c.Rebind()
+	return c.rebind()
 }
 
 // SensingString renders the sensing half compactly.
@@ -112,16 +126,44 @@ func (c *Candidate) String() string {
 }
 
 // Fingerprint returns a stable hash of the candidate configuration, used
-// for deterministic surrogate noise and deduplication.
+// for deterministic surrogate noise and deduplication: 64-bit FNV-1a over
+// the decimal fields, "|"-separated for the sensing half and ","/";"-framed
+// per layer. It allocates nothing.
 func (c *Candidate) Fingerprint() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%d|", c.Task,
-		c.Gesture.Channels, c.Gesture.RateHz, c.Gesture.Quant.Res, c.Gesture.Quant.Bits,
-		c.Audio.StripeMS, c.Audio.DurationMS, c.Audio.NumFeatures)
+	h := fingerprint{sum: fnvOffset64}
+	h.field(int64(c.Task), '|')
+	h.field(int64(c.Gesture.Channels), '|')
+	h.field(int64(c.Gesture.RateHz), '|')
+	h.field(int64(c.Gesture.Quant.Res), '|')
+	h.field(int64(c.Gesture.Quant.Bits), '|')
+	h.field(int64(c.Audio.StripeMS), '|')
+	h.field(int64(c.Audio.DurationMS), '|')
+	h.field(int64(c.Audio.NumFeatures), '|')
 	for _, s := range c.Arch.Body {
-		fmt.Fprintf(h, "%d,%d,%d,%d,%d;", s.Kind, s.Out, s.K, s.Stride, s.Pad)
+		h.field(int64(s.Kind), ',')
+		h.field(int64(s.Out), ',')
+		h.field(int64(s.K), ',')
+		h.field(int64(s.Stride), ',')
+		h.field(int64(s.Pad), ';')
 	}
-	return h.Sum64()
+	return h.sum
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fingerprint is a running FNV-1a hash over decimal integer fields.
+type fingerprint struct{ sum uint64 }
+
+// field hashes v in decimal followed by the separator sep.
+func (f *fingerprint) field(v int64, sep byte) {
+	var buf [24]byte
+	for _, b := range append(strconv.AppendInt(buf[:0], v, 10), sep) {
+		f.sum ^= uint64(b)
+		f.sum *= fnvPrime64
+	}
 }
 
 // quantFromEffective is a helper mapping search moves across the int/float

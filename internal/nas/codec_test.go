@@ -75,10 +75,12 @@ func TestCandidateCodecRejectsVersionSkew(t *testing.T) {
 	}
 }
 
-// FuzzReadCandidate: arbitrary bytes must never panic the decoder, and any
-// accepted input must satisfy encode→decode→encode byte-equality once
-// normalized (the raw input itself may use non-minimal varints, which Go's
-// varint reader tolerates, so the first encode canonicalizes).
+// FuzzReadCandidate: arbitrary bytes must never panic the decoder, nor the
+// static constraint check and validation that checkpoint and memo restore
+// run on what it decodes; and any accepted input must satisfy
+// encode→decode→encode byte-equality once normalized (the raw input itself
+// may use non-minimal varints, which Go's varint reader tolerates, so the
+// first encode canonicalizes).
 func FuzzReadCandidate(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	f.Add(AppendCandidate(nil, GestureSpace().RandomCandidate(rng)))
@@ -91,6 +93,8 @@ func FuzzReadCandidate(f *testing.F) {
 			return
 		}
 		enc := AppendCandidate(nil, c)
+		_ = DefaultConstraints(c.Task).CheckStatic(c)
+		_ = c.Validate()
 		r2 := bytecodec.NewReader(enc)
 		c2, err := ReadCandidate(r2)
 		if err != nil || r2.Len() != 0 {

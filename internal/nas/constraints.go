@@ -37,35 +37,36 @@ func weightBits(c *Candidate) int {
 }
 
 // CheckStatic verifies the structural constraints (memory, MACs) that can
-// be checked without training.
+// be checked without training. It runs on the architecture analysis alone,
+// so no tensor is ever allocated to screen a candidate.
 func (ct Constraints) CheckStatic(c *Candidate) error {
-	// Arithmetic pre-screen: reject absurd parameter counts before any
-	// tensor is allocated.
-	if est, err := c.Arch.EstimateParams(); err != nil {
-		return err
-	} else if est > ct.MemoryBytes*8 { // even bit-packed weights cannot fit
-		return fmt.Errorf("nas: %d parameters cannot fit %d B", est, ct.MemoryBytes)
-	}
-	net, err := c.Arch.Build()
+	an, err := c.Arch.Analyze()
 	if err != nil {
 		return err
 	}
-	if macs := net.TotalMACs(); macs > ct.MaxMACs {
+	if macs := an.TotalMACs(); macs > ct.MaxMACs {
 		return fmt.Errorf("nas: %d MACs exceeds limit %d", macs, ct.MaxMACs)
 	}
 	wb := weightBits(c)
 	if wb < 8 {
 		wb = 8 // sub-byte weights are stored byte-packed on the MCU
 	}
-	if mem := net.MemoryBytes(wb, 8); mem > ct.MemoryBytes {
+	if mem := an.MemoryBytes(wb, 8); mem > ct.MemoryBytes {
 		return fmt.Errorf("nas: %d B memory exceeds limit %d", mem, ct.MemoryBytes)
 	}
 	return nil
 }
 
+// Feasible reports whether accuracy acc meets the error cap — the
+// allocation-free predicate behind CheckAccuracy, for hot loops that only
+// need the verdict.
+func (ct Constraints) Feasible(acc float64) bool {
+	return !(1-acc > ct.MaxError)
+}
+
 // CheckAccuracy verifies the error cap after evaluation.
 func (ct Constraints) CheckAccuracy(acc float64) error {
-	if 1-acc > ct.MaxError {
+	if !ct.Feasible(acc) {
 		return fmt.Errorf("nas: error %.3f exceeds cap %.3f", 1-acc, ct.MaxError)
 	}
 	return nil

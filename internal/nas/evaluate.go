@@ -123,11 +123,11 @@ func CalibrateEnergy(space *Space, nMeasure int, layerwise, withSensing bool, se
 	var audioSamples []energymodel.AudioSample
 	for i := 0; i < nMeasure; i++ {
 		c := space.RandomCandidate(rng)
-		net, err := c.Arch.Build()
+		an, err := c.Arch.Analyze()
 		if err != nil {
 			return nil, err
 		}
-		macs := net.MACsByKind()
+		macs := an.MACsByKind()
 		inferSamples = append(inferSamples, energymodel.InferenceSample{
 			MACs: macs, EnergyJ: m.MeasureInference(macs),
 		})

@@ -205,6 +205,11 @@ func TestCheckAccuracy(t *testing.T) {
 	if err := ct.CheckAccuracy(0.70); err == nil {
 		t.Fatal("0.70 accuracy violates 0.25 error cap")
 	}
+	for _, acc := range []float64{0, 0.5, 0.7, 0.75, 0.7500001, 0.8, 1, math.NaN(), math.Inf(-1)} {
+		if ct.Feasible(acc) != (ct.CheckAccuracy(acc) == nil) {
+			t.Errorf("Feasible(%v) = %v disagrees with CheckAccuracy", acc, ct.Feasible(acc))
+		}
+	}
 }
 
 func TestCalibrateEnergyProducesUsableModels(t *testing.T) {

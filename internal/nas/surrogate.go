@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"solarml/internal/dataset"
+	"solarml/internal/nn"
 	"solarml/internal/obs"
 )
 
@@ -73,15 +74,12 @@ func (s *SurrogateEvaluator) kwsCeiling(c *Candidate) float64 {
 // Evaluate implements Evaluator.
 func (s *SurrogateEvaluator) Evaluate(c *Candidate) (Result, error) {
 	var res Result
-	if err := c.Validate(); err != nil {
-		return res, err
-	}
-	net, err := c.Arch.Build()
+	an, err := c.Analyze()
 	if err != nil {
 		return res, err
 	}
-	res.MACsByKind = net.MACsByKind()
-	res.TotalMACs = net.TotalMACs()
+	res.MACsByKind = an.MACsByKind()
+	res.TotalMACs = an.TotalMACs()
 
 	var ceil, capScale float64
 	if c.Task == TaskGesture {
@@ -105,13 +103,14 @@ func (s *SurrogateEvaluator) Evaluate(c *Candidate) (Result, error) {
 	// Depth bonus: a second nonlinearity helps up to a point.
 	depth := 0
 	for _, spec := range c.Arch.Body {
-		if spec.Kind.String() == "Conv" || spec.Kind.String() == "DWConv" || spec.Kind.String() == "Dense" {
+		if spec.Kind == nn.KindConv || spec.Kind == nn.KindDWConv || spec.Kind == nn.KindDense {
 			depth++
 		}
 	}
 	depthFactor := 0.92 + 0.08*saturate(float64(depth), 1.5)
 	acc := 0.10 + (ceil-0.10)*capacity*depthFactor
-	acc += hashNoise(c.Fingerprint()) * s.NoiseSD
+	fp := c.Fingerprint()
+	acc += hashNoise(fp) * s.NoiseSD
 	if acc < 0.05 {
 		acc = 0.05
 	}
@@ -124,10 +123,12 @@ func (s *SurrogateEvaluator) Evaluate(c *Candidate) (Result, error) {
 		res.InferJ = s.Energy.InferenceEnergy(res.MACsByKind)
 		res.EnergyJ = res.SensingJ + res.InferJ
 	}
-	s.Obs.Event("nas.surrogate",
-		obs.Int64("fingerprint", int64(c.Fingerprint())),
-		obs.F64("accuracy", res.Accuracy),
-		obs.F64("energy_j", res.EnergyJ),
-		obs.Int64("macs", res.TotalMACs))
+	if s.Obs.Enabled() {
+		s.Obs.Event("nas.surrogate",
+			obs.Int64("fingerprint", int64(fp)),
+			obs.F64("accuracy", res.Accuracy),
+			obs.F64("energy_j", res.EnergyJ),
+			obs.Int64("macs", res.TotalMACs))
+	}
 	return res, nil
 }

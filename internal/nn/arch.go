@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -65,77 +66,272 @@ func (a *Arch) String() string {
 	return strings.Join(parts, "→")
 }
 
-// materialize instantiates the layer for a given input shape.
-func (s LayerSpec) materialize(in []int) (Layer, error) {
+// Analysis is the static profile of an architecture — everything the NAS
+// constraints and the layer-wise energy model need — computed by shape
+// arithmetic alone. It describes the network Build would return: implicit
+// Flatten layers and the Dense classifier head included.
+type Analysis struct {
+	// Params is the trainable parameter count.
+	Params int64
+	// MACs holds the per-sample multiply-accumulate count of each layer
+	// kind, the feature vector of E_M = Σ aᵢ·MACsᵢ + b.
+	MACs [numLayerKinds]int64
+	// PeakActivation is the largest per-sample activation volume at any
+	// layer boundary, the input included.
+	PeakActivation int64
+	// PeakPair is the largest sum of two consecutive activation volumes:
+	// the working set of double-buffered execution.
+	PeakPair int64
+
+	kinds uint16 // bit k set when the network holds a layer of kind k
+}
+
+// TotalMACs returns the per-sample MAC count summed over all kinds.
+func (an Analysis) TotalMACs() int64 {
+	var t int64
+	for _, m := range an.MACs {
+		t += m
+	}
+	return t
+}
+
+// MACsByKind returns the MAC counts keyed by every kind the built network
+// contains (zero-valued ReLU and Flatten included), the same map
+// Network.MACsByKind returns.
+func (an Analysis) MACsByKind() map[LayerKind]int64 {
+	out := make(map[LayerKind]int64, bits.OnesCount16(an.kinds))
+	for k := LayerKind(0); k < numLayerKinds; k++ {
+		if an.kinds&(1<<k) != 0 {
+			out[k] = an.MACs[k]
+		}
+	}
+	return out
+}
+
+// MemoryBytes estimates MCU RAM exactly as Network.MemoryBytes does:
+// weights at weightBits plus the two largest consecutive activations at
+// activationBits.
+func (an Analysis) MemoryBytes(weightBits, activationBits int) int64 {
+	return an.Params*int64(weightBits)/8 + an.PeakPair*int64(activationBits)/8
+}
+
+// analysisLimit bounds every layer field, input dimension, and count that
+// Analyze computes. Nothing near it can be materialized or run, and keeping
+// each factor and product below it means no intermediate overflows int64 —
+// Analyze is safe on untrusted descriptions.
+const analysisLimit = 1 << 40
+
+// inRange reports whether a layer field or width v lies in [lo, analysisLimit].
+func inRange(v, lo int) bool { return v >= lo && v <= analysisLimit }
+
+// product multiplies positive factors, reporting false once the running
+// product exceeds analysisLimit.
+func product(fs ...int) (int64, bool) {
+	p := int64(1)
+	for _, f := range fs {
+		if f <= 0 || p > analysisLimit/int64(f) {
+			return 0, false
+		}
+		p *= int64(f)
+	}
+	return p, true
+}
+
+// walker is Analyze's running state: the per-sample activation shape —
+// (C, H, W) when rank is 3, otherwise only the volume matters — and the
+// analysis accumulated so far.
+type walker struct {
+	an      Analysis
+	rank    int
+	c, h, w int
+	vol     int64
+	prev    int64 // volume of the previous activation
+}
+
+// emit records a layer of the given kind whose output volume is w.vol.
+func (w *walker) emit(kind LayerKind, params, macs int64) error {
+	w.an.kinds |= 1 << kind
+	w.an.Params += params
+	w.an.MACs[kind] += macs
+	if w.an.Params > analysisLimit || w.an.MACs[kind] > analysisLimit {
+		return fmt.Errorf("nn: %s exceeds the analysis limit", kind)
+	}
+	w.an.PeakActivation = max(w.an.PeakActivation, w.vol)
+	w.an.PeakPair = max(w.an.PeakPair, w.prev+w.vol)
+	w.prev = w.vol
+	return nil
+}
+
+// spatial sets a (C, H, W) output shape.
+func (w *walker) spatial(c, h, wd int) bool {
+	vol, ok := product(c, h, wd)
+	w.rank, w.c, w.h, w.w, w.vol = 3, c, h, wd, vol
+	return ok
+}
+
+// flatten records a Flatten layer: rank 1, volume unchanged. It adds no
+// parameters or MACs, so it cannot cross the limit.
+func (w *walker) flatten() {
+	w.rank = 1
+	_ = w.emit(KindFlatten, 0, 0)
+}
+
+// dense records a Dense layer of out units over the current volume.
+func (w *walker) dense(out int) error {
+	if !inRange(out, 1) {
+		return fmt.Errorf("nn: invalid Dense width %d", out)
+	}
+	weights, ok := product(int(w.vol), out)
+	if !ok {
+		return fmt.Errorf("nn: Dense(%d) over %d inputs exceeds the analysis limit", out, w.vol)
+	}
+	w.rank, w.vol = 1, int64(out)
+	return w.emit(KindDense, weights+int64(out), weights)
+}
+
+// layer records one body layer.
+func (w *walker) layer(s LayerSpec) error {
+	switch s.Kind {
+	case KindConv, KindDWConv:
+		if w.rank != 3 {
+			return fmt.Errorf("nn: %s needs (C,H,W) input, have rank %d", s.Kind, w.rank)
+		}
+		if !inRange(s.K, 1) || !inRange(s.Stride, 1) || !inRange(s.Pad, 0) {
+			return fmt.Errorf("nn: invalid %s geometry (k=%d s=%d p=%d)", s.Kind, s.K, s.Stride, s.Pad)
+		}
+		out, fanIn := w.c, 1 // depthwise: one K×K filter per channel
+		if s.Kind == KindConv {
+			if !inRange(s.Out, 1) {
+				return fmt.Errorf("nn: invalid Conv width %d", s.Out)
+			}
+			out, fanIn = s.Out, w.c
+		}
+		oh, ow := convOutDim(w.h, s.K, s.Stride, s.Pad), convOutDim(w.w, s.K, s.Stride, s.Pad)
+		if oh <= 0 || ow <= 0 {
+			return fmt.Errorf("nn: %s collapses input (%d,%d,%d) (k=%d s=%d)", s.Kind, w.c, w.h, w.w, s.K, s.Stride)
+		}
+		weights, ok1 := product(out, fanIn, s.K, s.K)
+		macs, ok2 := product(out, oh, ow, fanIn, s.K, s.K)
+		if !ok1 || !ok2 || !w.spatial(out, oh, ow) {
+			return fmt.Errorf("nn: %s exceeds the analysis limit", s)
+		}
+		return w.emit(s.Kind, weights+int64(out), macs)
+	case KindMaxPool, KindAvgPool:
+		if w.rank != 3 || s.K <= 0 || w.h < s.K || w.w < s.K {
+			return fmt.Errorf("nn: %s does not fit the input", s)
+		}
+		oh, ow := w.h/s.K, w.w/s.K
+		macs, _ := product(w.c, oh, ow, s.K, s.K) // ≤ C·H·W, within the limit
+		w.spatial(w.c, oh, ow)
+		return w.emit(s.Kind, 0, macs)
+	case KindNorm:
+		if w.rank != 3 {
+			return fmt.Errorf("nn: Norm needs (C,H,W) input, have rank %d", w.rank)
+		}
+		return w.emit(KindNorm, 2*int64(w.c), 2*w.vol)
+	case KindReLU:
+		return w.emit(KindReLU, 0, 0)
+	case KindFlatten:
+		w.flatten()
+		return nil
+	case KindDense:
+		return w.dense(s.Out)
+	}
+	return fmt.Errorf("nn: unknown layer kind %d", s.Kind)
+}
+
+// Analyze validates the architecture and returns its static profile without
+// allocating: it walks the layer shapes of the network Build would
+// materialize — implicit Flatten layers and the classifier head included —
+// by arithmetic alone. An error means Build would refuse the description;
+// every layer geometry that cannot run (non-positive kernels, strides,
+// widths, or input dimensions, negative padding, collapsed outputs, counts
+// beyond the analysis limit) is rejected, so Analyze is the screen for
+// untrusted architecture bytes.
+func (a *Arch) Analyze() (Analysis, error) {
+	if a.Classes < 2 {
+		return Analysis{}, fmt.Errorf("nn: Arch needs ≥2 classes, have %d", a.Classes)
+	}
+	vol, ok := product(a.Input...)
+	if len(a.Input) == 0 || !ok {
+		return Analysis{}, fmt.Errorf("nn: invalid input shape %v", a.Input)
+	}
+	w := walker{an: Analysis{PeakActivation: vol, PeakPair: vol}, rank: len(a.Input), vol: vol, prev: vol}
+	if w.rank == 3 {
+		w.c, w.h, w.w = a.Input[0], a.Input[1], a.Input[2]
+	}
+	dense := false
+	for i, s := range a.Body {
+		if dense && s.Kind != KindDense && s.Kind != KindReLU {
+			return Analysis{}, fmt.Errorf("nn: layer %d (%s) after Dense must be Dense or ReLU", i, s)
+		}
+		if s.Kind == KindDense && !dense && w.rank > 1 {
+			w.flatten()
+		}
+		if err := w.layer(s); err != nil {
+			return Analysis{}, fmt.Errorf("nn: layer %d: %w", i, err)
+		}
+		dense = dense || s.Kind == KindDense
+	}
+	if w.rank > 1 {
+		w.flatten()
+	}
+	if err := w.dense(a.Classes); err != nil {
+		return Analysis{}, fmt.Errorf("nn: classifier head: %w", err)
+	}
+	return w.an, nil
+}
+
+// Validate reports whether the architecture materializes cleanly.
+func (a *Arch) Validate() error {
+	_, err := a.Analyze()
+	return err
+}
+
+// materialize instantiates the layer for a given input shape. The spec must
+// have passed Analyze as part of its architecture.
+func (s LayerSpec) materialize(in []int) Layer {
 	switch s.Kind {
 	case KindConv:
-		if len(in) != 3 {
-			return nil, fmt.Errorf("nn: Conv needs 3-d input, have %v", in)
-		}
-		if convOutDim(in[1], s.K, s.Stride, s.Pad) <= 0 || convOutDim(in[2], s.K, s.Stride, s.Pad) <= 0 {
-			return nil, fmt.Errorf("nn: Conv collapses input %v (k=%d s=%d)", in, s.K, s.Stride)
-		}
-		return NewConv2D(in[0], s.Out, s.K, s.Stride, s.Pad), nil
+		return NewConv2D(in[0], s.Out, s.K, s.Stride, s.Pad)
 	case KindDWConv:
-		if len(in) != 3 {
-			return nil, fmt.Errorf("nn: DWConv needs 3-d input, have %v", in)
-		}
-		if convOutDim(in[1], s.K, s.Stride, s.Pad) <= 0 || convOutDim(in[2], s.K, s.Stride, s.Pad) <= 0 {
-			return nil, fmt.Errorf("nn: DWConv collapses input %v (k=%d s=%d)", in, s.K, s.Stride)
-		}
-		return NewDepthwiseConv2D(in[0], s.K, s.Stride, s.Pad), nil
+		return NewDepthwiseConv2D(in[0], s.K, s.Stride, s.Pad)
 	case KindDense:
-		return NewDense(shapeVolume(in), s.Out), nil
+		return NewDense(shapeVolume(in), s.Out)
 	case KindMaxPool:
-		if len(in) != 3 || in[1] < s.K || in[2] < s.K {
-			return nil, fmt.Errorf("nn: MaxPool(%d) does not fit input %v", s.K, in)
-		}
-		return NewMaxPool2D(s.K), nil
+		return NewMaxPool2D(s.K)
 	case KindAvgPool:
-		if len(in) != 3 || in[1] < s.K || in[2] < s.K {
-			return nil, fmt.Errorf("nn: AvgPool(%d) does not fit input %v", s.K, in)
-		}
-		return NewAvgPool2D(s.K), nil
+		return NewAvgPool2D(s.K)
 	case KindNorm:
-		if len(in) != 3 {
-			return nil, fmt.Errorf("nn: Norm needs 3-d input, have %v", in)
-		}
-		return NewBatchNorm(in[0]), nil
+		return NewBatchNorm(in[0])
 	case KindReLU:
-		return NewReLU(), nil
+		return NewReLU()
 	case KindFlatten:
-		return NewFlatten(), nil
+		return NewFlatten()
 	}
-	return nil, fmt.Errorf("nn: unknown layer kind %d", s.Kind)
+	panic(fmt.Sprintf("nn: materialize of unanalyzed layer kind %d", s.Kind))
 }
 
 // Build materializes the architecture into a Network with an appended
-// Flatten + Dense classifier head. Parameters are left uninitialized.
+// Flatten + Dense classifier head. Parameters are left uninitialized. The
+// description is validated by Analyze before any tensor is allocated.
 func (a *Arch) Build() (*Network, error) {
-	if a.Classes < 2 {
-		return nil, fmt.Errorf("nn: Arch needs ≥2 classes, have %d", a.Classes)
+	if _, err := a.Analyze(); err != nil {
+		return nil, err
 	}
 	shape := append([]int(nil), a.Input...)
 	var layers []Layer
 	dense := false
-	for i, s := range a.Body {
-		if dense && s.Kind != KindDense && s.Kind != KindReLU {
-			return nil, fmt.Errorf("nn: layer %d (%s) after Dense must be Dense or ReLU", i, s)
-		}
+	for _, s := range a.Body {
 		if s.Kind == KindDense && !dense && len(shape) > 1 {
 			fl := NewFlatten()
 			layers = append(layers, fl)
 			shape = fl.OutShape(shape)
 		}
-		l, err := s.materialize(shape)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
-		}
+		l := s.materialize(shape)
 		layers = append(layers, l)
 		shape = l.OutShape(shape)
-		if s.Kind == KindDense {
-			dense = true
-		}
+		dense = dense || s.Kind == KindDense
 	}
 	if len(shape) > 1 {
 		fl := NewFlatten()
@@ -144,76 +340,4 @@ func (a *Arch) Build() (*Network, error) {
 	}
 	layers = append(layers, NewDense(shape[0], a.Classes))
 	return NewNetwork(a.Input, layers...), nil
-}
-
-// Validate reports whether the architecture materializes cleanly.
-func (a *Arch) Validate() error {
-	_, err := a.Build()
-	return err
-}
-
-// EstimateParams returns the trainable parameter count of the architecture
-// (including the classifier head) by pure arithmetic — no tensors are
-// allocated, so it is safe to call on untrusted descriptions before Build.
-func (a *Arch) EstimateParams() (int64, error) {
-	shape := append([]int(nil), a.Input...)
-	var params int64
-	vol := func(s []int) int64 {
-		v := int64(1)
-		for _, d := range s {
-			v *= int64(d)
-		}
-		return v
-	}
-	for i, s := range a.Body {
-		switch s.Kind {
-		case KindConv:
-			if len(shape) != 3 || s.Out <= 0 || s.K <= 0 || s.Stride <= 0 || s.Pad < 0 {
-				return 0, fmt.Errorf("nn: layer %d: invalid Conv geometry", i)
-			}
-			oh := convOutDim(shape[1], s.K, s.Stride, s.Pad)
-			ow := convOutDim(shape[2], s.K, s.Stride, s.Pad)
-			if oh <= 0 || ow <= 0 {
-				return 0, fmt.Errorf("nn: layer %d: Conv collapses its input", i)
-			}
-			params += int64(s.Out)*int64(shape[0])*int64(s.K)*int64(s.K) + int64(s.Out)
-			shape = []int{s.Out, oh, ow}
-		case KindDWConv:
-			if len(shape) != 3 || s.K <= 0 || s.Stride <= 0 || s.Pad < 0 {
-				return 0, fmt.Errorf("nn: layer %d: invalid DWConv geometry", i)
-			}
-			oh := convOutDim(shape[1], s.K, s.Stride, s.Pad)
-			ow := convOutDim(shape[2], s.K, s.Stride, s.Pad)
-			if oh <= 0 || ow <= 0 {
-				return 0, fmt.Errorf("nn: layer %d: DWConv collapses its input", i)
-			}
-			params += int64(shape[0])*int64(s.K)*int64(s.K) + int64(shape[0])
-			shape = []int{shape[0], oh, ow}
-		case KindDense:
-			if s.Out <= 0 {
-				return 0, fmt.Errorf("nn: layer %d: invalid Dense width", i)
-			}
-			params += vol(shape)*int64(s.Out) + int64(s.Out)
-			shape = []int{s.Out}
-		case KindMaxPool, KindAvgPool:
-			if len(shape) != 3 || s.K <= 0 || shape[1] < s.K || shape[2] < s.K {
-				return 0, fmt.Errorf("nn: layer %d: pool does not fit", i)
-			}
-			shape = []int{shape[0], shape[1] / s.K, shape[2] / s.K}
-		case KindNorm:
-			if len(shape) != 3 {
-				return 0, fmt.Errorf("nn: layer %d: Norm needs 3-d input", i)
-			}
-			params += 2 * int64(shape[0])
-		case KindReLU, KindFlatten, KindDropout:
-			// shape-preserving (Flatten changes rank, volume unchanged)
-		default:
-			return 0, fmt.Errorf("nn: layer %d: unknown kind %d", i, s.Kind)
-		}
-		if params < 0 || params > 1<<40 {
-			return 0, fmt.Errorf("nn: parameter count overflow at layer %d", i)
-		}
-	}
-	params += vol(shape)*int64(a.Classes) + int64(a.Classes)
-	return params, nil
 }

@@ -38,10 +38,11 @@ type MultiExitNetwork struct {
 
 // NewMultiExit splits arch.Body after the given body indices (each index
 // is the last layer of a stage; the remainder forms the final stage) and
-// attaches a classifier head to every stage.
+// attaches a classifier head to every stage. The architecture must pass
+// Analyze.
 func NewMultiExit(arch *Arch, exitAfter []int) (*MultiExitNetwork, error) {
-	if arch.Classes < 2 {
-		return nil, fmt.Errorf("nn: multi-exit needs ≥2 classes")
+	if _, err := arch.Analyze(); err != nil {
+		return nil, err
 	}
 	for i := 1; i < len(exitAfter); i++ {
 		if exitAfter[i] <= exitAfter[i-1] {
@@ -61,10 +62,7 @@ func NewMultiExit(arch *Arch, exitAfter []int) (*MultiExitNetwork, error) {
 	for _, end := range bounds {
 		var stage []Layer
 		for bi := start; bi <= end; bi++ {
-			l, err := arch.Body[bi].materialize(shape)
-			if err != nil {
-				return nil, fmt.Errorf("nn: stage layer %d: %w", bi, err)
-			}
+			l := arch.Body[bi].materialize(shape)
 			stage = append(stage, l)
 			shape = l.OutShape(shape)
 		}

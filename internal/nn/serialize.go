@@ -168,12 +168,12 @@ func LoadModel(r io.Reader) (*Arch, *Network, error) {
 	}
 	// Screen the description arithmetically before allocating anything:
 	// a corrupted file must not trigger multi-gigabyte builds.
-	est, err := arch.EstimateParams()
+	an, err := arch.Analyze()
 	if err != nil {
 		return nil, nil, fmt.Errorf("nn: screening architecture: %w", err)
 	}
-	if est > 1<<24 {
-		return nil, nil, fmt.Errorf("nn: implausible parameter count %d", est)
+	if an.Params > 1<<24 {
+		return nil, nil, fmt.Errorf("nn: implausible parameter count %d", an.Params)
 	}
 	net, err := arch.Build()
 	if err != nil {

@@ -150,57 +150,3 @@ func TestBatchNormStatsSerialized(t *testing.T) {
 		}
 	}
 }
-
-func TestEstimateParamsMatchesBuild(t *testing.T) {
-	archs := []*Arch{
-		{Input: []int{1, 8, 8}, Body: []LayerSpec{
-			{Kind: KindConv, Out: 4, K: 3, Stride: 1, Pad: 1},
-			{Kind: KindNorm},
-			{Kind: KindReLU},
-			{Kind: KindMaxPool, K: 2},
-			{Kind: KindDWConv, K: 3, Stride: 1, Pad: 1},
-			{Kind: KindDense, Out: 16},
-			{Kind: KindReLU},
-		}, Classes: 10},
-		{Input: []int{3, 12, 12}, Body: []LayerSpec{
-			{Kind: KindAvgPool, K: 2},
-			{Kind: KindConv, Out: 8, K: 5, Stride: 1, Pad: 2},
-		}, Classes: 4},
-		{Input: []int{16}, Body: []LayerSpec{
-			{Kind: KindDense, Out: 32},
-			{Kind: KindDropout},
-		}, Classes: 2},
-	}
-	for i, arch := range archs {
-		if arch.Body[len(arch.Body)-1].Kind == KindDropout {
-			// materialize cannot build a zero-probability literal spec;
-			// replace with ReLU for the Build side comparison.
-			arch.Body[len(arch.Body)-1] = LayerSpec{Kind: KindReLU}
-		}
-		est, err := arch.EstimateParams()
-		if err != nil {
-			t.Fatalf("arch %d: %v", i, err)
-		}
-		net, err := arch.Build()
-		if err != nil {
-			t.Fatalf("arch %d: %v", i, err)
-		}
-		if est != net.ParamCount() {
-			t.Fatalf("arch %d: estimate %d vs built %d", i, est, net.ParamCount())
-		}
-	}
-}
-
-func TestEstimateParamsRejectsBadGeometry(t *testing.T) {
-	bad := []*Arch{
-		{Input: []int{1, 4, 4}, Body: []LayerSpec{{Kind: KindConv, Out: 4, K: 3, Stride: 0, Pad: 1}}, Classes: 2},
-		{Input: []int{1, 4, 4}, Body: []LayerSpec{{Kind: KindConv, Out: 0, K: 3, Stride: 1, Pad: 1}}, Classes: 2},
-		{Input: []int{1, 2, 2}, Body: []LayerSpec{{Kind: KindMaxPool, K: 4}}, Classes: 2},
-		{Input: []int{16}, Body: []LayerSpec{{Kind: KindConv, Out: 4, K: 3, Stride: 1, Pad: 1}}, Classes: 2},
-	}
-	for i, arch := range bad {
-		if _, err := arch.EstimateParams(); err == nil {
-			t.Fatalf("bad arch %d accepted", i)
-		}
-	}
-}
