@@ -116,24 +116,26 @@ search-resume-smoke:
 # live /debug/fleet inspector mid-run, and check the per-device
 # distributions land in the CSV and the obs-report -fleet section. CI runs
 # this and uploads the artifacts. The final leg exercises the serving path:
-# deploy exports an int8 model, serve hosts it, and one HTTP classify must
-# land in the live serve.* metrics.
+# deploy exports an int8 model and a C header of the same program (which
+# must compile as warning-free C99), serve hosts the model, and one HTTP
+# classify must land in the live serve.* metrics.
 smoke-report:
 	mkdir -p $(BUILD_DIR)
 	$(GO) run ./cmd/enas-search -pop 10 -sample 4 -cycles 20 -seed 1 -cache \
-		-trace-out smoke_run.jsonl -metrics-interval 50ms
-	$(GO) run ./cmd/obs-report -trace smoke_run.jsonl \
-		-perfetto smoke_run.perfetto.json -folded smoke_run.folded -csv smoke_run.csv \
-		| tee smoke_report.txt
-	grep -q 'enas.search' smoke_report.txt
-	grep -q 'per-phase breakdown' smoke_report.txt
+		-trace-out $(BUILD_DIR)/smoke_run.jsonl -metrics-interval 50ms
+	$(GO) run ./cmd/obs-report -trace $(BUILD_DIR)/smoke_run.jsonl \
+		-perfetto $(BUILD_DIR)/smoke_run.perfetto.json -folded $(BUILD_DIR)/smoke_run.folded \
+		-csv $(BUILD_DIR)/smoke_run.csv \
+		| tee $(BUILD_DIR)/smoke_report.txt
+	grep -q 'enas.search' $(BUILD_DIR)/smoke_report.txt
+	grep -q 'per-phase breakdown' $(BUILD_DIR)/smoke_report.txt
 	$(GO) run ./cmd/lifetime -hours 2 -seed 1 \
-		-trace-out lifetime_smoke.jsonl -metrics-interval 50ms
-	$(GO) run ./cmd/obs-report -trace lifetime_smoke.jsonl -energy -quiet \
-		-folded-energy lifetime_smoke.energy.folded \
-		| tee lifetime_energy.txt
-	grep -q 'energy accounts' lifetime_energy.txt
-	grep -q 'energy critical path' lifetime_energy.txt
+		-trace-out $(BUILD_DIR)/lifetime_smoke.jsonl -metrics-interval 50ms
+	$(GO) run ./cmd/obs-report -trace $(BUILD_DIR)/lifetime_smoke.jsonl -energy -quiet \
+		-folded-energy $(BUILD_DIR)/lifetime_smoke.energy.folded \
+		| tee $(BUILD_DIR)/lifetime_energy.txt
+	grep -q 'energy accounts' $(BUILD_DIR)/lifetime_energy.txt
+	grep -q 'energy critical path' $(BUILD_DIR)/lifetime_energy.txt
 	$(GO) build -o $(BUILD_DIR)/lifetime ./cmd/lifetime
 	$(BUILD_DIR)/lifetime -hours 2 -devices 200000 -seed 1 \
 		-pprof 127.0.0.1:9190 -fleet-csv $(BUILD_DIR)/fleet_hist.csv \
@@ -160,8 +162,10 @@ smoke-report:
 	$(GO) build -o $(BUILD_DIR)/serve ./cmd/serve
 	$(BUILD_DIR)/deploy -n 60 -epochs 2 \
 		-out $(BUILD_DIR)/smoke_model.bin -qout $(BUILD_DIR)/smoke_model.q8 \
+		-header $(BUILD_DIR)/smoke_model.h \
 		| tee $(BUILD_DIR)/deploy_smoke.txt
 	grep -q 'smaller than the float export' $(BUILD_DIR)/deploy_smoke.txt
+	$(CC) -std=c99 -Wall -Wextra -Werror -fsyntax-only -x c $(BUILD_DIR)/smoke_model.h
 	$(BUILD_DIR)/serve -model $(BUILD_DIR)/smoke_model.q8 -addr 127.0.0.1:9191 \
 		-pprof 127.0.0.1:9192 > $(BUILD_DIR)/serve_smoke.txt 2>&1 & \
 	pid=$$!; \

@@ -1,22 +1,25 @@
 // Command deploy runs the full model-deployment pipeline a SolarML user
 // would ship: search a candidate with real training (or use the built-in
-// default), train it to convergence, save the model file, reload it,
-// post-training-quantize it, and print the deployment report — flash and
-// RAM footprint, per-inference sensing/inference energy, and harvesting
-// time at office light levels.
+// default), train it to convergence, save the model file, reload it, lower
+// it to the int8 program, and print the deployment report — int8 accuracy,
+// flash and RAM footprint, per-inference sensing/inference energy, and
+// harvesting time at office light levels.
 //
 // Usage:
 //
-//	deploy [-search] [-out model.bin] [-qout model.q8] [-n 300] [-epochs 10]
-//	       [-wbits 8] [-abits 8] [-seed 1]
+//	deploy [-search] [-out model.bin] [-qout model.q8] [-header model.h]
+//	       [-n 300] [-epochs 10] [-wbits 8] [-abits 8] [-seed 1]
 //
 // -out is the float model in the versioned SOLARMDL container; -qout is the
-// int8 inference model cmd/serve loads.
+// int8 model cmd/serve loads, and -header the C header generated from the
+// same int8 program for an MCU build. Above 8 bits the float model is the
+// reference, so -wbits and -abits must lie in [2,8].
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -36,9 +39,9 @@ func main() {
 	qout := flag.String("qout", "model.q8", "int8 model file path for cmd/serve (empty = skip)")
 	n := flag.Int("n", 300, "dataset size")
 	epochs := flag.Int("epochs", 10, "final training epochs")
-	wbits := flag.Int("wbits", 8, "PTQ weight bits")
-	abits := flag.Int("abits", 8, "PTQ activation bits")
-	header := flag.String("header", "", "also export the quantized model as a C header to this path")
+	wbits := flag.Int("wbits", 8, "int8 weight bits, in [2,8]")
+	abits := flag.Int("abits", 8, "int8 activation bits, in [2,8]")
+	header := flag.String("header", "", "also export the int8 model as a C header to this path")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 	if err := run(*search, *out, *qout, *header, *n, *epochs, *wbits, *abits, *seed); err != nil {
@@ -48,6 +51,10 @@ func main() {
 }
 
 func run(search bool, out, qout, header string, n, epochs, wbits, abits int, seed int64) error {
+	// The int8 program stores every weight and activation in a byte.
+	if wbits < 2 || wbits > 8 || abits < 2 || abits > 8 {
+		return fmt.Errorf("-wbits %d / -abits %d: both must lie in [2,8]", wbits, abits)
+	}
 	full := dataset.BuildGestureSet(n, 500, seed)
 	train, test := full.Split(4)
 
@@ -102,22 +109,14 @@ func run(search bool, out, qout, header string, n, epochs, wbits, abits int, see
 	fmt.Printf("trained: float accuracy %.3f\n", floatAcc)
 
 	// 3. Save, reload, verify.
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := nn.SaveModelContainer(f, cand.Arch, net); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(out, func(w io.Writer) error { return nn.SaveModel(w, cand.Arch, net) }); err != nil {
 		return err
 	}
 	rf, err := os.Open(out)
 	if err != nil {
 		return err
 	}
-	_, reloaded, err := nn.LoadModelContainer(rf)
+	_, reloaded, err := nn.LoadModel(rf)
 	rf.Close()
 	if err != nil {
 		return err
@@ -131,58 +130,35 @@ func run(search bool, out, qout, header string, n, epochs, wbits, abits int, see
 	}
 	fmt.Printf("saved %s (%d bytes), reload verified bit-exact\n", out, info.Size())
 
-	// 4. Lower to the int8 serving model (before ApplyPTQ, which rewrites
-	// the float weights in place).
+	// 4. Lower to the int8 program: the model cmd/serve runs, the .q8 file
+	// stores, and the C header carries. Its accuracy is the deployment
+	// accuracy. Flash counts the weights bit-packed at wbits on the MCU.
+	m, err := nn.ConvertInt8(cand.Arch, reloaded, trX, nn.PTQConfig{WeightBits: wbits, ActBits: abits})
+	if err != nil {
+		return err
+	}
+	int8Acc := m.Accuracy(nil, teX, teY)
+	report := fmt.Sprintf("int8 model int%d/w int%d/a: accuracy %.3f (Δ %.3f)", wbits, abits, int8Acc, int8Acc-floatAcc)
 	if qout != "" {
-		m, err := nn.ConvertInt8(cand.Arch, reloaded, trX, nn.PTQConfig{WeightBits: wbits, ActBits: abits})
-		if err != nil {
-			return err
-		}
-		int8Acc := m.Accuracy(nil, teX, teY)
-		qf, err := os.Create(qout)
-		if err != nil {
-			return err
-		}
-		if err := nn.SaveInt8Model(qf, m); err != nil {
-			qf.Close()
-			return err
-		}
-		if err := qf.Close(); err != nil {
+		if err := writeFile(qout, func(w io.Writer) error { return nn.SaveInt8Model(w, m) }); err != nil {
 			return err
 		}
 		qinfo, err := os.Stat(qout)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("int8 model: accuracy %.3f (Δ %.3f), %s %d bytes — %.1f× smaller than the float export\n",
-			int8Acc, int8Acc-floatAcc, qout, qinfo.Size(),
+		report += fmt.Sprintf(", %s %d bytes — %.1f× smaller than the float export", qout, qinfo.Size(),
 			float64(info.Size())/float64(qinfo.Size()))
 	}
-
-	// 5. Post-training quantization.
-	ptq, err := nn.ApplyPTQ(reloaded, trX, nn.PTQConfig{WeightBits: wbits, ActBits: abits})
-	if err != nil {
-		return err
-	}
-	qAcc := ptq.Accuracy(teX, teY)
-	fmt.Printf("PTQ int%d/w int%d/a: accuracy %.3f (Δ %.3f), flash %d B\n",
-		wbits, abits, qAcc, qAcc-floatAcc, ptq.WeightBytes())
+	fmt.Printf("%s, flash %d B\n", report, (reloaded.ParamCount()*int64(wbits)+7)/8)
 	if header != "" {
-		hf, err := os.Create(header)
-		if err != nil {
-			return err
-		}
-		if err := ptq.ExportCHeader(hf, "solarml_model"); err != nil {
-			hf.Close()
-			return err
-		}
-		if err := hf.Close(); err != nil {
+		if err := writeFile(header, func(w io.Writer) error { return m.ExportCHeader(w, "solarml_model") }); err != nil {
 			return err
 		}
 		fmt.Printf("exported C header to %s\n", header)
 	}
 
-	// 6. Deployment energy report.
+	// 5. Deployment energy report.
 	profile := mcu.NRF52840()
 	coeff := energymodel.DefaultCoefficients()
 	es := energymodel.GestureSensingTrue(profile, cand.Gesture)
@@ -195,4 +171,18 @@ func run(search bool, out, qout, header string, n, epochs, wbits, abits int, see
 		fmt.Printf("  harvest @%4.0f lux: %5.1f s per inference\n", lux, h.TimeToHarvest(es+em, lux))
 	}
 	return nil
+}
+
+// writeFile creates path and writes it through write, reporting the first
+// write or close error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

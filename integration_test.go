@@ -71,7 +71,7 @@ func TestIntegrationRealTrainingSearch(t *testing.T) {
 }
 
 // TestIntegrationDeployAndRedeploy exercises the deployment loop: train a
-// model, save it, reload it, quantize it, and run the quantized deployment
+// model, save it, reload it, lower it to int8, and run the deployment
 // in the lifetime simulator.
 func TestIntegrationDeployAndRedeploy(t *testing.T) {
 	if testing.Short() {
@@ -135,13 +135,13 @@ func TestIntegrationDeployAndRedeploy(t *testing.T) {
 		t.Fatalf("reload changed accuracy: %.3f vs %.3f", got, floatAcc)
 	}
 
-	// Quantize for deployment.
-	ptq, err := nn.ApplyPTQ(reloaded, trX, nn.PTQConfig{WeightBits: 8, ActBits: 8})
+	// Lower to the int8 program the device runs.
+	m, err := nn.ConvertInt8(arch, reloaded, trX, nn.PTQConfig{WeightBits: 8, ActBits: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qAcc := ptq.Accuracy(teX, teY); qAcc < floatAcc-0.1 {
-		t.Fatalf("PTQ accuracy drop too large: %.3f vs %.3f", qAcc, floatAcc)
+	if qAcc := m.Accuracy(nil, teX, teY); qAcc < floatAcc-0.1 {
+		t.Fatalf("int8 accuracy drop too large: %.3f vs %.3f", qAcc, floatAcc)
 	}
 
 	// Run the deployed model through a day in the lifetime simulator.

@@ -116,6 +116,22 @@ func (r *Reader) F64() float64 {
 	return v
 }
 
+// Count reads a list's uvarint element count and latches an error unless
+// the bytes left can hold that many elements of at least elemBytes each, so
+// a decoder can size the list before reading it without trusting the
+// count.
+func (r *Reader) Count(elemBytes int) int {
+	n := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(len(r.b)/elemBytes) {
+		r.fail("list of %d elements cannot fit in %d bytes", n, len(r.b))
+		return 0
+	}
+	return int(n)
+}
+
 // Bytes reads one length-prefixed byte field. The returned slice aliases
 // the underlying buffer; callers that retain it must copy.
 func (r *Reader) Bytes() []byte {

@@ -160,9 +160,10 @@ func (s *Simulator) scheduleVTheta(q *sim.Queue, gen int64, limit float64) {
 // times (need not be sorted), on the event queue: arrivals, lighting-knot
 // breakpoints, and predicted V_θ recoveries are the only points where
 // state changes hands, and between them the charge+leak ODE is advanced in
-// closed form. Outcomes match RunFixedStep's historical 60 s integrator
-// (pinned by equivalence tests) at a fraction of the work — a device-day
-// is a few hundred events instead of tens of thousands of chunk steps.
+// closed form. Outcomes match the historical 60 s fixed-step integrator
+// (kept as the test oracle, pinned by equivalence tests) at a fraction of
+// the work — a device-day is a few hundred events instead of tens of
+// thousands of chunk steps.
 func (s *Simulator) Run(duration float64, eventTimes []float64) (*Stats, error) {
 	times := append([]float64(nil), eventTimes...)
 	sort.Float64s(times)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"solarml/internal/circuit"
 	"solarml/internal/dataset"
@@ -217,10 +216,11 @@ type Stats struct {
 	ExitCounts   map[int]int
 	HarvestedJ   float64
 	ConsumedJ    float64
-	FinalV     float64
+	FinalV       float64
 	// VThetaUpCrossings counts supercap recoveries up through V_θ between
 	// interactions. Only the event-driven Run tracks these (they are its
-	// threshold-crossing events); RunFixedStep leaves the count at zero.
+	// threshold-crossing events); the fixed-step test oracle leaves the
+	// count at zero.
 	VThetaUpCrossings int
 }
 
@@ -364,34 +364,12 @@ func (s *Simulator) chargePhase(parent *obs.Span, acc energy.Account, name strin
 	s.cfg.Energy.Charge(acc, j)
 }
 
-// charge advances the harvester from t0 to t1 with the lighting profile,
-// in ≤stepS chunks at midpoint illuminance, and returns the harvested
-// energy. During a session (sensing=true) the user's hand additionally
-// shadows part of the array.
-func (s *Simulator) charge(t0, t1, stepS float64, sensing bool) float64 {
-	harvested := 0.0
-	for t := t0; t < t1; {
-		dt := math.Min(stepS, t1-t)
-		before := s.harv.Cap.Energy()
-		if sensing {
-			s.harv.ChargeShaded(s.cfg.Lux.Lux(t+dt/2), dt, 0.4, 0.8, true)
-		} else {
-			s.harv.Charge(s.cfg.Lux.Lux(t+dt/2), dt, false)
-		}
-		if gained := s.harv.Cap.Energy() - before; gained > 0 {
-			harvested += gained
-		}
-		t += dt
-	}
-	return harvested
-}
-
 // interact runs the §III-B decision tree for one arrival at et and books
 // the outcome into stats. The session closure charges the (hand-shadowed)
 // array for durS seconds from the current charge position and returns the
-// harvested gain — the fixed-step and event-driven Run variants supply
-// their chunked or analytic implementation; everything else is shared, so
-// the two paths cannot drift apart on policy.
+// harvested gain — Run supplies the analytic implementation and the
+// fixed-step test oracle a chunked one; everything else is shared, so the
+// two paths cannot drift apart on policy.
 func (s *Simulator) interact(et float64, baseCost sessionCost, stats *Stats, session func(durS float64) float64) {
 	lux := s.cfg.Lux.Lux(et)
 	ev := Event{T: et, V: s.harv.Cap.V, Exit: -1}
@@ -485,39 +463,6 @@ func (s *Simulator) interact(et float64, baseCost sessionCost, stats *Stats, ses
 	if !s.leanStats {
 		stats.Events = append(stats.Events, ev)
 	}
-}
-
-// RunFixedStep simulates `duration` seconds with user interactions at the
-// given times (need not be sorted), advancing the charge ODE in fixed
-// ≤stepS chunks at midpoint illuminance (stepS ≤ 0 selects the historical
-// 60 s). This is the pre-event-queue integrator, retained as the
-// equivalence baseline the event-driven Run is pinned against and as the
-// accuracy ladder for convergence tests; new callers want Run.
-func (s *Simulator) RunFixedStep(duration float64, eventTimes []float64, stepS float64) (*Stats, error) {
-	if stepS <= 0 {
-		stepS = 60
-	}
-	times := append([]float64(nil), eventTimes...)
-	sort.Float64s(times)
-	stats := &Stats{Duration: duration, Counts: make(map[EventOutcome]int), ExitCounts: make(map[int]int)}
-	now := 0.0
-	baseCost := s.sessionCostFor(s.cfg.InferMACs)
-	session := func(durS float64) float64 {
-		h := s.charge(now, now+durS, stepS, true)
-		now += durS
-		return h
-	}
-	for _, et := range times {
-		if et < 0 || et > duration {
-			return nil, fmt.Errorf("firmware: event time %.1f outside [0, %.1f]", et, duration)
-		}
-		stats.HarvestedJ += s.charge(now, et, stepS, false)
-		now = et
-		s.interact(et, baseCost, stats, session)
-	}
-	stats.HarvestedJ += s.charge(now, duration, stepS, false)
-	stats.FinalV = s.harv.Cap.V
-	return stats, nil
 }
 
 // PoissonArrivals draws event times with the given mean inter-arrival

@@ -33,10 +33,6 @@ type FleetConfig struct {
 	// Results are identical for every worker count: devices are
 	// independent and aggregation runs in device order.
 	Workers int
-	// FixedStepS, when positive, runs every device on the fixed-step
-	// integrator with that step instead of the event-driven core — the
-	// accuracy/throughput baseline the fleet benchmark compares against.
-	FixedStepS float64
 	// Ledger, when set, books every device's energy on its worker's stripe
 	// of the sharded ledger (overriding Base.Energy), so fleet energy
 	// attribution costs no shared cache lines. Size it with FleetWorkers.
@@ -170,12 +166,7 @@ func RunFleet(fc FleetConfig) (*FleetStats, error) {
 			}
 			dev.leanStats = true // the per-event log is dropped unread below
 			times := PoissonArrivals(fleetRng(fc.Seed+int64(i)), fc.DurationS, fc.MeanGapS)
-			var st *Stats
-			if fc.FixedStepS > 0 {
-				st, err = dev.RunFixedStep(fc.DurationS, times, fc.FixedStepS)
-			} else {
-				st, err = dev.Run(fc.DurationS, times)
-			}
+			st, err := dev.Run(fc.DurationS, times)
 			if err != nil {
 				errs[i] = err
 				return

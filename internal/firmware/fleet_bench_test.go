@@ -9,7 +9,7 @@ import (
 
 // benchFleet runs one fleet configuration and reports simulated
 // device-years per wall-clock second — the fleet-scale throughput figure
-// of merit. fixedStep selects the baseline integrator; 0 the event core;
+// of merit. fixedStep > 0 selects the fixed-step oracle; 0 the event core;
 // instrumented attaches the full fleet observability stack (sharded
 // ledger, inspector, distribution capture runs unconditionally).
 func benchFleet(b *testing.B, devices int, fixedStep float64, instrumented bool) {
@@ -17,12 +17,11 @@ func benchFleet(b *testing.B, devices int, fixedStep float64, instrumented bool)
 	base.Lux = OfficeDay(500)
 	const hours = 12.0
 	fc := FleetConfig{
-		Base:       base,
-		Devices:    devices,
-		DurationS:  hours * 3600,
-		MeanGapS:   600,
-		Seed:       1,
-		FixedStepS: fixedStep,
+		Base:      base,
+		Devices:   devices,
+		DurationS: hours * 3600,
+		MeanGapS:  600,
+		Seed:      1,
 	}
 	if instrumented {
 		workers := FleetWorkers(0)
@@ -32,7 +31,13 @@ func benchFleet(b *testing.B, devices int, fixedStep float64, instrumented bool)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFleet(fc); err != nil {
+		var err error
+		if fixedStep > 0 {
+			_, err = runFleetFixedStep(fc, fixedStep)
+		} else {
+			_, err = RunFleet(fc)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -141,7 +141,7 @@ func TestRunFleetValidates(t *testing.T) {
 	}
 }
 
-// TestRunFleetFixedStepBaseline exercises the baseline integrator path and
+// TestRunFleetFixedStepBaseline runs the fleet on the fixed-step oracle and
 // sanity-checks it against the event-driven fleet on aggregate outcomes.
 func TestRunFleetFixedStepBaseline(t *testing.T) {
 	fc := fleetCfg(3, 0)
@@ -149,8 +149,7 @@ func TestRunFleetFixedStepBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.FixedStepS = 60
-	fs, err := RunFleet(fc)
+	fs, err := runFleetFixedStep(fc, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,8 @@ type Analysis struct {
 	// the working set of double-buffered execution.
 	PeakPair int64
 
-	kinds uint16 // bit k set when the network holds a layer of kind k
+	normStats int64  // BatchNorm running-statistic values (mean and variance)
+	kinds     uint16 // bit k set when the network holds a layer of kind k
 }
 
 // TotalMACs returns the per-sample MAC count summed over all kinds.
@@ -228,6 +229,7 @@ func (w *walker) layer(s LayerSpec) error {
 		if w.rank != 3 {
 			return fmt.Errorf("nn: Norm needs (C,H,W) input, have rank %d", w.rank)
 		}
+		w.an.normStats += 2 * int64(w.c) // ≤ the norm's 2·C params, so within the limit
 		return w.emit(KindNorm, 2*int64(w.c), 2*w.vol)
 	case KindReLU:
 		return w.emit(KindReLU, 0, 0)

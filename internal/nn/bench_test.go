@@ -66,19 +66,6 @@ func BenchmarkTrainStepCNN(b *testing.B) {
 	}
 }
 
-// BenchmarkPTQForward times quantized inference against the float path.
-func BenchmarkPTQForward(b *testing.B) {
-	net, x, _ := benchConvNet(b)
-	ptq, err := ApplyPTQ(net, x, PTQConfig{WeightBits: 8, ActBits: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ptq.Forward(x)
-	}
-}
-
 // BenchmarkMatMulMid times the core GEMM at a NAS-typical size.
 func BenchmarkMatMulMid(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -10,18 +9,17 @@ import (
 	"solarml/internal/bytecodec"
 )
 
-// Model container. The raw SMLM stream (SaveModel/LoadModel) has no
-// integrity protection and no room for sibling payload kinds, so the files
-// cmd/deploy writes and cmd/serve loads wrap it in the same envelope the
-// evolution checkpoints use: a magic + version header, a typed payload, and
-// a CRC32 (IEEE) trailer over everything before it. A truncated copy, a
-// flipped bit, or a file from a build with a different layout fails loudly
-// instead of deserializing garbage into a served model.
+// Model container: the one model file format. The files cmd/deploy writes
+// and cmd/serve loads use the same envelope the evolution checkpoints use:
+// a magic + version header, a typed payload, and a CRC32 (IEEE) trailer
+// over everything before it. A truncated copy, a flipped bit, or a file
+// from a build with a different layout fails loudly instead of
+// deserializing garbage into a served model.
 //
 //	"SOLARMDL" | uvarint version | uvarint kind | bytes payload | crc32 (LE)
 //
-// Payload kinds: float32-era SMLM model (payloadFloat) and the quantized
-// int8 model (payloadInt8).
+// Payload kinds: the float model as an SMLM stream (payloadFloat, see
+// serialize.go) and the quantized int8 model (payloadInt8, see int8.go).
 const (
 	containerMagic   = "SOLARMDL"
 	containerVersion = 1
@@ -76,18 +74,16 @@ func readContainer(r io.Reader) (kind int, payload []byte, err error) {
 	return int(k), payload, nil
 }
 
-// SaveModelContainer writes the float model in the checksummed container
-// (an SMLM stream as the payload).
-func SaveModelContainer(w io.Writer, arch *Arch, net *Network) error {
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, arch, net); err != nil {
-		return err
-	}
-	return writeContainer(w, payloadFloat, buf.Bytes())
+// SaveModel writes the float model — architecture, trained parameters,
+// and BatchNorm statistics — in the checksummed container. net must have
+// been built from arch.
+func SaveModel(w io.Writer, arch *Arch, net *Network) error {
+	return writeContainer(w, payloadFloat, encodeFloatModel(arch, net))
 }
 
-// LoadModelContainer reads a float model from the checksummed container.
-func LoadModelContainer(r io.Reader) (*Arch, *Network, error) {
+// LoadModel reads a float model from the checksummed container, rebuilds
+// the network, and restores its parameters.
+func LoadModel(r io.Reader) (*Arch, *Network, error) {
 	kind, payload, err := readContainer(r)
 	if err != nil {
 		return nil, nil, err
@@ -95,7 +91,7 @@ func LoadModelContainer(r io.Reader) (*Arch, *Network, error) {
 	if kind != payloadFloat {
 		return nil, nil, fmt.Errorf("nn: container holds payload kind %d, want a float model (%d) — pass the int8 export to LoadInt8Model instead", kind, payloadFloat)
 	}
-	return LoadModel(bytes.NewReader(payload))
+	return decodeFloatModel(payload)
 }
 
 // SaveInt8Model writes the quantized model in the checksummed container.

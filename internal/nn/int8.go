@@ -9,27 +9,27 @@ import (
 	"solarml/internal/tensor"
 )
 
-// int8.go is the PTQ→integer lowering pass: ConvertInt8 folds a trained
-// float network plus cmd/deploy's wbits/abits PTQ configuration into an
-// Int8Model — a flat program of quantized ops whose weights are int8, whose
+// int8.go is the one quantization path: ConvertInt8 folds a trained float
+// network plus cmd/deploy's wbits/abits configuration into an Int8Model —
+// a flat program of quantized ops whose weights are int8, whose
 // accumulators are int32, and whose layer boundaries carry precomputed
 // requantization parameters (31-bit fixed-point multiplier + shift, see
 // compute.QuantizeMultiplier). The executor over this program lives in
 // int8exec.go; the serialized form (cmd/deploy -qout → cmd/serve) is the
-// int8 payload of the SOLARMDL container.
+// int8 payload of the SOLARMDL container, and the MCU C header
+// (export.go) is generated from the same program.
 //
 // Quantization scheme: symmetric, zero-point 0 throughout. Weights take one
 // scale per output channel (row of the GEMM), activations one scale per
-// layer boundary calibrated exactly like the float PTQ pass (maxAbs /
-// (2^(abits−1)−1) over a representative batch, with the weights already
-// snapped to their grid). Biases are int32 in the accumulator's scale
-// s_in·s_w[oc]. BatchNorm folds to a per-channel integer affine
-// clamp(rne(x·M_c) + qb_c) whose bias applies after the scale, so a dead
-// channel (gamma 0) still lands exactly on its beta constant. The
-// classifier head stays in float: logits[j] = acc·s_in·s_w[j] + b[j], which
-// costs one multiply per class and spares the logits a destructive final
-// rounding. ReLUs following a compute layer fuse into its epilogue as a
-// zero lower clamp.
+// layer boundary calibrated as maxAbs / (2^(abits−1)−1) over a
+// representative batch, with the weights already snapped to their grid.
+// Biases are int32 in the accumulator's scale s_in·s_w[oc]. BatchNorm
+// folds to a per-channel integer affine clamp(rne(x·M_c) + qb_c) whose bias
+// applies after the scale, so a dead channel (gamma 0) still lands exactly
+// on its beta constant. The classifier head stays in float: logits[j] =
+// acc·s_in·s_w[j] + b[j], which costs one multiply per class and spares the
+// logits a destructive final rounding. ReLUs following a compute layer fuse
+// into its epilogue as a zero lower clamp.
 
 // int8OpKind enumerates the quantized executor's op set.
 type int8OpKind int
@@ -187,12 +187,11 @@ func isReLUAt(layers []Layer, li int) bool {
 	return ok
 }
 
-// ConvertInt8 lowers a trained float network to an Int8Model at the PTQ
-// config's bit widths (both ≤ 8: the storage is int8). The network's float
-// parameters are left untouched (snapshot/restore around the internal
-// weight snapping), so the caller can still run — or destructively PTQ —
-// the float model afterwards. calib has shape (N, ...InShape) and
-// calibrates the activation grids exactly like ApplyPTQ.
+// ConvertInt8 lowers a trained float network to an Int8Model at the
+// config's bit widths (both in [2,8]: the storage is int8). The network's
+// float parameters are left untouched (snapshot/restore around the internal
+// weight snapping), so the caller can still run the float model afterwards.
+// calib has shape (N, ...InShape) and calibrates the activation grids.
 func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) (*Int8Model, error) {
 	if cfg.WeightBits < 2 || cfg.WeightBits > 8 {
 		return nil, fmt.Errorf("nn: int8 lowering needs weight bits in [2,8], have %d", cfg.WeightBits)
@@ -612,14 +611,11 @@ func appendI8s(b []byte, v []int8) []byte {
 	return bytecodec.AppendBytes(b, raw)
 }
 
-const maxCodecList = 1 << 24
-
+// readI32s and readF64s size each list from a count the reader has checked
+// against the bytes left: a checksum anyone can recompute does not make the
+// count trustworthy.
 func readI32s(r *bytecodec.Reader) []int32 {
-	n := r.Uvarint()
-	if n > maxCodecList || r.Err() != nil {
-		return nil
-	}
-	out := make([]int32, n)
+	out := make([]int32, r.Count(1)) // a varint takes at least one byte
 	for i := range out {
 		out[i] = int32(r.Varint())
 	}
@@ -630,11 +626,7 @@ func readI32s(r *bytecodec.Reader) []int32 {
 }
 
 func readF64s(r *bytecodec.Reader) []float64 {
-	n := r.Uvarint()
-	if n > maxCodecList || r.Err() != nil {
-		return nil
-	}
-	out := make([]float64, n)
+	out := make([]float64, r.Count(8))
 	for i := range out {
 		out[i] = r.F64()
 	}

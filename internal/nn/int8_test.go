@@ -165,12 +165,9 @@ func TestInt8DeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestInt8CoversAllOps lowers an architecture exercising every op kind
-// (dwconv, norm, avgpool, standalone relu included) and checks the int8
-// accuracy stays near float.
-func TestInt8CoversAllOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	arch := &Arch{
+// allOpsArch lowers to a program holding every int8 op kind.
+func allOpsArch() *Arch {
+	return &Arch{
 		Input: []int{2, 8, 16},
 		Body: []LayerSpec{
 			{Kind: KindConv, Out: 4, K: 3, Stride: 1, Pad: 1},
@@ -186,6 +183,14 @@ func TestInt8CoversAllOps(t *testing.T) {
 		},
 		Classes: 3,
 	}
+}
+
+// TestInt8CoversAllOps lowers an architecture exercising every op kind
+// (dwconv, norm, avgpool, standalone relu included) and checks the int8
+// accuracy stays near float.
+func TestInt8CoversAllOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	arch := allOpsArch()
 	const n = 90
 	x := tensor.New(n, 2, 8, 16)
 	y := make([]int, n)
@@ -300,10 +305,10 @@ func TestInt8ModelRoundTrip(t *testing.T) {
 func TestModelContainerRoundTrip(t *testing.T) {
 	arch, net, x, y := trainedGestureCNN(t)
 	var buf bytes.Buffer
-	if err := SaveModelContainer(&buf, arch, net); err != nil {
+	if err := SaveModel(&buf, arch, net); err != nil {
 		t.Fatal(err)
 	}
-	arch2, net2, err := LoadModelContainer(bytes.NewReader(buf.Bytes()))
+	arch2, net2, err := LoadModel(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +323,7 @@ func TestModelContainerRoundTrip(t *testing.T) {
 func TestModelContainerRejectsCorruption(t *testing.T) {
 	arch, net, _, _ := trainedGestureCNN(t)
 	var buf bytes.Buffer
-	if err := SaveModelContainer(&buf, arch, net); err != nil {
+	if err := SaveModel(&buf, arch, net); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -326,19 +331,19 @@ func TestModelContainerRejectsCorruption(t *testing.T) {
 	// A flipped bit in the middle must fail the checksum.
 	bad := append([]byte(nil), good...)
 	bad[len(bad)/2] ^= 0x40
-	if _, _, err := LoadModelContainer(bytes.NewReader(bad)); err == nil {
+	if _, _, err := LoadModel(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bit flip must fail the checksum")
 	}
 
 	// Truncation must fail loudly.
-	if _, _, err := LoadModelContainer(bytes.NewReader(good[:len(good)-3])); err == nil {
+	if _, _, err := LoadModel(bytes.NewReader(good[:len(good)-3])); err == nil {
 		t.Fatal("truncated container must be rejected")
 	}
 
 	// Wrong magic.
 	bad = append([]byte(nil), good...)
 	bad[0] = 'X'
-	if _, _, err := LoadModelContainer(bytes.NewReader(bad)); err == nil {
+	if _, _, err := LoadModel(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic must be rejected")
 	}
 }
@@ -346,7 +351,7 @@ func TestModelContainerRejectsCorruption(t *testing.T) {
 func TestModelContainerRejectsVersionSkew(t *testing.T) {
 	arch, net, _, _ := trainedGestureCNN(t)
 	var buf bytes.Buffer
-	if err := SaveModelContainer(&buf, arch, net); err != nil {
+	if err := SaveModel(&buf, arch, net); err != nil {
 		t.Fatal(err)
 	}
 	// Patch the version uvarint (first byte after the magic) to a future
@@ -359,7 +364,7 @@ func TestModelContainerRejectsVersionSkew(t *testing.T) {
 	b[len(containerMagic)] = containerVersion + 1
 	body := b[:len(b)-4]
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(body))
-	_, _, err := LoadModelContainer(bytes.NewReader(b))
+	_, _, err := LoadModel(bytes.NewReader(b))
 	if err == nil {
 		t.Fatal("version skew must be rejected")
 	}
@@ -374,12 +379,12 @@ func TestModelContainerRejectsWrongKind(t *testing.T) {
 	if err := SaveInt8Model(&qbuf, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadModelContainer(bytes.NewReader(qbuf.Bytes())); err == nil {
+	if _, _, err := LoadModel(bytes.NewReader(qbuf.Bytes())); err == nil {
 		t.Fatal("float loader must refuse an int8 payload")
 	}
 	arch, net, _, _ := trainedGestureCNN(t)
 	var fbuf bytes.Buffer
-	if err := SaveModelContainer(&fbuf, arch, net); err != nil {
+	if err := SaveModel(&fbuf, arch, net); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadInt8Model(bytes.NewReader(fbuf.Bytes())); err == nil {
@@ -393,7 +398,7 @@ func TestInt8ModelSmallerThanFloat(t *testing.T) {
 	m, net, _, _ := convertGesture(t)
 	arch, _, _, _ := trainedGestureCNN(t)
 	var fbuf, qbuf bytes.Buffer
-	if err := SaveModelContainer(&fbuf, arch, net); err != nil {
+	if err := SaveModel(&fbuf, arch, net); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveInt8Model(&qbuf, m); err != nil {

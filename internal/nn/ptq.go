@@ -8,8 +8,8 @@ import (
 )
 
 // SnapshotParams copies every trainable parameter value, so callers can
-// restore a network after destructive operations (post-training
-// quantization, pruning experiments, warm restarts).
+// restore a network after destructive operations (weight snapping during
+// int8 lowering, pruning experiments, warm restarts).
 func (n *Network) SnapshotParams() [][]float64 {
 	params := n.Params()
 	out := make([][]float64, len(params))
@@ -33,27 +33,17 @@ func (n *Network) RestoreParams(snap [][]float64) {
 	}
 }
 
-// PTQConfig selects the deployment precision for post-training
-// quantization: symmetric per-tensor weights and per-boundary activations.
+// PTQConfig selects the deployment precision ConvertInt8 lowers a trained
+// network to: symmetric per-channel weights and per-boundary activations,
+// each in [2,8] bits.
 type PTQConfig struct {
 	WeightBits int
 	ActBits    int
 }
 
-// PTQ is a post-training-quantized view of a trained network: weights are
-// snapped to a WeightBits grid in place and activations are clamped and
-// snapped to calibrated ActBits grids at every layer boundary during
-// inference — the numerical behaviour of an integer tinyML deployment.
-type PTQ struct {
-	Config PTQConfig
-	net    *Network
-	// actScales holds one symmetric scale per layer boundary (including
-	// the input), calibrated from representative data.
-	actScales []float64
-}
-
-// quantizeTensorSym snaps t to a symmetric b-bit grid and returns the scale.
-func quantizeTensorSym(t *tensor.Tensor, bits int) float64 {
+// quantizeTensorSym snaps t to a symmetric b-bit grid (QAT's fake-quant
+// forward weights).
+func quantizeTensorSym(t *tensor.Tensor, bits int) {
 	maxAbs := 0.0
 	for _, v := range t.Data {
 		if a := math.Abs(v); a > maxAbs {
@@ -61,7 +51,7 @@ func quantizeTensorSym(t *tensor.Tensor, bits int) float64 {
 		}
 	}
 	if maxAbs == 0 {
-		return 0
+		return
 	}
 	levels := float64(int64(1)<<uint(bits-1)) - 1
 	scale := maxAbs / levels
@@ -75,110 +65,4 @@ func quantizeTensorSym(t *tensor.Tensor, bits int) float64 {
 		}
 		t.Data[i] = q * scale
 	}
-	return scale
-}
-
-// quantizeActivations clamps and snaps a batch tensor to the grid defined
-// by scale and bits.
-func quantizeActivations(t *tensor.Tensor, scale float64, bits int) {
-	if scale == 0 {
-		return
-	}
-	levels := float64(int64(1)<<uint(bits-1)) - 1
-	for i, v := range t.Data {
-		q := math.Round(v / scale)
-		if q > levels {
-			q = levels
-		}
-		if q < -levels {
-			q = -levels
-		}
-		t.Data[i] = q * scale
-	}
-}
-
-// maxAbs returns the largest magnitude in the tensor.
-func maxAbs(t *tensor.Tensor) float64 { return t.MaxAbs() }
-
-// ApplyPTQ quantizes the network's weights in place (snapshot first if the
-// float model must survive) and calibrates activation scales on the given
-// representative batch. calib has shape (N, ...InShape).
-func ApplyPTQ(net *Network, calib *tensor.Tensor, cfg PTQConfig) (*PTQ, error) {
-	if cfg.WeightBits < 2 || cfg.WeightBits > 32 {
-		return nil, fmt.Errorf("nn: weight bits %d outside [2,32]", cfg.WeightBits)
-	}
-	if cfg.ActBits < 2 || cfg.ActBits > 32 {
-		return nil, fmt.Errorf("nn: activation bits %d outside [2,32]", cfg.ActBits)
-	}
-	if calib == nil || calib.Shape[0] < 1 {
-		return nil, fmt.Errorf("nn: PTQ needs a calibration batch")
-	}
-	for _, p := range net.Params() {
-		quantizeTensorSym(p.Value, cfg.WeightBits)
-	}
-	// Calibrate activation ranges with the quantized weights, boundary by
-	// boundary (input counts as boundary 0).
-	scales := make([]float64, len(net.Layers)+1)
-	levels := float64(int64(1)<<uint(cfg.ActBits-1)) - 1
-	x := calib
-	scales[0] = maxAbs(x) / levels
-	for i, l := range net.Layers {
-		x = l.Forward(x, false)
-		scales[i+1] = maxAbs(x) / levels
-	}
-	return &PTQ{Config: cfg, net: net, actScales: scales}, nil
-}
-
-// Forward runs quantized inference: activations are snapped to the
-// calibrated grid at every boundary.
-func (p *PTQ) Forward(x *tensor.Tensor) *tensor.Tensor {
-	x = x.Clone()
-	quantizeActivations(x, p.actScales[0], p.Config.ActBits)
-	for i, l := range p.net.Layers {
-		x = l.Forward(x, false)
-		// The final logits stay unquantized: argmax needs no dequant and
-		// deployments read them from the int32 accumulator anyway.
-		if i < len(p.net.Layers)-1 {
-			quantizeActivations(x, p.actScales[i+1], p.Config.ActBits)
-		}
-	}
-	return x
-}
-
-// Accuracy evaluates quantized top-1 accuracy.
-func (p *PTQ) Accuracy(inputs *tensor.Tensor, labels []int) float64 {
-	total := inputs.Shape[0]
-	sample := len(inputs.Data) / total
-	correct := 0
-	const chunk = 32
-	for start := 0; start < total; start += chunk {
-		end := start + chunk
-		if end > total {
-			end = total
-		}
-		bs := end - start
-		bshape := append([]int{bs}, p.net.InShape...)
-		bx := tensor.FromSlice(inputs.Data[start*sample:end*sample], bshape...)
-		logits := p.Forward(bx)
-		k := logits.Shape[1]
-		for i := 0; i < bs; i++ {
-			best, bi := math.Inf(-1), 0
-			for j := 0; j < k; j++ {
-				if v := logits.Data[i*k+j]; v > best {
-					best, bi = v, j
-				}
-			}
-			if bi == labels[start+i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(total)
-}
-
-// WeightBytes returns the deployed weight storage at the quantized width
-// (sub-byte widths are bit-packed on the MCU flash).
-func (p *PTQ) WeightBytes() int64 {
-	bits := p.net.ParamCount() * int64(p.Config.WeightBits)
-	return (bits + 7) / 8
 }

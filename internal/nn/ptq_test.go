@@ -8,8 +8,9 @@ import (
 	"solarml/internal/tensor"
 )
 
-// trainedBlobNet returns a small trained MLP plus its dataset.
-func trainedBlobNet(t *testing.T) (*Network, *tensor.Tensor, []int) {
+// trainedBlobNet returns a small trained MLP, its architecture, and its
+// dataset.
+func trainedBlobNet(t *testing.T) (*Arch, *Network, *tensor.Tensor, []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(50))
 	const n = 240
@@ -22,17 +23,21 @@ func trainedBlobNet(t *testing.T) (*Network, *tensor.Tensor, []int) {
 		x.Data[i*2+1] = math.Sin(angle) + rng.NormFloat64()*0.25
 		y[i] = cls
 	}
-	net := NewNetwork([]int{2}, NewDense(2, 16), NewReLU(), NewDense(16, 3))
+	arch := &Arch{Input: []int{2}, Body: []LayerSpec{{Kind: KindDense, Out: 16}, {Kind: KindReLU}}, Classes: 3}
+	net, err := arch.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	net.Init(rng)
 	net.Fit(x, y, TrainConfig{Epochs: 40, BatchSize: 16, LR: 0.1, Momentum: 0.9, Seed: 1})
 	if acc := net.Accuracy(x, y); acc < 0.9 {
 		t.Fatalf("float model failed to train: %.2f", acc)
 	}
-	return net, x, y
+	return arch, net, x, y
 }
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	net, x, y := trainedBlobNet(t)
+	_, net, x, y := trainedBlobNet(t)
 	accBefore := net.Accuracy(x, y)
 	snap := net.SnapshotParams()
 	// Wreck the weights.
@@ -49,7 +54,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 func TestRestoreRejectsWrongShape(t *testing.T) {
-	net, _, _ := trainedBlobNet(t)
+	_, net, _, _ := trainedBlobNet(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on mismatched snapshot")
@@ -58,97 +63,63 @@ func TestRestoreRejectsWrongShape(t *testing.T) {
 	net.RestoreParams([][]float64{{1}})
 }
 
+// The PTQ tests below lower through ConvertInt8, the one quantizer, and
+// measure the int8 program.
+
 func TestPTQ8BitPreservesAccuracy(t *testing.T) {
-	net, x, y := trainedBlobNet(t)
+	arch, net, x, y := trainedBlobNet(t)
 	floatAcc := net.Accuracy(x, y)
-	snap := net.SnapshotParams()
-	ptq, err := ApplyPTQ(net, x, PTQConfig{WeightBits: 8, ActBits: 8})
+	m, err := ConvertInt8(arch, net, x, PTQConfig{WeightBits: 8, ActBits: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qAcc := ptq.Accuracy(x, y)
+	qAcc := m.Accuracy(nil, x, y)
 	if qAcc < floatAcc-0.03 {
 		t.Fatalf("8-bit PTQ accuracy %.3f vs float %.3f — drop too large", qAcc, floatAcc)
 	}
-	net.RestoreParams(snap)
 }
 
 func TestPTQLowBitsDegrade(t *testing.T) {
-	net, x, y := trainedBlobNet(t)
-	snap := net.SnapshotParams()
+	arch, net, x, y := trainedBlobNet(t)
 	accAt := func(bits int) float64 {
-		net.RestoreParams(snap)
-		ptq, err := ApplyPTQ(net, x, PTQConfig{WeightBits: bits, ActBits: bits})
+		m, err := ConvertInt8(arch, net, x, PTQConfig{WeightBits: bits, ActBits: bits})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ptq.Accuracy(x, y)
+		return m.Accuracy(nil, x, y)
 	}
 	a8, a2 := accAt(8), accAt(2)
 	if a2 >= a8 {
 		t.Fatalf("2-bit (%.3f) should degrade versus 8-bit (%.3f)", a2, a8)
 	}
-	net.RestoreParams(snap)
 }
 
 func TestPTQWeightsOnGrid(t *testing.T) {
-	net, x, _ := trainedBlobNet(t)
-	_, err := ApplyPTQ(net, x, PTQConfig{WeightBits: 4, ActBits: 8})
+	arch, net, x, _ := trainedBlobNet(t)
+	m, err := ConvertInt8(arch, net, x, PTQConfig{WeightBits: 4, ActBits: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every weight tensor must now have ≤ 2^4-1 = 15 distinct magnitudes
-	// on a uniform grid.
-	for pi, p := range net.Params() {
-		maxAbsV := 0.0
-		for _, v := range p.Value.Data {
-			if a := math.Abs(v); a > maxAbsV {
-				maxAbsV = a
-			}
-		}
-		if maxAbsV == 0 {
+	// Every weight row must lie on the symmetric 4-bit grid, ±(2^3−1) = ±7,
+	// and a live row's largest weight must land on the grid's edge.
+	for i := range m.ops {
+		op := &m.ops[i]
+		if len(op.w) == 0 {
 			continue
 		}
-		scale := maxAbsV / 7 // 4-bit symmetric levels
-		for i, v := range p.Value.Data {
-			q := v / scale
-			if math.Abs(q-math.Round(q)) > 1e-9 {
-				t.Fatalf("param %d value %d (%v) not on the 4-bit grid", pi, i, v)
+		rowLen := len(op.w) / op.outC
+		for r := 0; r < op.outC; r++ {
+			peak := 0
+			for j, q := range op.w[r*rowLen : (r+1)*rowLen] {
+				if q < -7 || q > 7 {
+					t.Fatalf("op %d row %d weight %d = %d, off the 4-bit grid", i, r, j, q)
+				}
+				peak = max(peak, int(q), -int(q))
+			}
+			if peak != 0 && peak != 7 {
+				t.Fatalf("op %d row %d peaks at %d, want 7", i, r, peak)
 			}
 		}
-	}
-}
-
-func TestPTQWeightBytes(t *testing.T) {
-	net, x, _ := trainedBlobNet(t)
-	count := net.ParamCount()
-	p8, err := ApplyPTQ(net, x, PTQConfig{WeightBits: 8, ActBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p8.WeightBytes() != count {
-		t.Fatalf("8-bit weights: %d bytes for %d params", p8.WeightBytes(), count)
-	}
-	p4, err := ApplyPTQ(net, x, PTQConfig{WeightBits: 4, ActBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (count*4 + 7) / 8
-	if p4.WeightBytes() != want {
-		t.Fatalf("4-bit weights: %d bytes, want %d", p4.WeightBytes(), want)
-	}
-}
-
-func TestPTQValidation(t *testing.T) {
-	net, x, _ := trainedBlobNet(t)
-	if _, err := ApplyPTQ(net, x, PTQConfig{WeightBits: 1, ActBits: 8}); err == nil {
-		t.Fatal("1-bit weights must be rejected")
-	}
-	if _, err := ApplyPTQ(net, x, PTQConfig{WeightBits: 8, ActBits: 40}); err == nil {
-		t.Fatal("40-bit activations must be rejected")
-	}
-	if _, err := ApplyPTQ(net, nil, PTQConfig{WeightBits: 8, ActBits: 8}); err == nil {
-		t.Fatal("missing calibration batch must be rejected")
 	}
 }
 
@@ -181,11 +152,11 @@ func TestPTQOnConvNet(t *testing.T) {
 	net.Init(rng)
 	net.Fit(x, y, TrainConfig{Epochs: 15, BatchSize: 16, LR: 0.05, Momentum: 0.9, Seed: 2})
 	floatAcc := net.Accuracy(x, y)
-	ptq, err := ApplyPTQ(net, x, PTQConfig{WeightBits: 8, ActBits: 8})
+	m, err := ConvertInt8(arch, net, x, PTQConfig{WeightBits: 8, ActBits: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qAcc := ptq.Accuracy(x, y); qAcc < floatAcc-0.05 {
+	if qAcc := m.Accuracy(nil, x, y); qAcc < floatAcc-0.05 {
 		t.Fatalf("conv PTQ accuracy %.3f vs float %.3f", qAcc, floatAcc)
 	}
 }

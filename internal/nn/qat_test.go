@@ -28,36 +28,44 @@ func TestQATImprovesLowBitDeployment(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	x, y := spiralDataset(rng, 360)
 	const bits = 3
+	arch := &Arch{Input: []int{2}, Body: []LayerSpec{
+		{Kind: KindDense, Out: 24}, {Kind: KindReLU},
+		{Kind: KindDense, Out: 16}, {Kind: KindReLU},
+	}, Classes: 3}
 	build := func(seed int64) *Network {
-		net := NewNetwork([]int{2}, NewDense(2, 24), NewReLU(), NewDense(24, 16), NewReLU(), NewDense(16, 3))
+		net, err := arch.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
 		net.Init(rand.New(rand.NewSource(seed)))
 		return net
 	}
+	// deployAcc lowers a trained network to the int8 program at the test's
+	// bit widths and measures it.
+	deployAcc := func(net *Network) float64 {
+		m, err := ConvertInt8(arch, net, x, PTQConfig{WeightBits: bits, ActBits: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Accuracy(nil, x, y)
+	}
 	base := TrainConfig{Epochs: 60, BatchSize: 16, LR: 0.05, Momentum: 0.9, Seed: 9}
 
-	// Float-trained model, then PTQ at low bits.
+	// Float-trained model, then int8 lowering at low bits.
 	floatNet := build(1)
 	floatNet.Fit(x, y, base)
 	floatAcc := floatNet.Accuracy(x, y)
 	if floatAcc < 0.85 {
 		t.Fatalf("float training failed: %.3f", floatAcc)
 	}
-	ptqFloat, err := ApplyPTQ(floatNet, x, PTQConfig{WeightBits: bits, ActBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptqFloatAcc := ptqFloat.Accuracy(x, y)
+	ptqFloatAcc := deployAcc(floatNet)
 
-	// QAT-trained model, then PTQ at the same bits.
+	// QAT-trained model, lowered at the same bits.
 	qatNet := build(1)
 	qatCfg := base
 	qatCfg.QATWeightBits = bits
 	qatNet.Fit(x, y, qatCfg)
-	ptqQAT, err := ApplyPTQ(qatNet, x, PTQConfig{WeightBits: bits, ActBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptqQATAcc := ptqQAT.Accuracy(x, y)
+	ptqQATAcc := deployAcc(qatNet)
 
 	if ptqQATAcc < ptqFloatAcc-0.02 {
 		t.Fatalf("QAT deployment (%.3f) should not trail float-then-PTQ (%.3f) at %d bits",

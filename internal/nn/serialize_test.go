@@ -77,15 +77,13 @@ func TestLoadRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsTruncated cuts the float payload itself: the container's
+// checksum would reject a truncated file before the decoder sees it.
 func TestLoadRejectsTruncated(t *testing.T) {
 	arch, net, _, _ := trainedConvModel(t)
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, arch, net); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := encodeFloatModel(arch, net)
 	for _, cut := range []int{3, 8, 20, len(full) / 2, len(full) - 4} {
-		if _, _, err := LoadModel(bytes.NewReader(full[:cut])); err == nil {
+		if _, _, err := decodeFloatModel(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d must fail", cut)
 		}
 	}
@@ -93,13 +91,9 @@ func TestLoadRejectsTruncated(t *testing.T) {
 
 func TestLoadRejectsBadVersion(t *testing.T) {
 	arch, net, _, _ := trainedConvModel(t)
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, arch, net); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[4] = 99 // corrupt version
-	if _, _, err := LoadModel(bytes.NewReader(data)); err == nil {
+	data := encodeFloatModel(arch, net)
+	data[4] = 99 // corrupt the payload version
+	if _, _, err := decodeFloatModel(data); err == nil {
 		t.Fatal("wrong version must fail")
 	}
 }
