@@ -111,7 +111,9 @@ search-resume-smoke:
 
 # smoke-report closes the telemetry loop end to end: record a tiny seeded
 # search trace, analyze it with obs-report, and check the rollup is
-# non-empty; then record a seeded lifetime run and check the energy report
+# non-empty; record a tiny real-training search and check its report
+# carries the nn.arena buffer-reuse row, and that a dataset too small for
+# the train/test split is a flag error, not a panic; then record a seeded lifetime run and check the energy report
 # carries the ledger accounts; finally run a fleet big enough to curl its
 # live /debug/fleet inspector mid-run, and check the per-device
 # distributions land in the CSV and the obs-report -fleet section. CI runs
@@ -129,6 +131,18 @@ smoke-report:
 		| tee $(BUILD_DIR)/smoke_report.txt
 	grep -q 'enas.search' $(BUILD_DIR)/smoke_report.txt
 	grep -q 'per-phase breakdown' $(BUILD_DIR)/smoke_report.txt
+	$(GO) build -o $(BUILD_DIR)/enas-search ./cmd/enas-search
+	$(BUILD_DIR)/enas-search -eval train -train-n 60 -pop 4 -sample 2 -cycles 4 \
+		-workers 2 -compute-workers 2 -seed 1 \
+		-trace-out $(BUILD_DIR)/train_smoke.jsonl -metrics-interval 50ms \
+		| tee $(BUILD_DIR)/train_smoke.txt
+	$(GO) run ./cmd/obs-report -trace $(BUILD_DIR)/train_smoke.jsonl \
+		| tee $(BUILD_DIR)/train_report.txt
+	grep -q 'nn.arena' $(BUILD_DIR)/train_report.txt
+	! $(BUILD_DIR)/enas-search -eval train -train-n 10 2> $(BUILD_DIR)/train_small.txt
+	cat $(BUILD_DIR)/train_small.txt
+	grep -q -- '-train-n 10' $(BUILD_DIR)/train_small.txt
+	! grep -q 'panic:' $(BUILD_DIR)/train_small.txt
 	$(GO) run ./cmd/lifetime -hours 2 -seed 1 \
 		-trace-out $(BUILD_DIR)/lifetime_smoke.jsonl -metrics-interval 50ms
 	$(GO) run ./cmd/obs-report -trace $(BUILD_DIR)/lifetime_smoke.jsonl -energy -quiet \

@@ -55,6 +55,9 @@ func run(search bool, out, qout, header string, n, epochs, wbits, abits int, see
 	if wbits < 2 || wbits > 8 || abits < 2 || abits > 8 {
 		return fmt.Errorf("-wbits %d / -abits %d: both must lie in [2,8]", wbits, abits)
 	}
+	if tr, te := dataset.SplitSizes(n, dataset.NumGestureClasses, 4); tr == 0 || te == 0 {
+		return fmt.Errorf("-n %d: the 4:1 split leaves %d train / %d test samples; both must be non-empty", n, tr, te)
+	}
 	full := dataset.BuildGestureSet(n, 500, seed)
 	train, test := full.Split(4)
 

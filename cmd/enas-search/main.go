@@ -118,11 +118,30 @@ func main() {
 	flag.StringVar(&o.cacheFile, "cache-file", "", "persistent evaluation memo file shared across runs")
 	obsFlags := obscli.AddFlags(nil)
 	flag.Parse()
+	if err := o.check(); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
+	}
 
 	if err := mainErr(obsFlags, &o, *computeWorkers); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
+}
+
+// check rejects flag combinations that cannot run, before any work starts.
+func (o *options) check() error {
+	if o.evalName != "train" {
+		return nil
+	}
+	classes := dataset.NumGestureClasses
+	if o.taskName == "kws" {
+		classes = dataset.NumKWSClasses
+	}
+	if tr, te := dataset.SplitSizes(o.trainN, classes, 4); tr == 0 || te == 0 {
+		return fmt.Errorf("-train-n %d: the 4:1 split leaves %d train / %d test samples; both must be non-empty", o.trainN, tr, te)
+	}
+	return nil
 }
 
 // mainErr is the whole run behind a deferred telemetry close: whatever path
@@ -178,7 +197,6 @@ func run(o *options, sess *obscli.Session, cctx *compute.Context) error {
 			Cycles: o.cycles, SensingEvery: o.gridEvery, Seed: o.seed,
 			Constraints: nas.DefaultConstraints(task),
 			Workers:     o.workers,
-			Compute:     cctx,
 			Obs:         rec,
 			Metrics:     reg,
 			Cache:       o.cache,
@@ -194,7 +212,7 @@ func run(o *options, sess *obscli.Session, cctx *compute.Context) error {
 		sensing := space.RandomCandidate(rand.New(rand.NewSource(o.seed)))
 		cfg := munas.Config{Population: o.pop, SampleSize: o.sample, Cycles: o.cycles,
 			Seed: o.seed, Constraints: nas.DefaultConstraints(task),
-			Workers: o.workers, Compute: cctx, Obs: rec, Metrics: reg, Cache: o.cache}
+			Workers: o.workers, Obs: rec, Metrics: reg, Cache: o.cache}
 		out, err := munas.Search(space, sensing, eval, cfg)
 		if err != nil {
 			return err
@@ -206,7 +224,7 @@ func run(o *options, sess *obscli.Session, cctx *compute.Context) error {
 		sensing := space.RandomCandidate(rand.New(rand.NewSource(o.seed)))
 		cfg := harvnet.Config{Population: o.pop, SampleSize: o.sample, Cycles: o.cycles,
 			Seed: o.seed, Constraints: nas.DefaultConstraints(task),
-			Workers: o.workers, Compute: cctx, Obs: rec, Metrics: reg, Cache: o.cache}
+			Workers: o.workers, Obs: rec, Metrics: reg, Cache: o.cache}
 		out, err := harvnet.Search(space, sensing, eval, cfg)
 		if err != nil {
 			return err
@@ -289,7 +307,7 @@ func runIslands(o *options, task nas.Task, space *nas.Space, sess *obscli.Sessio
 		Config: evo.Config{
 			Population: o.pop, SampleSize: o.sample, Cycles: o.cycles,
 			Seed: o.seed, Constraints: constraints, Workers: o.workers,
-			Compute: cctx, Obs: rec, Metrics: reg, Cache: o.cache, Memo: memo,
+			Obs: rec, Metrics: reg, Cache: o.cache, Memo: memo,
 		},
 		Islands:           o.islands,
 		MigrationInterval: o.migrationInterval,

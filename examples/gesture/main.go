@@ -16,6 +16,7 @@ import (
 	"solarml/internal/dsp"
 	"solarml/internal/enas"
 	"solarml/internal/nas"
+	"solarml/internal/obs"
 )
 
 func main() {
@@ -43,13 +44,16 @@ func main() {
 		Lambda: 0.5, Population: 10, SampleSize: 4, Cycles: 16, SensingEvery: 8,
 		Seed: 42, Constraints: nas.DefaultConstraints(nas.TaskGesture),
 		Workers: 4, // candidates train in parallel
+		// A dispatch-only recorder: cycle events reach the subscriber
+		// below without being serialized anywhere.
+		Obs: obs.NewRecorder(nil),
 	}
-	cfg.Verbose = func(cycle int, best enas.Entry) {
-		if cycle%4 == 0 {
+	cfg.Obs.Subscribe(func(e obs.Event) {
+		if e.Kind == obs.KindEvent && e.Name == "enas.cycle" && e.Int("cycle")%4 == 0 {
 			fmt.Printf("  cycle %2d: best acc %.3f, energy %.0f µJ\n",
-				cycle, best.Res.Accuracy, best.Res.EnergyJ*1e6)
+				e.Int("cycle"), e.Float("best_acc"), e.Float("best_energy_j")*1e6)
 		}
-	}
+	})
 	fmt.Println("running eNAS with real candidate training…")
 	start := time.Now()
 	out, err := enas.Search(nas.GestureSpace(), eval, cfg)

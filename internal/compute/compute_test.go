@@ -180,55 +180,6 @@ func TestContextDispatchBitIdentical(t *testing.T) {
 	bitsEqual(t, "Context.MatMul", want, got)
 }
 
-func TestPoolReuseReturnsZeroedBuffer(t *testing.T) {
-	ctx := NewContextFor(1, nil)
-	buf := ctx.Get(100)
-	if len(buf) != 100 {
-		t.Fatalf("Get(100) returned length %d", len(buf))
-	}
-	for i := range buf {
-		buf[i] = float64(i) + 1
-	}
-	first := &buf[0]
-	ctx.Put(buf)
-	again := ctx.Get(100)
-	if &again[0] != first {
-		t.Fatalf("expected the pooled buffer back")
-	}
-	for i, v := range again {
-		if v != 0 {
-			t.Fatalf("reused buffer not zeroed at %d: %v", i, v)
-		}
-	}
-}
-
-func TestPoolDropsForeignBuffers(t *testing.T) {
-	ctx := NewContextFor(1, nil)
-	odd := make([]float64, 10, 10) // capacity not a power of two
-	ctx.Put(odd)
-	got := ctx.Get(10)
-	if cap(got) == 10 {
-		t.Fatalf("pool handed back a foreign buffer")
-	}
-}
-
-func TestNilContextIsServiceable(t *testing.T) {
-	var ctx *Context
-	if ctx.Name() != "serial" || ctx.Workers() != 1 {
-		t.Fatalf("nil context backend = %s/%d, want serial/1", ctx.Name(), ctx.Workers())
-	}
-	buf := ctx.Get(8)
-	if len(buf) != 8 {
-		t.Fatalf("nil context Get length %d", len(buf))
-	}
-	ctx.Put(buf) // must not panic
-	dst := make([]float64, 4)
-	ctx.MatMul(dst, []float64{1, 2}, []float64{3, 4}, nil, 2, 1, 2)
-	if dst[0] != 3 || dst[1] != 4 || dst[2] != 6 || dst[3] != 8 {
-		t.Fatalf("nil context MatMul wrong: %v", dst)
-	}
-}
-
 func TestBudgetWorkers(t *testing.T) {
 	if w := BudgetWorkers(1 << 20); w != 1 {
 		t.Fatalf("BudgetWorkers with huge outer = %d, want 1", w)
@@ -239,10 +190,9 @@ func TestBudgetWorkers(t *testing.T) {
 }
 
 // TestParallelForCoversRange checks the grain-deriving dispatch visits every
-// index exactly once across contexts, worker counts and per-item costs —
-// including the nil-context inline path.
+// index exactly once across contexts, worker counts and per-item costs.
 func TestParallelForCoversRange(t *testing.T) {
-	ctxs := []*Context{nil, NewContextFor(1, nil)}
+	ctxs := []*Context{NewContextFor(1, nil)}
 	for _, w := range workerCounts {
 		ctxs = append(ctxs, NewContextFor(w, nil))
 	}

@@ -1,28 +1,23 @@
 package compute
 
 import (
-	"math/bits"
-	"sync"
 	"time"
 
 	"solarml/internal/obs"
 )
 
-// Context bundles a Backend with a scratch-buffer pool and optional
-// telemetry. One context is shared by all layers of a network (and, in a
-// parallel eNAS search, by all evaluator goroutines — every method is safe
-// for concurrent use). A nil *Context is valid and selects the serial
-// backend with no pooling, so layers need no guards.
+// Context bundles a Backend with optional telemetry. A context is immutable
+// once built, so one context may be shared by all layers of a network and,
+// in a parallel eNAS search, by all evaluator goroutines.
 type Context struct {
 	backend Backend
-	pool    pool
 	timed   bool
 	gemm    *obs.Histogram
 }
 
 // NewContext returns a context over the given backend (nil selects Serial).
 // When reg is non-nil the context records a compute.gemm_seconds histogram
-// per GEMM call and compute.pool_hits / compute.pool_misses counters.
+// per GEMM call.
 func NewContext(backend Backend, reg *obs.Registry) *Context {
 	if backend == nil {
 		backend = Serial{}
@@ -31,14 +26,12 @@ func NewContext(backend Backend, reg *obs.Registry) *Context {
 	if reg != nil {
 		c.timed = true
 		c.gemm = reg.Histogram("compute.gemm_seconds", obs.TimeBuckets)
-		c.pool.hits = reg.Counter("compute.pool_hits")
-		c.pool.misses = reg.Counter("compute.pool_misses")
 	}
 	return c
 }
 
-// NewContextFor is shorthand for a pooled context over NewParallel(workers)
-// — or the serial backend when workers is 1 — with optional metrics.
+// NewContextFor is shorthand for a context over NewParallel(workers) — or
+// the serial backend when workers is 1 — with optional metrics.
 func NewContextFor(workers int, reg *obs.Registry) *Context {
 	if workers == 1 {
 		return NewContext(Serial{}, reg)
@@ -46,43 +39,14 @@ func NewContextFor(workers int, reg *obs.Registry) *Context {
 	return NewContext(NewParallel(workers), reg)
 }
 
-// Backend returns the context's backend (Serial for a nil context).
-func (c *Context) Backend() Backend {
-	if c == nil || c.backend == nil {
-		return Serial{}
-	}
-	return c.backend
-}
-
 // Workers reports the kernel parallelism.
-func (c *Context) Workers() int { return c.Backend().Workers() }
+func (c *Context) Workers() int { return c.backend.Workers() }
 
 // Name reports the backend name.
-func (c *Context) Name() string { return c.Backend().Name() }
-
-// Get returns a zero-filled scratch buffer of length n, reusing a pooled
-// buffer when one of sufficient capacity is free. Pair with Put.
-func (c *Context) Get(n int) []float64 {
-	if c == nil {
-		return make([]float64, n)
-	}
-	return c.pool.get(n)
-}
-
-// Put returns a buffer obtained from Get to the pool. Safe to call with
-// buffers from other sources; oddly-sized ones are dropped.
-func (c *Context) Put(buf []float64) {
-	if c != nil {
-		c.pool.put(buf)
-	}
-}
+func (c *Context) Name() string { return c.backend.Name() }
 
 // MatMul computes dst = a×b (+ rowBias); see Backend.MatMul.
 func (c *Context) MatMul(dst, a, b, rowBias []float64, m, k, n int) {
-	if c == nil {
-		Serial{}.MatMul(dst, a, b, rowBias, m, k, n)
-		return
-	}
 	var t0 time.Time
 	if c.timed {
 		t0 = time.Now()
@@ -95,10 +59,6 @@ func (c *Context) MatMul(dst, a, b, rowBias []float64, m, k, n int) {
 
 // MatMulTransA computes dst (+)= aᵀ×b; see Backend.MatMulTransA.
 func (c *Context) MatMulTransA(dst, a, b []float64, k, m, n int, accumulate bool) {
-	if c == nil {
-		Serial{}.MatMulTransA(dst, a, b, k, m, n, accumulate)
-		return
-	}
 	var t0 time.Time
 	if c.timed {
 		t0 = time.Now()
@@ -111,10 +71,6 @@ func (c *Context) MatMulTransA(dst, a, b []float64, k, m, n int, accumulate bool
 
 // MatMulTransB computes dst (+)= a×bᵀ (+ colBias); see Backend.MatMulTransB.
 func (c *Context) MatMulTransB(dst, a, b, colBias []float64, m, k, n int, accumulate bool) {
-	if c == nil {
-		Serial{}.MatMulTransB(dst, a, b, colBias, m, k, n, accumulate)
-		return
-	}
 	var t0 time.Time
 	if c.timed {
 		t0 = time.Now()
@@ -127,12 +83,12 @@ func (c *Context) MatMulTransB(dst, a, b, colBias []float64, m, k, n int, accumu
 
 // Axpy computes dst += alpha·src.
 func (c *Context) Axpy(alpha float64, src, dst []float64) {
-	c.Backend().Axpy(alpha, src, dst)
+	c.backend.Axpy(alpha, src, dst)
 }
 
 // For runs fn over disjoint chunks covering [0,n); see Backend.For.
 func (c *Context) For(n, grain int, fn func(i0, i1 int)) {
-	c.Backend().For(n, grain, fn)
+	c.backend.For(n, grain, fn)
 }
 
 // ParallelFor runs fn over disjoint index ranges covering [0,n), deriving
@@ -155,65 +111,5 @@ func (c *Context) ParallelFor(n, flopsPerItem int, fn func(i0, i1 int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	c.Backend().For(n, grain, fn)
-}
-
-// pool recycles float64 scratch buffers in power-of-two size classes. The
-// retained set is bounded per class so one oversized batch cannot pin
-// memory for the rest of a search. Buffers come back from Get zero-filled —
-// im2col relies on padding positions staying zero — so pooling can never
-// change a result.
-type pool struct {
-	mu      sync.Mutex
-	classes map[int][][]float64
-	hits    *obs.Counter
-	misses  *obs.Counter
-}
-
-// maxPerClass bounds the free-list length of one size class.
-const maxPerClass = 16
-
-// sizeClass returns the power-of-two capacity class for n.
-func sizeClass(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
-func (p *pool) get(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	class := sizeClass(n)
-	p.mu.Lock()
-	stack := p.classes[class]
-	if len(stack) > 0 {
-		buf := stack[len(stack)-1]
-		p.classes[class] = stack[:len(stack)-1]
-		p.mu.Unlock()
-		p.hits.Inc()
-		buf = buf[:n]
-		clear(buf)
-		return buf
-	}
-	p.mu.Unlock()
-	p.misses.Inc()
-	return make([]float64, n, class)
-}
-
-func (p *pool) put(buf []float64) {
-	c := cap(buf)
-	if c == 0 || c&(c-1) != 0 {
-		// Not one of ours (capacity is not a class size); drop it.
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.classes == nil {
-		p.classes = make(map[int][][]float64)
-	}
-	if len(p.classes[c]) < maxPerClass {
-		p.classes[c] = append(p.classes[c], buf[:c])
-	}
+	c.backend.For(n, grain, fn)
 }

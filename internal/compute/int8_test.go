@@ -181,7 +181,7 @@ func TestInt8DenseFusedEpilogue(t *testing.T) {
 
 	var d Int8Dense
 	dst := make([]int8, n*out)
-	d.Run(nil, dst, x, w, bias, mult, shift, n, in, out, 0, 127)
+	d.Run(NewContextFor(1, nil), dst, x, w, bias, mult, shift, n, in, out, 0, 127)
 
 	for i := 0; i < n; i++ {
 		for j := 0; j < out; j++ {
@@ -277,7 +277,7 @@ func TestInt8DWConv2DMatchesDirect(t *testing.T) {
 
 	var dw Int8DWConv2D
 	dst := make([]int8, n*ch*oh*ow)
-	dw.Run(nil, dst, x, w, bias, mults, shifts, n, ch, h, wd, k, stride, pad, 0, 127)
+	dw.Run(NewContextFor(1, nil), dst, x, w, bias, mults, shifts, n, ch, h, wd, k, stride, pad, 0, 127)
 
 	for i := 0; i < n; i++ {
 		for c := 0; c < ch; c++ {
@@ -312,7 +312,7 @@ func TestInt8Quantize(t *testing.T) {
 	var q Int8Quantize
 	src := []float64{0, 0.05, -0.05, 0.025, 1e9, -1e9, 0.1}
 	dst := make([]int8, len(src))
-	q.Run(nil, dst, src, 0.05, 127)
+	q.Run(NewContextFor(1, nil), dst, src, 0.05, 127)
 	want := []int8{0, 1, -1, 0 /* 0.5 ties to even */, 127, -127, 2}
 	for i := range want {
 		if dst[i] != want[i] {
@@ -320,7 +320,7 @@ func TestInt8Quantize(t *testing.T) {
 		}
 	}
 	// Zero scale maps everything to zero rather than dividing by it.
-	q.Run(nil, dst, src, 0, 127)
+	q.Run(NewContextFor(1, nil), dst, src, 0, 127)
 	for i, v := range dst {
 		if v != 0 {
 			t.Fatalf("zero-scale quantize[%d] = %d, want 0", i, v)

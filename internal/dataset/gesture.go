@@ -212,6 +212,9 @@ func (s *GestureSet) Materialize(cfg GestureConfig) (*tensor.Tensor, []int, erro
 		return nil, nil, err
 	}
 	n := len(s.Samples)
+	if n == 0 {
+		return nil, nil, fmt.Errorf("dataset: cannot materialize an empty gesture set")
+	}
 	steps := cfg.Samples()
 	inputs := tensor.New(n, 1, cfg.Channels, steps)
 	labels := make([]int, n)
@@ -248,6 +251,23 @@ func (s *GestureSet) Materialize(cfg GestureConfig) (*tensor.Tensor, []int, erro
 		}
 	}
 	return inputs, labels, nil
+}
+
+// SplitSizes returns the train and test sizes that Split(testEvery) yields
+// on a set of n samples whose labels cycle through classes in order, as
+// BuildGestureSet and BuildKWSSet build them. Callers use it to reject a
+// dataset size before building anything.
+func SplitSizes(n, classes, testEvery int) (train, test int) {
+	if testEvery > 0 {
+		for c := 0; c < classes; c++ {
+			count := n / classes
+			if c < n%classes {
+				count++
+			}
+			test += count / testEvery
+		}
+	}
+	return n - test, test
 }
 
 // Split partitions the set into train and test subsets, stratified by

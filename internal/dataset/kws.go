@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -111,6 +112,9 @@ func (s *KWSSet) Materialize(cfg dsp.FrontEndConfig) (*tensor.Tensor, []int, err
 		return nil, nil, err
 	}
 	n := len(s.Audio)
+	if n == 0 {
+		return nil, nil, fmt.Errorf("dataset: cannot materialize an empty KWS set")
+	}
 	frames := cfg.NumFrames(int(AudioRateHz * AudioDurationS))
 	feats := cfg.NumFeatures
 	inputs := tensor.New(n, 1, frames, feats)

@@ -25,7 +25,6 @@ import (
 	"math"
 	"math/rand"
 
-	"solarml/internal/compute"
 	"solarml/internal/evo"
 	"solarml/internal/nas"
 	"solarml/internal/obs"
@@ -46,13 +45,6 @@ type Config struct {
 	// order, so the search stays deterministic for a given seed as long
 	// as the evaluator itself is deterministic.
 	Workers int
-	// Compute, when set, is installed on the evaluator (if it implements
-	// nas.ComputeSettable) before Phase 1, so candidate training runs on
-	// the configured kernel backend. Budget it against Workers with
-	// compute.BudgetWorkers: Workers × kernel workers should not exceed
-	// the core count. The parallel backend is bit-identical to serial, so
-	// this never changes the search result.
-	Compute *compute.Context
 	// Objective optionally replaces the default scoring
 	// A − λ·(E−E_min)/(E_max−E_min) used for parent selection and
 	// best-candidate reporting — the hook behind the §IV-B objective
@@ -79,12 +71,6 @@ type Config struct {
 	// the evo.cache_hits / evo.cache_misses counters. Warm-start
 	// evaluations bypass the cache.
 	Cache bool
-	// Verbose, when set, receives one line per cycle.
-	//
-	// Deprecated: Verbose is kept for compatibility and is now implemented
-	// as a subscriber on the obs event stream (it fires on every
-	// enas.cycle event); new code should set Obs and consume events.
-	Verbose func(cycle int, best Entry)
 }
 
 // DefaultConfig returns the paper's evaluation settings for a task.
@@ -141,9 +127,6 @@ type policy struct {
 	cfg        Config
 	space      *nas.Space
 	eMin, eMax float64
-	// lastBest snapshots the per-cycle best for the deprecated Verbose
-	// adapter, which fires synchronously off the enas.cycle emission.
-	lastBest Entry
 }
 
 // NewPolicy returns the eNAS search as an evo.Policy for the engine's
@@ -200,7 +183,6 @@ func (p *policy) Accepted(Entry) {}
 
 func (p *policy) Report(history []Entry) (Entry, []obs.Attr) {
 	best := bestFeasible(history, p.cfg, p.eMin, p.eMax)
-	p.lastBest = best
 	return best, []obs.Attr{
 		obs.F64("best_acc", best.Res.Accuracy),
 		obs.F64("best_energy_j", best.Res.EnergyJ),
@@ -223,25 +205,10 @@ func Search(space *nas.Space, eval nas.Evaluator, cfg Config) (*Outcome, error) 
 	}
 	pol := &policy{cfg: cfg, space: space}
 
-	// The deprecated Verbose hook rides on the obs event stream: when only
-	// Verbose is set, a dispatch-only recorder feeds it.
-	rec := cfg.Obs
-	if cfg.Verbose != nil {
-		if rec == nil {
-			rec = obs.NewRecorder(nil)
-		}
-		unsub := rec.Subscribe(func(e obs.Event) {
-			if e.Kind == obs.KindEvent && e.Name == "enas.cycle" {
-				cfg.Verbose(int(e.Int("cycle")), pol.lastBest)
-			}
-		})
-		defer unsub()
-	}
-
 	out, err := evo.Run(pol, eval, evo.Config{
 		Population: cfg.Population, SampleSize: cfg.SampleSize, Cycles: cfg.Cycles,
 		Seed: cfg.Seed, Constraints: cfg.Constraints, Workers: cfg.Workers,
-		Compute: cfg.Compute, Obs: rec, Metrics: cfg.Metrics, Cache: cfg.Cache,
+		Obs: cfg.Obs, Metrics: cfg.Metrics, Cache: cfg.Cache,
 	})
 	if err != nil {
 		return nil, err

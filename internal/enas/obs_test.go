@@ -12,7 +12,7 @@ import (
 // TestSearchDeterministicWithTelemetry pins the central obs contract:
 // recording a trace must not perturb the search. The same seed yields the
 // identical Best candidate (and full outcome) with telemetry enabled —
-// recorder, metrics, and the deprecated Verbose hook all on — and disabled.
+// recorder, metrics, and an event subscriber all on — and disabled.
 func TestSearchDeterministicWithTelemetry(t *testing.T) {
 	space := nas.GestureSpace()
 	eval := nas.NewSurrogateEvaluator(nas.NewTruthEnergy())
@@ -27,8 +27,13 @@ func TestSearchDeterministicWithTelemetry(t *testing.T) {
 	cfg := smallConfig(nas.TaskGesture, 0.5, 7)
 	cfg.Obs = rec
 	cfg.Metrics = obs.NewRegistry()
-	verboseCalls := 0
-	cfg.Verbose = func(cycle int, best Entry) { verboseCalls++ }
+	subscribed := 0
+	unsub := rec.Subscribe(func(e obs.Event) {
+		if e.Kind == obs.KindEvent && e.Name == "enas.cycle" {
+			subscribed++
+		}
+	})
+	defer unsub()
 	traced, err := Search(space, eval, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +62,9 @@ func TestSearchDeterministicWithTelemetry(t *testing.T) {
 		}
 	}
 
-	// The deprecated hook must keep its one-call-per-cycle contract.
-	if verboseCalls != cfg.Cycles {
-		t.Fatalf("Verbose fired %d times, want %d", verboseCalls, cfg.Cycles)
+	// A subscriber sees every cycle event synchronously, once per cycle.
+	if subscribed != cfg.Cycles {
+		t.Fatalf("subscriber saw %d cycle events, want %d", subscribed, cfg.Cycles)
 	}
 
 	// The trace must decode and carry ≥1 cycle event per cycle with the

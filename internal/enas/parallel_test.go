@@ -118,9 +118,10 @@ func TestSearchBitIdenticalAcrossComputeWorkers(t *testing.T) {
 		cfg := Config{
 			Lambda: 0.5, Population: 4, SampleSize: 2, Cycles: 4,
 			SensingEvery: 2, Seed: 9, Constraints: nas.DefaultConstraints(nas.TaskGesture),
-			Compute: compute.NewContextFor(kernelWorkers, nil),
 		}
-		out, err := Search(space, tinyTrainEvaluator(3), cfg)
+		eval := tinyTrainEvaluator(3)
+		eval.Compute = compute.NewContextFor(kernelWorkers, nil)
+		out, err := Search(space, eval, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,19 +64,12 @@ func newEngine(pol Policy, eval nas.Evaluator, cfg Config, shared *memoCache, pa
 		e.memo = newMemoCache(cfg.Metrics.Counter("evo.cache_hits"), cfg.Metrics.Counter("evo.cache_misses"))
 		e.memo.attach(cfg.Memo)
 	}
-	if cfg.Compute != nil {
-		if cs, ok := eval.(nas.ComputeSettable); ok {
-			cs.SetCompute(cfg.Compute)
-		}
-	}
 	e.warm, _ = eval.(nas.WarmStartEvaluator)
 	e.timed = e.rec.Enabled() || cfg.Metrics != nil
 	attrs := append([]obs.Attr{
 		obs.Int("population", cfg.Population), obs.Int("sample", cfg.SampleSize),
 		obs.Int("cycles", cfg.Cycles), obs.Int64("seed", cfg.Seed),
 		obs.Int("workers", cfg.Workers),
-		obs.Str("compute", cfg.Compute.Name()),
-		obs.Int("kernel_workers", cfg.Compute.Workers()),
 		obs.Bool("cache", e.memo != nil),
 	}, pol.SearchAttrs()...)
 	if island >= 0 {

@@ -38,7 +38,6 @@
 package evo
 
 import (
-	"solarml/internal/compute"
 	"solarml/internal/nas"
 	"solarml/internal/obs"
 )
@@ -74,11 +73,6 @@ type Config struct {
 	// generation order, so the search stays deterministic for a given seed
 	// as long as the evaluator itself is deterministic.
 	Workers int
-	// Compute, when set, is installed on the evaluator (if it implements
-	// nas.ComputeSettable) before the fill, so candidate training runs on
-	// the configured kernel backend. Budget it against Workers with
-	// compute.BudgetWorkers.
-	Compute *compute.Context
 	// Obs, when set, receives the search telemetry: a <prefix>.search span
 	// wrapping <prefix>.phase1/<prefix>.phase2 sub-spans, one <prefix>.cycle
 	// event per evolution cycle, and one <prefix>.eval_batch span per

@@ -91,7 +91,8 @@ func DTWBaseline(seed int64) (*BaselineResult, error) {
 		return nil, err
 	}
 	net.Init(rand.New(rand.NewSource(seed)))
-	net.Fit(trX, trY, nn.TrainConfig{Epochs: 8, BatchSize: 16, LR: 0.03, Momentum: 0.9, Seed: seed, Compute: computeCtx()})
+	net.SetCompute(computeCtx())
+	net.Fit(trX, trY, nn.TrainConfig{Epochs: 8, BatchSize: 16, LR: 0.03, Momentum: 0.9, Seed: seed})
 	res.CNNAccuracy = net.Accuracy(teX, teY)
 	res.CNNMACs = net.TotalMACs()
 	res.CNNInferJ = energymodel.DefaultCoefficients().TrueEnergy(net.MACsByKind())

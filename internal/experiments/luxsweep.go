@@ -55,7 +55,8 @@ func LuxRobustness(seed int64, luxLevels []float64) ([]LuxPoint, error) {
 			return nil, err
 		}
 		net.Init(rand.New(rand.NewSource(seed)))
-		net.Fit(trX, trY, nn.TrainConfig{Epochs: 8, BatchSize: 16, LR: 0.03, Momentum: 0.9, Seed: seed, Compute: computeCtx()})
+		net.SetCompute(computeCtx())
+		net.Fit(trX, trY, nn.TrainConfig{Epochs: 8, BatchSize: 16, LR: 0.03, Momentum: 0.9, Seed: seed})
 		out = append(out, LuxPoint{Lux: lux, Accuracy: net.Accuracy(teX, teY)})
 	}
 	return out, nil

@@ -67,7 +67,8 @@ func MultiExit(seed int64) (*MultiExitResult, error) {
 		return nil, err
 	}
 	m.Init(rng)
-	m.Fit(trX, trY, nn.FitConfig{Epochs: 10, BatchSize: 16, LR: 0.03, Momentum: 0.9, Seed: seed, Compute: computeCtx()})
+	m.SetCompute(computeCtx())
+	m.Fit(trX, trY, nn.FitConfig{Epochs: 10, BatchSize: 16, LR: 0.03, Momentum: 0.9, Seed: seed})
 
 	coeff := energymodel.DefaultCoefficients()
 	res := &MultiExitResult{}

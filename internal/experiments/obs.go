@@ -37,8 +37,8 @@ func recorder() *obs.Recorder { return telemetry.rec.Load() }
 func registry() *obs.Registry { return telemetry.reg.Load() }
 
 // SetCompute attaches a compute context to every subsequent experiment run:
-// training runs and eNAS searches launched by the runners use its backend
-// and scratch pool. Pass nil to restore the serial default.
+// the networks the runners train use its backend. Pass nil to restore the
+// serial default.
 func SetCompute(ctx *compute.Context) { telemetry.cmp.Store(ctx) }
 
 // computeCtx returns the attached compute context (nil when detached).
@@ -48,7 +48,6 @@ func computeCtx() *compute.Context { return telemetry.cmp.Load() }
 func instrument(cfg enas.Config) enas.Config {
 	cfg.Obs = recorder()
 	cfg.Metrics = registry()
-	cfg.Compute = computeCtx()
 	return cfg
 }
 
@@ -56,7 +55,6 @@ func instrument(cfg enas.Config) enas.Config {
 func instrumentMunas(cfg munas.Config) munas.Config {
 	cfg.Obs = recorder()
 	cfg.Metrics = registry()
-	cfg.Compute = computeCtx()
 	return cfg
 }
 
@@ -65,6 +63,5 @@ func instrumentMunas(cfg munas.Config) munas.Config {
 func instrumentHarvnet(cfg harvnet.Config) harvnet.Config {
 	cfg.Obs = recorder()
 	cfg.Metrics = registry()
-	cfg.Compute = computeCtx()
 	return cfg
 }

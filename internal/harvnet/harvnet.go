@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 
-	"solarml/internal/compute"
 	"solarml/internal/evo"
 	"solarml/internal/nas"
 	"solarml/internal/obs"
@@ -29,8 +28,6 @@ type Config struct {
 	// Workers sets the evaluation parallelism for the population fill
 	// (≤1 means sequential); results merge in generation order.
 	Workers int
-	// Compute, when set, is installed on the evaluator before the fill.
-	Compute *compute.Context
 	// Obs receives harvnet.search/phase1/phase2 spans and one
 	// harvnet.cycle event per cycle; Metrics accumulates harvnet.*.
 	Obs     *obs.Recorder
@@ -146,7 +143,7 @@ func Search(space *nas.Space, sensing *nas.Candidate, eval nas.Evaluator, cfg Co
 	out, err := evo.Run(pol, eval, evo.Config{
 		Population: cfg.Population, SampleSize: cfg.SampleSize, Cycles: cfg.Cycles,
 		Seed: cfg.Seed, Constraints: cfg.Constraints, Workers: cfg.Workers,
-		Compute: cfg.Compute, Obs: cfg.Obs, Metrics: cfg.Metrics, Cache: cfg.Cache,
+		Obs: cfg.Obs, Metrics: cfg.Metrics, Cache: cfg.Cache,
 	})
 	if err != nil {
 		return nil, err

@@ -17,7 +17,6 @@ import (
 	"math/rand"
 
 	"solarml/internal/bytecodec"
-	"solarml/internal/compute"
 	"solarml/internal/evo"
 	"solarml/internal/nas"
 	"solarml/internal/obs"
@@ -35,8 +34,6 @@ type Config struct {
 	// (≤1 means sequential); results merge in generation order, so the
 	// search stays deterministic for a given seed.
 	Workers int
-	// Compute, when set, is installed on the evaluator before the fill.
-	Compute *compute.Context
 	// Obs receives munas.search/phase1/phase2 spans and one munas.cycle
 	// event per cycle; Metrics accumulates the munas.* counters.
 	Obs     *obs.Recorder
@@ -177,7 +174,7 @@ func Search(space *nas.Space, sensing *nas.Candidate, eval nas.Evaluator, cfg Co
 	out, err := evo.Run(pol, eval, evo.Config{
 		Population: cfg.Population, SampleSize: cfg.SampleSize, Cycles: cfg.Cycles,
 		Seed: cfg.Seed, Constraints: cfg.Constraints, Workers: cfg.Workers,
-		Compute: cfg.Compute, Obs: cfg.Obs, Metrics: cfg.Metrics, Cache: cfg.Cache,
+		Obs: cfg.Obs, Metrics: cfg.Metrics, Cache: cfg.Cache,
 	})
 	if err != nil {
 		return nil, err

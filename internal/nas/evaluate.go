@@ -42,15 +42,6 @@ type Evaluator interface {
 	Evaluate(c *Candidate) (Result, error)
 }
 
-// ComputeSettable is implemented by evaluators whose candidate training can
-// run on a pluggable compute backend. Search drivers (the internal/evo
-// engine, on behalf of eNAS/μNAS/HarvNet) install their configured context
-// through it, so kernel parallelism is budgeted in one place against the
-// candidate-level worker count.
-type ComputeSettable interface {
-	SetCompute(ctx *compute.Context)
-}
-
 // EnergyModel estimates candidate energy during search. eNAS plugs in the
 // fitted layer-wise + sensing models; μNAS plugs in its total-MACs model;
 // final reporting uses the ground truth.
@@ -182,11 +173,11 @@ type TrainEvaluator struct {
 	WarmStart  bool
 	WarmEpochs int
 	// Compute, when set, runs every candidate's training and accuracy
-	// kernels on its backend and scratch pool. Size it with
+	// kernels on its backend (nil runs them serially). Size it with
 	// compute.BudgetWorkers so candidate-level parallelism (the enas
 	// Workers pool sharing this evaluator) times kernel workers never
 	// oversubscribes cores. The context is shared by all evaluator
-	// goroutines; compute.Context is safe for that.
+	// goroutines; a compute.Context is immutable, so that is safe.
 	Compute *compute.Context
 	// Obs, when set, wraps every evaluation in a nas.evaluate span
 	// (fingerprint, warm-start, epochs, accuracy, energy) with nn.fit /
@@ -194,10 +185,10 @@ type TrainEvaluator struct {
 	// of a profiled test-batch forward — the timings that back the
 	// layer-wise energy model's sanity checks.
 	Obs *obs.Recorder
-	// Metrics, when set, shares the nn.arena_hits / nn.arena_misses
-	// counters across the per-candidate step arenas, so a search run
-	// reports fleet-wide training-buffer reuse. Leave nil to let each
-	// candidate's Fit install an unobserved arena.
+	// Metrics, when set, receives each candidate network's step-arena
+	// tallies on the nn.arena_hits / nn.arena_misses counters once its
+	// evaluation ends, so a search run reports fleet-wide training-buffer
+	// reuse.
 	Metrics *obs.Registry
 
 	mu      sync.Mutex
@@ -261,9 +252,6 @@ func (e *TrainEvaluator) materializeFor(c *Candidate) (materialized, error) {
 	return m, nil
 }
 
-// SetCompute implements ComputeSettable.
-func (e *TrainEvaluator) SetCompute(ctx *compute.Context) { e.Compute = ctx }
-
 // Evaluate implements Evaluator (cold start).
 func (e *TrainEvaluator) Evaluate(c *Candidate) (Result, error) {
 	return e.evaluate(c, nil)
@@ -317,16 +305,10 @@ func (e *TrainEvaluator) evaluate(c, parent *Candidate) (Result, error) {
 			}
 		}
 	}
-	var arena *nn.Arena
-	if e.Metrics != nil {
-		// Per-candidate arena (arenas are single-owner), shared counters.
-		arena = nn.NewArena(e.Metrics)
-	}
+	net.SetCompute(e.Compute)
 	net.Fit(data.trainX, data.trainY, nn.TrainConfig{
 		Epochs: epochs, BatchSize: bs, LR: lr, Momentum: 0.9, Seed: e.Seed,
-		Compute: e.Compute,
-		Arena:   arena,
-		Obs:     e.Obs,
+		Obs: e.Obs,
 	})
 	if e.WarmStart {
 		e.store().put(c.Fingerprint(), trainedEntry{snap: net.SnapshotParams(), sigs: paramSigs(net)})
@@ -352,6 +334,10 @@ func (e *TrainEvaluator) evaluate(c, parent *Candidate) (Result, error) {
 		bx := tensor.FromSlice(data.testX.Data[:n*sample], bshape...)
 		_, timings := net.ForwardProfiled(bx, false)
 		nn.EmitLayerTimings(e.Obs, timings, n)
+	}
+	if e.Metrics != nil {
+		e.Metrics.Counter("nn.arena_hits").Add(net.Arena().Hits())
+		e.Metrics.Counter("nn.arena_misses").Add(net.Arena().Misses())
 	}
 	sp.End(obs.Int("epochs", epochs),
 		obs.F64("accuracy", res.Accuracy),

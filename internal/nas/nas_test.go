@@ -8,6 +8,7 @@ import (
 	"solarml/internal/dataset"
 	"solarml/internal/dsp"
 	"solarml/internal/nn"
+	"solarml/internal/obs"
 	"solarml/internal/quant"
 )
 
@@ -366,6 +367,51 @@ func TestTrainEvaluatorOnGesture(t *testing.T) {
 	}
 	if math.Abs(res.EnergyJ-(res.SensingJ+res.InferJ)) > 1e-12 {
 		t.Fatal("EnergyJ must be the sum of parts")
+	}
+}
+
+// TestTrainEvaluatorEmptySplitErrors checks that a dataset too small for
+// the 4:1 split (its test half is empty) makes Evaluate return an error
+// instead of panicking while materializing it.
+func TestTrainEvaluatorEmptySplitErrors(t *testing.T) {
+	train, test := dataset.BuildGestureSet(30, 500, 13).Split(4)
+	ev := &TrainEvaluator{GestureTrain: train, GestureTest: test, Epochs: 1, Seed: 1}
+	c := &Candidate{Task: TaskGesture,
+		Gesture: dataset.GestureConfig{Channels: 2, RateHz: 20, Quant: quant.Config{Res: quant.Int, Bits: 4}},
+		Arch:    &nn.Arch{Body: []nn.LayerSpec{{Kind: nn.KindDense, Out: 8}}, Classes: 10}}
+	if _, err := ev.Evaluate(c); err == nil {
+		t.Fatal("evaluating over an empty test split must fail")
+	}
+}
+
+// TestTrainEvaluatorArenaCounters checks that every candidate network's
+// step-arena tallies land on the evaluator's shared nn.arena_hits /
+// nn.arena_misses counters: one registry across two evaluations holds the
+// sum of the two single-evaluation registries.
+func TestTrainEvaluatorArenaCounters(t *testing.T) {
+	train, test := dataset.BuildGestureSet(40, 500, 13).Split(4)
+	cand := func(out int) *Candidate {
+		return &Candidate{Task: TaskGesture,
+			Gesture: dataset.GestureConfig{Channels: 2, RateHz: 20, Quant: quant.Config{Res: quant.Int, Bits: 4}},
+			Arch:    &nn.Arch{Body: []nn.LayerSpec{{Kind: nn.KindDense, Out: out}}, Classes: 10}}
+	}
+	evaluate := func(reg *obs.Registry, outs ...int) (hits, misses int64) {
+		ev := &TrainEvaluator{GestureTrain: train, GestureTest: test, Epochs: 1, Seed: 1, Metrics: reg}
+		for _, out := range outs {
+			if _, err := ev.Evaluate(cand(out)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return reg.Counter("nn.arena_hits").Value(), reg.Counter("nn.arena_misses").Value()
+	}
+	h1, m1 := evaluate(obs.NewRegistry(), 8)
+	h2, m2 := evaluate(obs.NewRegistry(), 16)
+	h, m := evaluate(obs.NewRegistry(), 8, 16)
+	if h1 == 0 || m1 == 0 || h2 == 0 || m2 == 0 {
+		t.Fatalf("single evaluations published %d/%d and %d/%d hits/misses, want all nonzero", h1, m1, h2, m2)
+	}
+	if h != h1+h2 || m != m1+m2 {
+		t.Fatalf("shared registry holds %d/%d hits/misses, want %d/%d", h, m, h1+h2, m1+m2)
 	}
 }
 

@@ -3,15 +3,13 @@ package nn
 import (
 	"math/rand"
 
-	"solarml/internal/compute"
 	"solarml/internal/tensor"
 )
 
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
-	ctx   *compute.Context
-	arena *Arena
-	mask  []bool
+	binding
+	mask []bool
 
 	// Current-dispatch operands plus the cached range closures: binding the
 	// operands through fields lets one closure serve every step, so the
@@ -25,12 +23,6 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Kind implements Layer.
 func (r *ReLU) Kind() LayerKind { return KindReLU }
-
-// SetCompute implements ComputeUser.
-func (r *ReLU) SetCompute(ctx *compute.Context) { r.ctx = ctx }
-
-// SetArena implements ArenaUser.
-func (r *ReLU) SetArena(a *Arena) { r.arena = a }
 
 // OutShape implements Layer.
 func (r *ReLU) OutShape(in []int) []int {
@@ -96,7 +88,7 @@ func (r *ReLU) MACs(in []int) int64 { return 0 }
 // Flatten reshapes (N, C, H, W) to (N, C·H·W). It exists so architecture
 // specs can express the conv→dense transition explicitly.
 type Flatten struct {
-	arena  *Arena
+	binding
 	lastIn []int
 }
 
@@ -105,9 +97,6 @@ func NewFlatten() *Flatten { return &Flatten{} }
 
 // Kind implements Layer.
 func (f *Flatten) Kind() LayerKind { return KindFlatten }
-
-// SetArena implements ArenaUser.
-func (f *Flatten) SetArena(a *Arena) { f.arena = a }
 
 // OutShape implements Layer.
 func (f *Flatten) OutShape(in []int) []int { return []int{shapeVolume(in)} }

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"solarml/internal/obs"
 	"solarml/internal/tensor"
 )
 
@@ -24,9 +23,9 @@ import (
 //
 // An Arena is NOT safe for concurrent use — it is owned by one network, and
 // training a network was never concurrent (layers hold per-step state). In
-// a parallel NAS search every candidate network gets its own arena. A nil
-// *Arena is valid and falls back to fresh allocation, so the zero value of
-// every layer keeps working unchanged.
+// a parallel NAS search every candidate network has its own arena. Every
+// network holds its arena by value from construction; the zero Arena is
+// empty and ready to use.
 type Arena struct {
 	tens  map[arenaKey]*tensor.Tensor
 	views map[arenaKey]*tensor.Tensor
@@ -34,10 +33,7 @@ type Arena struct {
 	ints  map[arenaKey][]int
 	bools map[arenaKey][]bool
 
-	// Local hit/miss tallies, always maintained (cheap, single-owner).
-	hitCount, missCount int64
-	// Optional obs counters shared via the registry (nn.arena_hits/_misses).
-	hits, misses *obs.Counter
+	hits, misses int64
 }
 
 // arenaKey addresses one logical buffer: the owning layer (or network) plus
@@ -63,40 +59,21 @@ const (
 	slotProbs               // softmax scratch
 	slotGrad                // cross-entropy logits gradient
 	slotAcc                 // multi-exit junction gradient accumulator
+	slotCols                // Conv2D batched im2col matrix
+	slotOMat                // Conv2D forward GEMM output
+	slotGMat                // Conv2D gathered output gradient
+	slotDCols               // Conv2D column gradient
 )
 
-// NewArena returns an empty arena. When reg is non-nil the arena also
-// counts acquisitions on the shared nn.arena_hits / nn.arena_misses
-// counters (all arenas created against one registry share them, so a NAS
-// search reports fleet-wide reuse efficiency).
-func NewArena(reg *obs.Registry) *Arena {
-	a := &Arena{}
-	if reg != nil {
-		a.hits = reg.Counter("nn.arena_hits")
-		a.misses = reg.Counter("nn.arena_misses")
-	}
-	return a
-}
-
 // Hits reports how many acquisitions were served from retained buffers.
-func (a *Arena) Hits() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.hitCount
-}
+func (a *Arena) Hits() int64 { return a.hits }
 
 // Misses reports how many acquisitions had to allocate (first touch or
 // re-grow after a larger batch shape arrived).
-func (a *Arena) Misses() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.missCount
-}
+func (a *Arena) Misses() int64 { return a.misses }
 
-func (a *Arena) hit()  { a.hitCount++; a.hits.Inc() }
-func (a *Arena) miss() { a.missCount++; a.misses.Inc() }
+func (a *Arena) hit()  { a.hits++ }
+func (a *Arena) miss() { a.misses++ }
 
 // setShape copies src into dst's storage, reusing it when the rank fits.
 func setShape(dst, src []int) []int { return append(dst[:0], src...) }
@@ -105,9 +82,6 @@ func setShape(dst, src []int) []int { return append(dst[:0], src...) }
 // reusing the retained buffer when its capacity suffices. The tensor is
 // valid until the next acquire of the same (owner, slot).
 func (a *Arena) tensor(owner any, slot uint8, shape ...int) *tensor.Tensor {
-	if a == nil {
-		return tensor.New(shape...)
-	}
 	vol := 1
 	for _, d := range shape {
 		vol *= d
@@ -135,9 +109,6 @@ func (a *Arena) tensor(owner any, slot uint8, shape ...int) *tensor.Tensor {
 // the data) is owned by the arena and valid until the next view acquire of
 // the same (owner, slot).
 func (a *Arena) view(owner any, slot uint8, data []float64, shape ...int) *tensor.Tensor {
-	if a == nil {
-		return tensor.FromSlice(data, shape...)
-	}
 	vol := 1
 	for _, d := range shape {
 		vol *= d
@@ -167,9 +138,6 @@ func (a *Arena) view(owner any, slot uint8, data []float64, shape ...int) *tenso
 
 // floats returns a zero-filled []float64 of length n for (owner, slot).
 func (a *Arena) floats(owner any, slot uint8, n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
 	key := arenaKey{owner, slot}
 	buf := a.f64s[key]
 	if cap(buf) < n {
@@ -190,9 +158,6 @@ func (a *Arena) floats(owner any, slot uint8, n int) []float64 {
 
 // intsBuf returns a zero-filled []int of length n for (owner, slot).
 func (a *Arena) intsBuf(owner any, slot uint8, n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
 	key := arenaKey{owner, slot}
 	buf := a.ints[key]
 	if cap(buf) < n {
@@ -213,9 +178,6 @@ func (a *Arena) intsBuf(owner any, slot uint8, n int) []int {
 
 // boolsBuf returns a zero-filled []bool of length n for (owner, slot).
 func (a *Arena) boolsBuf(owner any, slot uint8, n int) []bool {
-	if a == nil {
-		return make([]bool, n)
-	}
 	key := arenaKey{owner, slot}
 	buf := a.bools[key]
 	if cap(buf) < n {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"solarml/internal/compute"
-	"solarml/internal/obs"
 	"solarml/internal/tensor"
 )
 
@@ -13,7 +12,7 @@ import (
 // a (owner, slot) misses, reuse hits, and growing past the retained capacity
 // misses again.
 func TestArenaHitMissAccounting(t *testing.T) {
-	a := NewArena(nil)
+	a := &Arena{}
 	owner := &struct{}{}
 
 	a.tensor(owner, slotOut, 2, 3)
@@ -41,28 +40,11 @@ func TestArenaHitMissAccounting(t *testing.T) {
 	}
 }
 
-// TestArenaSharedRegistryCounters checks that arenas created against one
-// registry tally into the shared nn.arena_hits / nn.arena_misses counters.
-func TestArenaSharedRegistryCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	a1, a2 := NewArena(reg), NewArena(reg)
-	o1, o2 := &struct{}{}, &struct{}{}
-	a1.tensor(o1, slotOut, 2)
-	a1.tensor(o1, slotOut, 2)
-	a2.tensor(o2, slotOut, 3)
-	if got := reg.Counter("nn.arena_misses").Value(); got != 2 {
-		t.Fatalf("shared misses = %d, want 2", got)
-	}
-	if got := reg.Counter("nn.arena_hits").Value(); got != 1 {
-		t.Fatalf("shared hits = %d, want 1", got)
-	}
-}
-
 // TestArenaReusesBackingArray checks steady-state reuse really is in place:
 // the same (owner, slot) request returns the same backing array, including
 // for the smaller tail-batch shape.
 func TestArenaReusesBackingArray(t *testing.T) {
-	a := NewArena(nil)
+	a := &Arena{}
 	owner := &struct{}{}
 	t1 := a.tensor(owner, slotOut, 4, 6)
 	t2 := a.tensor(owner, slotOut, 4, 6)
@@ -81,7 +63,7 @@ func TestArenaReusesBackingArray(t *testing.T) {
 // TestArenaZeroFills checks every acquire returns memory indistinguishable
 // from a fresh allocation — the property the bit-identity contract rests on.
 func TestArenaZeroFills(t *testing.T) {
-	a := NewArena(nil)
+	a := &Arena{}
 	owner := &struct{}{}
 	tt := a.tensor(owner, slotOut, 3, 3)
 	for i := range tt.Data {
@@ -126,7 +108,7 @@ func TestArenaZeroFills(t *testing.T) {
 // TestArenaViewVolumeMismatchPanics checks the view guard: a header whose
 // shape does not match the data length must refuse rather than alias.
 func TestArenaViewVolumeMismatchPanics(t *testing.T) {
-	a := NewArena(nil)
+	a := &Arena{}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched view did not panic")
@@ -135,39 +117,14 @@ func TestArenaViewVolumeMismatchPanics(t *testing.T) {
 	a.view(&struct{}{}, slotView, make([]float64, 10), 3, 4)
 }
 
-// TestNilArenaFallsBackToFreshAllocation checks the nil-receiver contract:
-// every acquire on a nil *Arena behaves like a plain make/tensor.New.
-func TestNilArenaFallsBackToFreshAllocation(t *testing.T) {
-	var a *Arena
-	if got := a.tensor(nil, slotOut, 2, 3); len(got.Data) != 6 {
-		t.Fatalf("nil arena tensor has %d elements, want 6", len(got.Data))
-	}
-	if got := a.view(nil, slotView, make([]float64, 6), 2, 3); got.Shape[1] != 3 {
-		t.Fatalf("nil arena view shape = %v", got.Shape)
-	}
-	if got := a.floats(nil, slotStd, 4); len(got) != 4 {
-		t.Fatalf("nil arena floats len = %d", len(got))
-	}
-	if got := a.intsBuf(nil, slotArg, 4); len(got) != 4 {
-		t.Fatalf("nil arena ints len = %d", len(got))
-	}
-	if got := a.boolsBuf(nil, slotMask, 4); len(got) != 4 {
-		t.Fatalf("nil arena bools len = %d", len(got))
-	}
-	if a.Hits() != 0 || a.Misses() != 0 {
-		t.Fatal("nil arena reported nonzero counters")
-	}
-}
-
-// TestTrainStepSteadyStateAllocs pins the tentpole's headline: with an arena
-// and a pooled compute context installed, the steady-state training step
-// performs zero heap allocations, at one worker and with the parallel pool.
+// TestTrainStepSteadyStateAllocs pins the arena's headline: the steady-state
+// training step performs zero heap allocations, at one worker and with the
+// parallel pool.
 func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		net := buildComputeTestNet()
 		net.Init(rand.New(rand.NewSource(5)))
 		net.SetCompute(compute.NewContextFor(workers, nil))
-		net.SetArena(NewArena(nil))
 		rng := rand.New(rand.NewSource(3))
 		x := tensor.New(6, 1, 9, 11)
 		x.RandFill(rng, 1)
@@ -178,7 +135,7 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 		params := net.Params()
 		opt := &SGD{LR: 0.01, Momentum: 0.9}
 		cfg := &TrainConfig{ClipNorm: 5}
-		net.trainStep(x, y, params, opt, cfg) // warm arena, pool, closures
+		net.trainStep(x, y, params, opt, cfg) // warm arena and closures
 
 		allocs := testing.AllocsPerRun(10, func() {
 			net.trainStep(x, y, params, opt, cfg)
@@ -202,7 +159,6 @@ func TestAccuracyChunkAllocs(t *testing.T) {
 	net := buildComputeTestNet()
 	net.Init(rand.New(rand.NewSource(5)))
 	net.SetCompute(compute.NewContextFor(1, nil))
-	net.SetArena(NewArena(nil))
 	rng := rand.New(rand.NewSource(4))
 	x := tensor.New(40, 1, 9, 11) // 32-chunk plus a tail chunk of 8
 	x.RandFill(rng, 1)
@@ -219,9 +175,15 @@ func TestAccuracyChunkAllocs(t *testing.T) {
 	}
 }
 
+// freshArena empties net's arena, so the next step allocates every buffer
+// new and zeroed: the fresh-allocation oracle that the reuse paths are
+// compared against, independent of the reuse logic.
+func freshArena(net *Network) { net.arena = Arena{} }
+
 // fitReference replicates the pre-arena Fit loop exactly — same rng call
-// order, fresh staging tensors, public CrossEntropy, throwaway clipper —
-// so Fit's arena path can be compared against it bit for bit.
+// order, fresh staging tensors, a fresh arena every step, public
+// CrossEntropy, throwaway clipper — so Fit's arena path can be compared
+// against it bit for bit.
 func fitReference(net *Network, inputs *tensor.Tensor, labels []int, cfg TrainConfig) float64 {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
@@ -257,13 +219,15 @@ func fitReference(net *Network, inputs *tensor.Tensor, labels []int, cfg TrainCo
 				by[bi] = labels[src]
 			}
 			net.ZeroGrads()
+			freshArena(net)
 			logits := net.Forward(bx, true)
 			loss, grad := CrossEntropy(logits, by)
 			for li := len(net.Layers) - 1; li >= 0; li-- {
 				grad = net.Layers[li].Backward(grad)
 			}
-			clipGradients(nil, params, cfg.ClipNorm)
-			opt.Step(params)
+			var clip gradClipper
+			clip.clip(serialContext, params, cfg.ClipNorm)
+			opt.StepCtx(serialContext, params)
 			epochLoss += loss
 			batches++
 		}
@@ -372,6 +336,7 @@ func refQAT(net *Network, inputs *tensor.Tensor, labels []int, cfg TrainConfig) 
 				by[bi] = labels[src]
 			}
 			net.ZeroGrads()
+			freshArena(net)
 			snap := net.SnapshotParams()
 			for _, p := range params {
 				quantizeTensorSym(p.Value, cfg.QATWeightBits)
@@ -382,20 +347,21 @@ func refQAT(net *Network, inputs *tensor.Tensor, labels []int, cfg TrainConfig) 
 				grad = net.Layers[li].Backward(grad)
 			}
 			net.RestoreParams(snap)
-			clipGradients(nil, params, cfg.ClipNorm)
-			opt.Step(params)
+			var clip gradClipper
+			clip.clip(serialContext, params, cfg.ClipNorm)
+			opt.StepCtx(serialContext, params)
 		}
 	}
 }
 
 // TestArenaBatchShapeChangeBitIdentical runs the same network through batch
-// sizes 8 → 3 → 8 with an arena installed and compares logits, input
-// gradients and parameter gradients against a fresh-allocation twin at every
-// step: shrinking and re-growing the cached buffers must not leak state.
+// sizes 8 → 3 → 8 reusing its arena and compares logits, input gradients
+// and parameter gradients against a fresh-allocation twin (a fresh arena
+// every step) at every step: shrinking and re-growing the cached buffers
+// must not leak state.
 func TestArenaBatchShapeChangeBitIdentical(t *testing.T) {
 	withArena := buildComputeTestNet()
 	withArena.Init(rand.New(rand.NewSource(31)))
-	withArena.SetArena(NewArena(nil))
 
 	plain := buildComputeTestNet()
 	plain.Init(rand.New(rand.NewSource(31)))
@@ -408,6 +374,7 @@ func TestArenaBatchShapeChangeBitIdentical(t *testing.T) {
 		for i := range labels {
 			labels[i] = rng.Intn(10)
 		}
+		freshArena(plain)
 		wantLogits, wantDx, wantGrads := trainStepBitwise(plain, x, labels)
 		gotLogits, gotDx, gotGrads := trainStepBitwise(withArena, x, labels)
 		tensorsBitEqual(t, "logits", wantLogits, gotLogits)
@@ -429,12 +396,10 @@ func TestFitWithArenaAndParallelBackendBitIdentical(t *testing.T) {
 	ref.Init(rand.New(rand.NewSource(41)))
 	wantLoss := fitReference(ref, x, y, cfg)
 
-	par := cfg
-	par.Compute = compute.NewContextFor(3, nil)
-	par.Arena = NewArena(nil)
 	got := buildComputeTestNet()
 	got.Init(rand.New(rand.NewSource(41)))
-	gotLoss := got.Fit(x, y, par)
+	got.SetCompute(compute.NewContextFor(3, nil))
+	gotLoss := got.Fit(x, y, cfg)
 
 	if wantLoss != gotLoss {
 		t.Fatalf("loss differs: serial reference %v vs parallel arena Fit %v", wantLoss, gotLoss)

@@ -50,22 +50,6 @@ func BenchmarkForwardCNN(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStepCNN times one forward+backward+update minibatch.
-func BenchmarkTrainStepCNN(b *testing.B) {
-	net, x, y := benchConvNet(b)
-	opt := &SGD{LR: 0.01, Momentum: 0.9}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ZeroGrads()
-		logits := net.Forward(x, true)
-		_, grad := CrossEntropy(logits, y)
-		for li := len(net.Layers) - 1; li >= 0; li-- {
-			grad = net.Layers[li].Backward(grad)
-		}
-		opt.Step(net.Params())
-	}
-}
-
 // BenchmarkMatMulMid times the core GEMM at a NAS-typical size.
 func BenchmarkMatMulMid(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
@@ -96,7 +80,7 @@ func benchTrainStepWithCompute(b *testing.B, ctx *compute.Context) {
 		for li := len(net.Layers) - 1; li >= 0; li-- {
 			grad = net.Layers[li].Backward(grad)
 		}
-		opt.Step(net.Params())
+		opt.StepCtx(ctx, net.Params())
 	}
 }
 
@@ -116,12 +100,11 @@ func BenchmarkTrainStepCNNBackend(b *testing.B) {
 	}
 }
 
-// benchTrainStepArena is the steady-state Fit minibatch step: arena
-// installed, params hoisted, loss scratch and every layer buffer reused.
+// benchTrainStepArena is the steady-state Fit minibatch step: params
+// hoisted, loss scratch and every layer buffer reused.
 func benchTrainStepArena(b *testing.B, workers int) {
 	net, x, y := benchConvNet(b)
 	net.SetCompute(compute.NewContextFor(workers, nil))
-	net.SetArena(NewArena(nil))
 	params := net.Params()
 	opt := &SGD{LR: 0.01, Momentum: 0.9}
 	cfg := &TrainConfig{ClipNorm: 5}

@@ -9,7 +9,7 @@ import (
 	"solarml/internal/tensor"
 )
 
-// buildComputeTestNet returns a net covering every ComputeUser layer kind:
+// buildComputeTestNet returns a net covering every GEMM layer kind:
 // standard conv, depthwise conv, and a dense head. Odd spatial dims and a
 // stride-2 stage exercise uneven row partitions in the parallel backend.
 func buildComputeTestNet() *Network {
@@ -83,9 +83,11 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestComputeContextMatchesNoContext checks the refactor did not change the
-// numerics of the default path: a layer with a compute context produces
-// bit-identical results to a zero-value layer with none.
+// TestComputeContextMatchesNoContext checks that installing a compute
+// context does not change the numerics of the default path: a net with an
+// explicitly installed serial context produces bit-identical results to a
+// freshly built net on the default context, whose arena is still empty (so
+// every buffer is a fresh, zeroed allocation).
 func TestComputeContextMatchesNoContext(t *testing.T) {
 	const n = 3
 	rng := rand.New(rand.NewSource(9))
@@ -97,10 +99,10 @@ func TestComputeContextMatchesNoContext(t *testing.T) {
 	plain.Init(rand.New(rand.NewSource(7)))
 	wantLogits, wantDx, wantGrads := trainStepBitwise(plain, x, labels)
 
-	pooled := buildComputeTestNet()
-	pooled.Init(rand.New(rand.NewSource(7)))
-	pooled.SetCompute(compute.NewContextFor(1, nil))
-	gotLogits, gotDx, gotGrads := trainStepBitwise(pooled, x, labels)
+	withCtx := buildComputeTestNet()
+	withCtx.Init(rand.New(rand.NewSource(7)))
+	withCtx.SetCompute(compute.NewContextFor(1, nil))
+	gotLogits, gotDx, gotGrads := trainStepBitwise(withCtx, x, labels)
 
 	tensorsBitEqual(t, "logits", wantLogits, gotLogits)
 	tensorsBitEqual(t, "dx", wantDx, gotDx)
@@ -110,31 +112,26 @@ func TestComputeContextMatchesNoContext(t *testing.T) {
 }
 
 // TestConv2DForwardAllocs pins the steady-state allocation count of the
-// batched, pooled Conv2D forward. Before the batched-im2col rework the
-// forward allocated one column matrix per sample per call; with a warm pool
-// it must stay at a handful of fixed allocations (output tensor, shape
-// bookkeeping) regardless of batch size.
+// batched Conv2D forward. Before the batched-im2col rework the forward
+// allocated one column matrix per sample per call; with a warm arena it
+// must stay at a handful of fixed allocations regardless of batch size.
 func TestConv2DForwardAllocs(t *testing.T) {
-	ctx := compute.NewContextFor(1, nil)
 	conv := NewConv2D(2, 8, 3, 1, 1)
 	conv.Init(rand.New(rand.NewSource(1)))
-	conv.SetCompute(ctx)
+	NewNetwork([]int{2, 9, 12}, conv).SetCompute(compute.NewContextFor(1, nil))
 	x := tensor.New(16, 2, 9, 12)
 	x.RandFill(rand.New(rand.NewSource(2)), 1)
-	// Warm the pool: one forward/backward pair returns all scratch.
-	out := conv.Forward(x, true)
+	// Warm the arena: one forward/backward pair acquires all scratch.
+	out := conv.Forward(x, true).Clone()
 	conv.Backward(out)
 
 	allocs := testing.AllocsPerRun(10, func() {
-		y := conv.Forward(x, true)
-		_ = y
-		// Release the held im2col scratch as Backward would, keeping the
-		// pool warm for the next run.
+		conv.Forward(x, true)
 		conv.Backward(out)
 	})
-	// Forward+backward currently cost ~10 fixed allocations (output and dx
-	// tensors, shape slices, closures) independent of batch size; 16 would
-	// mean per-sample column matrices are back.
+	// With a warm arena forward+backward allocate nothing; the bound keeps
+	// its earlier value, and 16 would mean per-sample column matrices are
+	// back.
 	if allocs > 14 {
 		t.Fatalf("Conv2D forward+backward allocates %.0f times per step, want ≤14", allocs)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"solarml/internal/compute"
 	"solarml/internal/tensor"
 )
 
@@ -18,18 +17,20 @@ func convOutDim(in, k, stride, pad int) int {
 // zero padding and shared stride. Input is NCHW.
 //
 // The forward/backward kernels run batched: one im2col lowering for the
-// whole minibatch into a pooled (InC·K·K, N·OH·OW) scratch matrix and one
-// GEMM against the weights, instead of a column matrix allocated per
-// sample. The scratch lives on the layer's compute.Context pool and is
-// held between Forward and Backward (training always pairs them), so a
-// steady-state training step allocates only the output tensor.
+// whole minibatch into an (InC·K·K, N·OH·OW) scratch matrix and one GEMM
+// against the weights, instead of a column matrix allocated per sample.
+// The column matrix and the three GEMM operands (forward output, gathered
+// gradient, column gradient) live in the network's step arena under their
+// own slots, like the layer's output and input gradient, so a steady-state
+// training step allocates nothing. The column matrix is held from Forward
+// to Backward; the arena zero-fills it on every acquire, which im2col's
+// padding positions rely on.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 	W                         *Param // (OutC, InC*K*K)
 	B                         *Param // (OutC)
 
-	ctx            *compute.Context
-	arena          *Arena
+	binding
 	cols           []float64 // batched im2col scratch, (InC*K*K, N*OH*OW)
 	lastH, lastW   int       // spatial input extent of the last Forward
 	lastN          int       // batch size of the last Forward
@@ -54,12 +55,6 @@ func NewConv2D(inC, outC, k, stride, pad int) *Conv2D {
 
 // Kind implements Layer.
 func (c *Conv2D) Kind() LayerKind { return KindConv }
-
-// SetCompute implements ComputeUser.
-func (c *Conv2D) SetCompute(ctx *compute.Context) { c.ctx = ctx }
-
-// SetArena implements ArenaUser.
-func (c *Conv2D) SetArena(a *Arena) { c.arena = a }
 
 // OutShape implements Layer.
 func (c *Conv2D) OutShape(in []int) []int {
@@ -205,12 +200,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	rows := c.InC * c.K * c.K
 	span := oh * ow
 	width := n * span
-	if c.cols != nil {
-		// Inference-only forwards never reach Backward; recycle the
-		// previous batch's scratch before grabbing this one.
-		c.ctx.Put(c.cols)
-	}
-	c.cols = c.ctx.Get(rows * width)
+	c.cols = c.arena.floats(c, slotCols, rows*width)
 	c.lastH, c.lastW = h, w
 	c.lastN, c.lastOH, c.lastOW = n, oh, ow
 	if c.im2colFn == nil {
@@ -222,13 +212,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.curIn = x.Data
 	c.ctx.For(n, 1, c.im2colFn)
 	// One GEMM for the whole batch, bias fused as the row start value.
-	oMat := c.ctx.Get(c.OutC * width)
+	oMat := c.arena.floats(c, slotOMat, c.OutC*width)
 	c.ctx.MatMul(oMat, c.W.Value.Data, c.cols, c.B.Value.Data, c.OutC, rows, width)
 	// Scatter (OutC, N·OH·OW) back to NCHW; each sample's rows are disjoint.
 	out := c.arena.tensor(c, slotOut, n, c.OutC, oh, ow)
 	c.curOMat, c.curOut = oMat, out.Data
 	c.ctx.ParallelFor(n, c.OutC*span, c.scatterFn)
-	c.ctx.Put(oMat)
 	return out
 }
 
@@ -246,7 +235,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	// Gather grad (N, OutC, OH, OW) into (OutC, N·OH·OW), matching the
 	// column layout of the stored im2col scratch; disjoint per sample.
-	gMat := c.ctx.Get(c.OutC * width)
+	gMat := c.arena.floats(c, slotGMat, c.OutC*width)
 	c.curGrad, c.curGMat = grad.Data, gMat
 	c.ctx.ParallelFor(n, c.OutC*span, c.gatherFn)
 	// dW += g × colsᵀ, accumulated straight into the gradient tensor.
@@ -255,15 +244,11 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// each row left to right, so the addition order matches serial exactly.
 	c.ctx.ParallelFor(c.OutC, 2*width, c.dbFn)
 	// dcols = Wᵀ × g, then scatter every sample's column block back.
-	dcols := c.ctx.Get(rows * width)
+	dcols := c.arena.floats(c, slotDCols, rows*width)
 	c.ctx.MatMulTransA(dcols, c.W.Value.Data, gMat, c.OutC, rows, width, false)
 	dx := c.arena.tensor(c, slotDX, n, c.InC, h, w)
 	c.curDCols, c.curDX = dcols, dx.Data
 	c.ctx.For(n, 1, c.col2imFn)
-	c.ctx.Put(dcols)
-	c.ctx.Put(gMat)
-	c.ctx.Put(c.cols)
-	c.cols = nil
 	return dx
 }
 
@@ -291,8 +276,7 @@ type DepthwiseConv2D struct {
 	W                 *Param // (C, K*K)
 	B                 *Param // (C)
 
-	ctx   *compute.Context
-	arena *Arena
+	binding
 	lastX *tensor.Tensor
 
 	// Current-dispatch operands + cached range closures (see ReLU).
@@ -308,12 +292,6 @@ func NewDepthwiseConv2D(c, k, stride, pad int) *DepthwiseConv2D {
 
 // Kind implements Layer.
 func (c *DepthwiseConv2D) Kind() LayerKind { return KindDWConv }
-
-// SetCompute implements ComputeUser.
-func (c *DepthwiseConv2D) SetCompute(ctx *compute.Context) { c.ctx = ctx }
-
-// SetArena implements ArenaUser.
-func (c *DepthwiseConv2D) SetArena(a *Arena) { c.arena = a }
 
 // OutShape implements Layer.
 func (c *DepthwiseConv2D) OutShape(in []int) []int {

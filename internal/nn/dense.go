@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"solarml/internal/compute"
 	"solarml/internal/tensor"
 )
 
@@ -16,8 +15,7 @@ type Dense struct {
 	W       *Param // (Out, In)
 	B       *Param // (Out)
 
-	ctx   *compute.Context
-	arena *Arena
+	binding
 	lastX *tensor.Tensor
 
 	// Bias-gradient dispatch operands + cached range closure (see ReLU).
@@ -34,12 +32,6 @@ func NewDense(in, out int) *Dense {
 
 // Kind implements Layer.
 func (d *Dense) Kind() LayerKind { return KindDense }
-
-// SetCompute implements ComputeUser.
-func (d *Dense) SetCompute(ctx *compute.Context) { d.ctx = ctx }
-
-// SetArena implements ArenaUser.
-func (d *Dense) SetArena(a *Arena) { d.arena = a }
 
 // OutShape implements Layer.
 func (d *Dense) OutShape(in []int) []int {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"solarml/internal/compute"
 	"solarml/internal/tensor"
 )
 
@@ -16,10 +15,9 @@ type Dropout struct {
 	// P is the drop probability in [0, 1).
 	P float64
 
-	ctx   *compute.Context
-	arena *Arena
-	rng   *rand.Rand
-	mask  []float64
+	binding
+	rng  *rand.Rand
+	mask []float64
 
 	// Backward operands + cached range closure (see ReLU).
 	curGrad, curDX []float64
@@ -36,12 +34,6 @@ func NewDropout(p float64) *Dropout {
 
 // Kind implements Layer (dropout shares ReLU's zero-cost accounting).
 func (d *Dropout) Kind() LayerKind { return KindDropout }
-
-// SetCompute implements ComputeUser.
-func (d *Dropout) SetCompute(ctx *compute.Context) { d.ctx = ctx }
-
-// SetArena implements ArenaUser.
-func (d *Dropout) SetArena(a *Arena) { d.arena = a }
 
 // OutShape implements Layer.
 func (d *Dropout) OutShape(in []int) []int {

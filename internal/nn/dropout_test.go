@@ -11,6 +11,7 @@ import (
 func TestDropoutInferenceIsIdentity(t *testing.T) {
 	d := NewDropout(0.5)
 	d.Init(rand.New(rand.NewSource(1)))
+	bindLayer(d)
 	x := tensor.New(4, 10)
 	x.RandFill(rand.New(rand.NewSource(2)), 1)
 	out := d.Forward(x, false)
@@ -24,6 +25,7 @@ func TestDropoutInferenceIsIdentity(t *testing.T) {
 func TestDropoutTrainStatistics(t *testing.T) {
 	d := NewDropout(0.4)
 	d.Init(rand.New(rand.NewSource(3)))
+	bindLayer(d)
 	x := tensor.New(1, 20_000)
 	x.Fill(1)
 	out := d.Forward(x, true)
@@ -48,6 +50,7 @@ func TestDropoutTrainStatistics(t *testing.T) {
 func TestDropoutBackwardMatchesMask(t *testing.T) {
 	d := NewDropout(0.5)
 	d.Init(rand.New(rand.NewSource(4)))
+	bindLayer(d)
 	x := tensor.New(2, 50)
 	x.Fill(1)
 	out := d.Forward(x, true)

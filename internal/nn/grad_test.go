@@ -18,11 +18,16 @@ func lossOf(l Layer, x *tensor.Tensor) float64 {
 	return s
 }
 
+// bindLayer binds a standalone layer to a fresh arena and the serial
+// context, as NewNetwork does for every layer it is built from.
+func bindLayer(l Layer) { l.(binder).bind(serialContext, &Arena{}) }
+
 // checkGradients verifies analytic gradients of a layer (both input and
 // parameter gradients) against central finite differences under the loss
 // L = 0.5·Σy².
 func checkGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
+	bindLayer(l)
 	for _, p := range l.Params() {
 		p.Grad.Zero()
 	}

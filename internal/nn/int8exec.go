@@ -55,10 +55,13 @@ type Int8Executor struct {
 	normFn         func(b0, b1 int)
 }
 
-// NewExecutor builds an executor with capacity for maxBatch samples. ctx
-// may be nil (serial execution); pass a pooled context to spread the GEMMs
+// NewExecutor builds an executor with capacity for maxBatch samples. A nil
+// ctx selects serial execution; pass a parallel context to spread the GEMMs
 // over workers.
 func (m *Int8Model) NewExecutor(ctx *compute.Context, maxBatch int) *Int8Executor {
+	if ctx == nil {
+		ctx = serialContext
+	}
 	if maxBatch < 1 {
 		maxBatch = 1
 	}

@@ -105,27 +105,32 @@ type Layer interface {
 	Init(rng *rand.Rand)
 }
 
-// ComputeUser is implemented by layers whose kernels can run on a pluggable
-// compute backend. The GEMM layers (Conv2D, DepthwiseConv2D, Dense) route
-// their matrix kernels through it, and the elementwise layers (ReLU,
-// pooling, BatchNorm, Dropout) route their loops through the context's
-// grain-aware ParallelFor. Network.SetCompute and TrainConfig.Compute
-// install one context on every such layer; layers with no context fall back
-// to the serial backend with fresh allocations, so the zero value of every
-// layer keeps working unchanged.
-type ComputeUser interface {
-	SetCompute(ctx *compute.Context)
+// binding is the compute context and step arena a layer runs on. Every
+// layer in this package embeds one. NewNetwork and NewMultiExit bind each
+// layer to the network's own arena and the serial default context, and
+// SetCompute rebinds the context, so kernels never see a nil context or
+// arena. Layer outputs and input gradients live in the arena: a layer's
+// Forward/Backward results are valid only until its next Forward/Backward
+// call — the lifetime the training loop needs.
+type binding struct {
+	ctx   *compute.Context
+	arena *Arena
 }
 
-// ArenaUser is implemented by layers that can draw their per-step output,
-// gradient, and mask buffers from a step arena instead of allocating fresh
-// tensors every minibatch. Network.SetArena installs one arena on every
-// such layer; a layer with a nil arena keeps the allocate-per-call
-// behaviour, so the zero value of every layer works unchanged. With an
-// arena installed, a layer's Forward/Backward results are valid only until
-// its next Forward/Backward call — the lifetime the training loop needs.
-type ArenaUser interface {
-	SetArena(a *Arena)
+func (b *binding) bind(ctx *compute.Context, a *Arena) { b.ctx, b.arena = ctx, a }
+
+// binder is implemented by every layer that embeds a binding.
+type binder interface {
+	bind(ctx *compute.Context, a *Arena)
+}
+
+// bindLayers binds every layer to ctx and a.
+func bindLayers(layers []Layer, ctx *compute.Context, a *Arena) {
+	for _, l := range layers {
+		if b, ok := l.(binder); ok {
+			b.bind(ctx, a)
+		}
+	}
 }
 
 // shapeVolume returns the product of the dimensions.

@@ -26,7 +26,7 @@ type MultiExitNetwork struct {
 	Exits  []*Dense
 
 	ctx   *compute.Context
-	arena *Arena
+	arena Arena
 
 	// loss and clip cache the loss-head and clipper dispatch closures so
 	// steady-state steps allocate nothing (see Network).
@@ -39,7 +39,8 @@ type MultiExitNetwork struct {
 // NewMultiExit splits arch.Body after the given body indices (each index
 // is the last layer of a stage; the remainder forms the final stage) and
 // attaches a classifier head to every stage. The architecture must pass
-// Analyze.
+// Analyze. Like NewNetwork, it binds every backbone layer and exit head to
+// the network's own step arena and to the serial compute context.
 func NewMultiExit(arch *Arch, exitAfter []int) (*MultiExitNetwork, error) {
 	if _, err := arch.Analyze(); err != nil {
 		return nil, err
@@ -55,6 +56,7 @@ func NewMultiExit(arch *Arch, exitAfter []int) (*MultiExitNetwork, error) {
 	m := &MultiExitNetwork{
 		InShape: append([]int(nil), arch.Input...),
 		Classes: arch.Classes,
+		ctx:     serialContext,
 	}
 	shape := append([]int(nil), arch.Input...)
 	start := 0
@@ -71,6 +73,7 @@ func NewMultiExit(arch *Arch, exitAfter []int) (*MultiExitNetwork, error) {
 		m.Exits = append(m.Exits, NewDense(shapeVolume(shape), arch.Classes))
 		start = end + 1
 	}
+	m.bind()
 	return m, nil
 }
 
@@ -86,37 +89,23 @@ func (m *MultiExitNetwork) Init(rng *rand.Rand) {
 	}
 }
 
-// SetCompute installs a compute context on every backbone layer and exit
-// head that supports a pluggable backend (nil restores the serial default).
+// SetCompute installs ctx on the network, every backbone layer, and every
+// exit head (nil reinstalls the serial default).
 func (m *MultiExitNetwork) SetCompute(ctx *compute.Context) {
+	if ctx == nil {
+		ctx = serialContext
+	}
 	m.ctx = ctx
-	for _, stage := range m.Stages {
-		for _, l := range stage {
-			if cu, ok := l.(ComputeUser); ok {
-				cu.SetCompute(ctx)
-			}
-		}
-	}
-	for _, e := range m.Exits {
-		e.SetCompute(ctx)
-	}
+	m.bind()
 }
 
-// SetArena installs a step arena on the network, every backbone layer, and
-// every exit head; per-step buffers are then reused across minibatches (see
-// Network.SetArena for the buffer-lifetime contract). Nil restores the
-// allocate-per-call default.
-func (m *MultiExitNetwork) SetArena(a *Arena) {
-	m.arena = a
+// bind binds every backbone layer and exit head to m's context and arena.
+func (m *MultiExitNetwork) bind() {
 	for _, stage := range m.Stages {
-		for _, l := range stage {
-			if au, ok := l.(ArenaUser); ok {
-				au.SetArena(a)
-			}
-		}
+		bindLayers(stage, m.ctx, &m.arena)
 	}
 	for _, e := range m.Exits {
-		e.SetArena(a)
+		e.bind(m.ctx, &m.arena)
 	}
 }
 
@@ -197,13 +186,6 @@ type FitConfig struct {
 	ExitWeights []float64
 	ClipNorm    float64
 	Seed        int64
-	// Compute, when set, is installed on backbone and exits before the
-	// first minibatch (see TrainConfig.Compute).
-	Compute *compute.Context
-	// Arena, when set, is installed before the first minibatch; when nil
-	// and the network carries no arena yet, Fit installs a fresh one (see
-	// TrainConfig.Arena).
-	Arena *Arena
 	// Obs, when set, wraps the run in an nn.fit_multiexit span carrying
 	// one nn.epoch event per epoch, mirroring TrainConfig.Obs.
 	Obs *obs.Recorder
@@ -234,14 +216,6 @@ func (m *MultiExitNetwork) Fit(inputs *tensor.Tensor, labels []int, cfg FitConfi
 	}
 	if len(weights) != len(m.Exits) {
 		panic(fmt.Sprintf("nn: %d exit weights for %d exits", len(weights), len(m.Exits)))
-	}
-	if cfg.Compute != nil {
-		m.SetCompute(cfg.Compute)
-	}
-	if cfg.Arena != nil {
-		m.SetArena(cfg.Arena)
-	} else if m.arena == nil {
-		m.SetArena(NewArena(nil))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum}

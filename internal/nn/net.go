@@ -18,7 +18,7 @@ type Network struct {
 	Layers  []Layer
 
 	ctx   *compute.Context
-	arena *Arena
+	arena Arena
 
 	// qatSnap is the reused QAT shadow-weight snapshot (see trainStep).
 	qatSnap [][]float64
@@ -32,11 +32,19 @@ type Network struct {
 	evalShape []int
 }
 
-// NewNetwork returns a network for the given per-sample input shape.
+// serialContext is the compute context every network starts on: serial
+// kernels, no telemetry. A Context is immutable, so all networks share it.
+var serialContext = compute.NewContext(compute.Serial{}, nil)
+
+// NewNetwork returns a network for the given per-sample input shape. Every
+// layer is bound to the network's own step arena and to the serial compute
+// context (see SetCompute).
 func NewNetwork(inShape []int, layers ...Layer) *Network {
 	s := make([]int, len(inShape))
 	copy(s, inShape)
-	return &Network{InShape: s, Layers: layers}
+	n := &Network{InShape: s, Layers: layers, ctx: serialContext}
+	bindLayers(layers, n.ctx, &n.arena)
+	return n
 }
 
 // Init initializes all layer parameters from rng.
@@ -46,38 +54,25 @@ func (n *Network) Init(rng *rand.Rand) {
 	}
 }
 
-// SetCompute installs a compute context on every layer that supports a
-// pluggable backend, and on the network itself (softmax, cross-entropy,
-// gradient clipping, and the SGD update run through it too). It governs
-// both training and inference kernels; a nil context restores the default
-// serial, non-pooled behaviour.
+// SetCompute installs ctx on every layer and on the network itself
+// (softmax, cross-entropy, gradient clipping, and the SGD update run
+// through it too). It governs both training and inference kernels; nil
+// reinstalls the serial default.
 func (n *Network) SetCompute(ctx *compute.Context) {
+	if ctx == nil {
+		ctx = serialContext
+	}
 	n.ctx = ctx
-	for _, l := range n.Layers {
-		if cu, ok := l.(ComputeUser); ok {
-			cu.SetCompute(ctx)
-		}
-	}
+	bindLayers(n.Layers, ctx, &n.arena)
 }
 
-// SetArena installs a step arena on the network and every ArenaUser layer:
-// per-step output/gradient/mask buffers are then acquired from the arena
-// and reused across minibatches, so the steady-state training step makes no
-// heap allocations. With an arena installed, tensors returned by
-// Forward/Backward are valid only until the network's next
-// Forward/Backward — callers that retain outputs across calls must Clone
-// them. A nil arena restores the allocate-per-call behaviour.
-func (n *Network) SetArena(a *Arena) {
-	n.arena = a
-	for _, l := range n.Layers {
-		if au, ok := l.(ArenaUser); ok {
-			au.SetArena(a)
-		}
-	}
-}
-
-// Arena returns the installed step arena (nil when none is set).
-func (n *Network) Arena() *Arena { return n.arena }
+// Arena returns the network's step arena. Per-step output, gradient, mask,
+// and scratch buffers are acquired from it and reused across minibatches,
+// so the steady-state training step makes no heap allocations. Tensors
+// returned by Forward/Backward are therefore valid only until the network's
+// next Forward/Backward — callers that retain outputs across calls must
+// Clone them.
+func (n *Network) Arena() *Arena { return &n.arena }
 
 // OutShape returns the per-sample output shape.
 func (n *Network) OutShape() []int {
@@ -181,7 +176,7 @@ func (n *Network) MemoryBytes(weightBits, activationBits int) int64 {
 func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(logits.Shape[0], logits.Shape[1])
 	var s lossScratch
-	s.softmaxInto(nil, out, logits)
+	s.softmaxInto(serialContext, out, logits)
 	return out
 }
 
@@ -192,7 +187,7 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, grad *tens
 	probs := tensor.New(n, k)
 	grad = tensor.New(n, k)
 	var s lossScratch
-	loss = s.crossEntropyInto(nil, logits, labels, probs, grad)
+	loss = s.crossEntropyInto(serialContext, logits, labels, probs, grad)
 	return loss, grad
 }
 
@@ -292,10 +287,6 @@ type SGD struct {
 	fn        func(i0, i1 int)
 }
 
-// Step applies one update to every parameter and leaves gradients intact;
-// callers usually ZeroGrads before the next minibatch.
-func (o *SGD) Step(params []*Param) { o.StepCtx(nil, params) }
-
 // stepRange updates elements [i0, i1) of the current parameter.
 func (o *SGD) stepRange(i0, i1 int) {
 	v, g, mom := o.v, o.g, o.mom
@@ -306,9 +297,10 @@ func (o *SGD) stepRange(i0, i1 int) {
 	}
 }
 
-// StepCtx applies the update with elementwise fan-out over ctx's backend.
-// Every index is read and written by exactly one worker, so the result is
-// bit-identical to the serial loop at any worker count (nil ctx runs inline).
+// StepCtx applies one update to every parameter with elementwise fan-out
+// over ctx's backend, leaving gradients intact. Every index is read and
+// written by exactly one worker, so the result is bit-identical to the
+// serial loop at any worker count.
 func (o *SGD) StepCtx(ctx *compute.Context, params []*Param) {
 	if o.fn == nil {
 		o.fn = o.stepRange
@@ -339,16 +331,6 @@ type TrainConfig struct {
 	// width with far less accuracy loss.
 	QATWeightBits int
 	Seed          int64
-	// Compute, when set, is installed on every ComputeUser layer before the
-	// first minibatch: kernels run on its backend and scratch pool. Leave
-	// nil to keep whatever context the network already carries (default:
-	// serial kernels, fresh allocations).
-	Compute *compute.Context
-	// Arena, when set, is installed on the network before the first
-	// minibatch (see SetArena). When nil and the network carries no arena
-	// yet, Fit installs a fresh one: steady-state training steps are
-	// allocation-free by default. Results are bit-identical either way.
-	Arena *Arena
 	// Verbose, when set, receives one line per epoch.
 	Verbose func(epoch int, loss float64)
 	// Obs, when set, receives one nn.epoch event per epoch (index, mean
@@ -405,19 +387,11 @@ func (c *gradClipper) clip(ctx *compute.Context, params []*Param, limit float64)
 	}
 }
 
-// clipGradients scales all gradients so their global L2 norm is at most c
-// using a throwaway clipper; steady-state paths use a network's cached one.
-func clipGradients(ctx *compute.Context, params []*Param, c float64) {
-	var gc gradClipper
-	gc.clip(ctx, params, c)
-}
-
 // trainStep runs one minibatch (bx, by) through forward, loss, backward,
 // clipping, and the optimizer update, returning the batch loss. params is
 // the cached n.Params() slice (Params allocates; callers hoist it out of the
-// epoch loop). With an arena installed the step performs no steady-state
-// heap allocations: loss scratch, every layer buffer, and the QAT shadow
-// snapshot are all reused.
+// epoch loop). The step performs no steady-state heap allocations: loss
+// scratch, every layer buffer, and the QAT shadow snapshot are all reused.
 func (n *Network) trainStep(bx *tensor.Tensor, by []int, params []*Param, opt *SGD, cfg *TrainConfig) float64 {
 	for _, p := range params {
 		p.Grad.Zero()
@@ -475,14 +449,6 @@ func (n *Network) Fit(inputs *tensor.Tensor, labels []int, cfg TrainConfig) floa
 	if cfg.ClipNorm == 0 {
 		cfg.ClipNorm = 5
 	}
-	if cfg.Compute != nil {
-		n.SetCompute(cfg.Compute)
-	}
-	if cfg.Arena != nil {
-		n.SetArena(cfg.Arena)
-	} else if n.arena == nil {
-		n.SetArena(NewArena(nil))
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum, Decay: cfg.Decay}
 	params := n.Params()
@@ -535,8 +501,8 @@ func (n *Network) Fit(inputs *tensor.Tensor, labels []int, cfg TrainConfig) floa
 }
 
 // Accuracy evaluates top-1 accuracy on (inputs, labels) in inference mode.
-// Chunk staging reuses the arena's cached view header when one is installed,
-// so evaluation allocates nothing per chunk.
+// Chunk staging reuses the arena's cached view header, so evaluation
+// allocates nothing per chunk.
 func (n *Network) Accuracy(inputs *tensor.Tensor, labels []int) float64 {
 	total := inputs.Shape[0]
 	sample := len(inputs.Data) / total

@@ -241,6 +241,7 @@ func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	bn := NewBatchNorm(1)
 	bn.Init(rng)
+	bindLayer(bn)
 	x := tensor.New(8, 1, 2, 2)
 	x.RandFill(rng, 1)
 	for i := range x.Data {
@@ -261,7 +262,7 @@ func TestSGDStepMovesDownhill(t *testing.T) {
 	p.Value.Data[0] = 1.0
 	p.Grad.Data[0] = 2.0 // dL/dw > 0 → w must decrease
 	opt := &SGD{LR: 0.1}
-	opt.Step([]*Param{p})
+	opt.StepCtx(serialContext, []*Param{p})
 	if p.Value.Data[0] >= 1.0 {
 		t.Fatalf("SGD moved uphill: %v", p.Value.Data[0])
 	}

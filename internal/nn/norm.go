@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"solarml/internal/compute"
 	"solarml/internal/tensor"
 )
 
@@ -21,8 +20,7 @@ type BatchNorm struct {
 	RunMean []float64
 	RunVar  []float64
 
-	ctx   *compute.Context
-	arena *Arena
+	binding
 
 	lastXHat *tensor.Tensor
 	lastStd  []float64
@@ -50,12 +48,6 @@ func NewBatchNorm(c int) *BatchNorm {
 
 // Kind implements Layer.
 func (b *BatchNorm) Kind() LayerKind { return KindNorm }
-
-// SetCompute implements ComputeUser.
-func (b *BatchNorm) SetCompute(ctx *compute.Context) { b.ctx = ctx }
-
-// SetArena implements ArenaUser.
-func (b *BatchNorm) SetArena(a *Arena) { b.arena = a }
 
 // OutShape implements Layer.
 func (b *BatchNorm) OutShape(in []int) []int {

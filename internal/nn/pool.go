@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"solarml/internal/compute"
 	"solarml/internal/tensor"
 )
 
@@ -14,8 +13,7 @@ import (
 type MaxPool2D struct {
 	K int
 
-	ctx                 *compute.Context
-	arena               *Arena
+	binding
 	lastArg             []int // flat input index chosen per output element
 	lastC, lastH, lastW int
 
@@ -29,12 +27,6 @@ func NewMaxPool2D(k int) *MaxPool2D { return &MaxPool2D{K: k} }
 
 // Kind implements Layer.
 func (p *MaxPool2D) Kind() LayerKind { return KindMaxPool }
-
-// SetCompute implements ComputeUser.
-func (p *MaxPool2D) SetCompute(ctx *compute.Context) { p.ctx = ctx }
-
-// SetArena implements ArenaUser.
-func (p *MaxPool2D) SetArena(a *Arena) { p.arena = a }
 
 // OutShape implements Layer.
 func (p *MaxPool2D) OutShape(in []int) []int {
@@ -135,8 +127,7 @@ func (p *MaxPool2D) MACs(in []int) int64 {
 type AvgPool2D struct {
 	K int
 
-	ctx                 *compute.Context
-	arena               *Arena
+	binding
 	lastC, lastH, lastW int
 
 	// Current-dispatch operands + cached range closures (see ReLU).
@@ -149,12 +140,6 @@ func NewAvgPool2D(k int) *AvgPool2D { return &AvgPool2D{K: k} }
 
 // Kind implements Layer.
 func (p *AvgPool2D) Kind() LayerKind { return KindAvgPool }
-
-// SetCompute implements ComputeUser.
-func (p *AvgPool2D) SetCompute(ctx *compute.Context) { p.ctx = ctx }
-
-// SetArena implements ArenaUser.
-func (p *AvgPool2D) SetArena(a *Arena) { p.arena = a }
 
 // OutShape implements Layer.
 func (p *AvgPool2D) OutShape(in []int) []int {

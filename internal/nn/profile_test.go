@@ -32,7 +32,7 @@ func TestForwardProfiledMatchesForward(t *testing.T) {
 	x := tensor.New(2, 1, 8, 8)
 	x.RandFill(rng, 1)
 
-	plain := net.Forward(x.Clone(), false)
+	plain := net.Forward(x.Clone(), false).Clone() // the arena reuses the output buffer
 	prof, timings := net.ForwardProfiled(x.Clone(), false)
 	if len(plain.Data) != len(prof.Data) {
 		t.Fatalf("shape mismatch: %d vs %d", len(plain.Data), len(prof.Data))

@@ -15,8 +15,9 @@ import (
 // Recorder is a JSONL event sink. Every span end, metric flush, and
 // explicit Event call becomes one line of JSON; a run manifest heads the
 // stream and a finish event closes it. Subscribers observe every event
-// synchronously in emission order, which is how deprecated callback hooks
-// (enas.Config.Verbose) are layered on top of the event stream.
+// synchronously in emission order, so progress callbacks (such as the
+// per-cycle report in examples/gesture) are layered on top of the event
+// stream.
 //
 // A nil *Recorder is a valid disabled sink: every method returns
 // immediately and allocates nothing. A Recorder over a nil writer is a

@@ -83,7 +83,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 // TestSubscriber checks synchronous fan-out and unsubscription — the
-// mechanism the deprecated enas.Config.Verbose hook rides on.
+// mechanism progress callbacks on enas.cycle events ride on.
 func TestSubscriber(t *testing.T) {
 	r := NewRecorder(nil) // dispatch-only sink
 	var got []string

@@ -236,7 +236,7 @@ func (t *Trace) WriteSummary(w io.Writer) error {
 
 	eff := t.Efficiency()
 	var effLines []string
-	for _, r := range []Ratio{eff.EvoCache, eff.Pool} {
+	for _, r := range []Ratio{eff.EvoCache, eff.Arena} {
 		if r.Hits+r.Misses > 0 {
 			effLines = append(effLines, fmt.Sprintf("  %-14s %d hits / %d misses  (%.1f%% hit rate)",
 				r.Name, r.Hits, r.Misses, 100*r.Rate()))

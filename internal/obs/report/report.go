@@ -368,13 +368,13 @@ func (r Ratio) Rate() float64 {
 	return float64(r.Hits) / float64(r.Hits+r.Misses)
 }
 
-// Efficiency is the derived read of the metrics snapshots: cache and pool
+// Efficiency is the derived read of the metrics snapshots: cache and arena
 // hit ratios, and the GEMM time the compute backend accounted for.
 type Efficiency struct {
-	// EvoCache is the evaluation memo (evo.cache_hits/_misses); Pool the
-	// compute scratch pool (compute.pool_hits/_misses).
+	// EvoCache is the evaluation memo (evo.cache_hits/_misses); Arena the
+	// candidate networks' step-arena buffer reuse (nn.arena_hits/_misses).
 	EvoCache Ratio
-	Pool     Ratio
+	Arena    Ratio
 	// GEMMCount and GEMMSeconds summarize the compute.gemm_seconds
 	// histogram from the last snapshot.
 	GEMMCount   uint64
@@ -394,7 +394,7 @@ func (t *Trace) lastMetrics() (counters map[string]any, hists map[string]any) {
 	return counters, hists
 }
 
-// Efficiency derives the cache/pool/GEMM figures from the last metrics
+// Efficiency derives the cache/arena/GEMM figures from the last metrics
 // snapshot (counters are cumulative, so the last snapshot is the run total).
 func (t *Trace) Efficiency() Efficiency {
 	var eff Efficiency
@@ -408,7 +408,7 @@ func (t *Trace) Efficiency() Efficiency {
 		}
 	}
 	eff.EvoCache = Ratio{Name: "evo.cache", Hits: eff.Counters["evo.cache_hits"], Misses: eff.Counters["evo.cache_misses"]}
-	eff.Pool = Ratio{Name: "compute.pool", Hits: eff.Counters["compute.pool_hits"], Misses: eff.Counters["compute.pool_misses"]}
+	eff.Arena = Ratio{Name: "nn.arena", Hits: eff.Counters["nn.arena_hits"], Misses: eff.Counters["nn.arena_misses"]}
 	if h, ok := hists["compute.gemm_seconds"].(map[string]any); ok {
 		if c, ok := h["count"].(float64); ok {
 			eff.GEMMCount = uint64(c)
