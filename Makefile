@@ -114,7 +114,8 @@ search-resume-smoke:
 # non-empty; record a tiny real-training search and check its report
 # carries the nn.arena buffer-reuse row, and that a dataset too small for
 # the train/test split is a flag error, not a panic; then record a seeded lifetime run and check the energy report
-# carries the ledger accounts; finally run a fleet big enough to curl its
+# carries the ledger accounts, and that a multi-exit ladder run reports its
+# per-rung exit usage; finally run a fleet big enough to curl its
 # live /debug/fleet inspector mid-run, and check the per-device
 # distributions land in the CSV and the obs-report -fleet section. CI runs
 # this and uploads the artifacts. The final leg exercises the serving path:
@@ -151,6 +152,8 @@ smoke-report:
 	grep -q 'energy accounts' $(BUILD_DIR)/lifetime_energy.txt
 	grep -q 'energy critical path' $(BUILD_DIR)/lifetime_energy.txt
 	$(GO) build -o $(BUILD_DIR)/lifetime ./cmd/lifetime
+	$(BUILD_DIR)/lifetime -hours 2 -seed 1 -ladder > $(BUILD_DIR)/lifetime_ladder.txt
+	grep 'exit usage:' $(BUILD_DIR)/lifetime_ladder.txt
 	$(BUILD_DIR)/lifetime -hours 2 -devices 200000 -seed 1 \
 		-pprof 127.0.0.1:9190 -fleet-csv $(BUILD_DIR)/fleet_hist.csv \
 		-trace-out $(BUILD_DIR)/fleet_smoke.jsonl \

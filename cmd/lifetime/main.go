@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"solarml/internal/firmware"
@@ -92,10 +93,10 @@ func mainErr(obsFlags *obscli.Flags, hours float64, profile string, lux, gap, vt
 	cfg.Obs = sess.Rec
 	cfg.Energy = led
 	if ladder {
-		cfg.ExitMACs = []map[nn.LayerKind]int64{
-			{nn.KindConv: 40_000, nn.KindDense: 5_000},
-			{nn.KindConv: 200_000, nn.KindDense: 20_000},
-			{nn.KindConv: 900_000, nn.KindDense: 60_000},
+		cfg.ExitMACs = []nn.KindMACs{
+			nn.KindMACs{}.With(nn.KindConv, 40_000).With(nn.KindDense, 5_000),
+			nn.KindMACs{}.With(nn.KindConv, 200_000).With(nn.KindDense, 20_000),
+			nn.KindMACs{}.With(nn.KindConv, 900_000).With(nn.KindDense, 60_000),
 		}
 	}
 	if profile == "office" {
@@ -135,7 +136,7 @@ func mainErr(obsFlags *obscli.Flags, hours float64, profile string, lux, gap, vt
 	fmt.Println(stats.Summary())
 	fmt.Printf("completion rate: %.1f%%\n", stats.Rate(firmware.Completed)*100)
 	fmt.Print(led.Summary())
-	if ladder && len(stats.ExitCounts) > 0 {
+	if slices.ContainsFunc(stats.ExitCounts, func(n int) bool { return n > 0 }) {
 		fmt.Print("exit usage:")
 		for k := 0; k < len(cfg.ExitMACs); k++ {
 			fmt.Printf("  exit %d ×%d", k, stats.ExitCounts[k])

@@ -20,10 +20,10 @@ func main() {
 	// fund every interaction through the deep exit.
 	cfg.Lux = firmware.OfficeDay(120)
 	cfg.InitialV = 2.02
-	cfg.ExitMACs = []map[nn.LayerKind]int64{
-		{nn.KindConv: 40_000, nn.KindDense: 5_000},   // shallow, ~100 µJ
-		{nn.KindConv: 200_000, nn.KindDense: 20_000}, // mid, ~500 µJ
-		{nn.KindConv: 900_000, nn.KindDense: 60_000}, // deep, ~2.2 mJ
+	cfg.ExitMACs = []nn.KindMACs{
+		nn.KindMACs{}.With(nn.KindConv, 40_000).With(nn.KindDense, 5_000),   // shallow, ~100 µJ
+		nn.KindMACs{}.With(nn.KindConv, 200_000).With(nn.KindDense, 20_000), // mid, ~500 µJ
+		nn.KindMACs{}.With(nn.KindConv, 900_000).With(nn.KindDense, 60_000), // deep, ~2.2 mJ
 	}
 	sim, err := firmware.New(cfg)
 	if err != nil {

@@ -41,11 +41,10 @@ func main() {
 		Channels: 6, RateHz: 80,
 		Quant: quant.Config{Res: quant.Int, Bits: 8},
 	}
-	model := map[nn.LayerKind]int64{
-		nn.KindConv:  300_000,
-		nn.KindDense: 40_000,
-		nn.KindNorm:  20_000,
-	}
+	model := nn.KindMACs{}.
+		With(nn.KindConv, 300_000).
+		With(nn.KindDense, 40_000).
+		With(nn.KindNorm, 20_000)
 	cfg := core.SolarMLConfig("quickstart gesture", nas.TaskGesture,
 		sensing, dsp.FrontEndConfig{}, model, 5)
 	rep, err := platform.RunSession(cfg)

@@ -89,7 +89,7 @@ type SessionConfig struct {
 	Gesture dataset.GestureConfig
 	Audio   dsp.FrontEndConfig
 	// InferMACs is the model's per-kind MAC breakdown.
-	InferMACs map[nn.LayerKind]int64
+	InferMACs nn.KindMACs
 	// SenseSeconds overrides the sampling duration (0 selects the task
 	// default: the gesture length or the audio clip length). Systems
 	// with short capture windows (ECG bursts, pressure taps) set it.

@@ -185,7 +185,7 @@ func TestCompareEndToEnd(t *testing.T) {
 	p := NewPlatform()
 	// eNAS-style lean sensing vs sensing-unaware baseline.
 	lean := dataset.GestureConfig{Channels: 4, RateHz: 40, Quant: quant.Config{Res: quant.Int, Bits: 6}}
-	leanMACs := map[nn.LayerKind]int64{nn.KindConv: 350_000, nn.KindDense: 40_000}
+	leanMACs := nn.KindMACs{}.With(nn.KindConv, 350_000).With(nn.KindDense, 40_000)
 	cmp, err := p.CompareEndToEnd(
 		SolarMLConfig("solarml digits", nas.TaskGesture, lean, defaultAudioFrontEnd(), leanMACs, 5),
 		PSBaselineConfig("ps+munas digits", nas.TaskGesture, defaultGestureSensing(), defaultAudioFrontEnd(), muNASGestureMACs(), 5),

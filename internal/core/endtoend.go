@@ -11,7 +11,7 @@ import (
 // SolarMLConfig builds the platform's own end-to-end session: fully off
 // while idle, woken by the passive solar-cell detector (§V-D).
 func SolarMLConfig(name string, task nas.Task, gesture dataset.GestureConfig,
-	audio dsp.FrontEndConfig, macs map[nn.LayerKind]int64, waitS float64) SessionConfig {
+	audio dsp.FrontEndConfig, macs nn.KindMACs, waitS float64) SessionConfig {
 	return SessionConfig{
 		Name: name, Detector: detect.NewSolarML(), Idle: IdleOff, IdleS: waitS,
 		Task: task, Gesture: gesture, Audio: audio, InferMACs: macs,
@@ -22,7 +22,7 @@ func SolarMLConfig(name string, task nas.Task, gesture dataset.GestureConfig,
 // with a proximity-sensor wake-up (the PROS configuration) running a
 // sensing-unaware model.
 func PSBaselineConfig(name string, task nas.Task, gesture dataset.GestureConfig,
-	audio dsp.FrontEndConfig, macs map[nn.LayerKind]int64, waitS float64) SessionConfig {
+	audio dsp.FrontEndConfig, macs nn.KindMACs, waitS float64) SessionConfig {
 	return SessionConfig{
 		Name: name, Detector: detect.ProximitySensor{}, Idle: IdleDeepSleep, IdleS: waitS,
 		Task: task, Gesture: gesture, Audio: audio, InferMACs: macs,

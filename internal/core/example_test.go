@@ -19,7 +19,7 @@ func ExamplePlatform_RunSession() {
 		dataset.GestureConfig{Channels: 6, RateHz: 80,
 			Quant: quant.Config{Res: quant.Int, Bits: 8}},
 		dsp.FrontEndConfig{},
-		map[nn.LayerKind]int64{nn.KindConv: 300_000, nn.KindDense: 40_000},
+		nn.KindMACs{}.With(nn.KindConv, 300_000).With(nn.KindDense, 40_000),
 		5, // seconds waiting for the user
 	)
 	rep, err := p.RunSession(cfg)

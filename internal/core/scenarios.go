@@ -15,25 +15,23 @@ import (
 
 // muNASGestureMACs is a representative μNAS-optimized gesture model
 // (Fig 1 #5 / Fig 2 top): a small CNN whose inference lands near 1.2 mJ.
-func muNASGestureMACs() map[nn.LayerKind]int64 {
-	return map[nn.LayerKind]int64{
-		nn.KindConv:    480_000,
-		nn.KindDense:   60_000,
-		nn.KindMaxPool: 18_000,
-		nn.KindNorm:    28_000,
-	}
+func muNASGestureMACs() nn.KindMACs {
+	return nn.KindMACs{}.
+		With(nn.KindConv, 480_000).
+		With(nn.KindDense, 60_000).
+		With(nn.KindMaxPool, 18_000).
+		With(nn.KindNorm, 28_000)
 }
 
 // muNASKWSMACs is a representative μNAS-optimized KWS model
 // (Fig 1 #6 / Fig 2 bottom): inference near 2.3 mJ.
-func muNASKWSMACs() map[nn.LayerKind]int64 {
-	return map[nn.LayerKind]int64{
-		nn.KindConv:    900_000,
-		nn.KindDWConv:  120_000,
-		nn.KindDense:   90_000,
-		nn.KindMaxPool: 40_000,
-		nn.KindNorm:    60_000,
-	}
+func muNASKWSMACs() nn.KindMACs {
+	return nn.KindMACs{}.
+		With(nn.KindConv, 900_000).
+		With(nn.KindDWConv, 120_000).
+		With(nn.KindDense, 90_000).
+		With(nn.KindMaxPool, 40_000).
+		With(nn.KindNorm, 60_000)
 }
 
 // defaultGestureSensing is the full-fidelity sensing configuration used by
@@ -66,7 +64,7 @@ func Fig1Systems() []SessionConfig {
 			Task: nas.TaskGesture,
 			Gesture: dataset.GestureConfig{Channels: 1, RateHz: 50,
 				Quant: quant.Config{Res: quant.Int, Bits: 8}},
-			InferMACs:    map[nn.LayerKind]int64{nn.KindConv: 120_000, nn.KindDense: 30_000},
+			InferMACs:    nn.KindMACs{}.With(nn.KindConv, 120_000).With(nn.KindDense, 30_000),
 			SenseSeconds: 0.5, // short ECG analysis window
 		},
 		{
@@ -75,7 +73,7 @@ func Fig1Systems() []SessionConfig {
 			Task: nas.TaskGesture,
 			Gesture: dataset.GestureConfig{Channels: 4, RateHz: 25,
 				Quant: quant.Config{Res: quant.Int, Bits: 8}},
-			InferMACs:    map[nn.LayerKind]int64{nn.KindDense: 80_000},
+			InferMACs:    nn.KindMACs{}.With(nn.KindDense, 80_000),
 			SenseSeconds: 0.6, // brief pressure-tap capture
 		},
 		{
@@ -85,7 +83,7 @@ func Fig1Systems() []SessionConfig {
 			Task:     nas.TaskGesture,
 			Gesture: dataset.GestureConfig{Channels: 9, RateHz: 80,
 				Quant: quant.Config{Res: quant.Int, Bits: 8}},
-			InferMACs: map[nn.LayerKind]int64{nn.KindConv: 1_500_000, nn.KindDense: 120_000},
+			InferMACs: nn.KindMACs{}.With(nn.KindConv, 1_500_000).With(nn.KindDense, 120_000),
 		},
 		{
 			// #4 Sabovic et al. [26]: battery-less node, deep sleep + PS.
@@ -94,7 +92,7 @@ func Fig1Systems() []SessionConfig {
 			Task:     nas.TaskGesture,
 			Gesture: dataset.GestureConfig{Channels: 2, RateHz: 100,
 				Quant: quant.Config{Res: quant.Int, Bits: 8}},
-			InferMACs: map[nn.LayerKind]int64{nn.KindConv: 700_000, nn.KindDense: 90_000},
+			InferMACs: nn.KindMACs{}.With(nn.KindConv, 700_000).With(nn.KindDense, 90_000),
 		},
 		{
 			// #5 gesture recognition with a μNAS model (measured).

@@ -36,8 +36,9 @@ import (
 // nRF52840, calibrated to Fig 7 (Dense 50 µJ, Conv 175 µJ at 75 k MACs
 // including the b overhead).
 type Coefficients struct {
-	// PerMACJ maps each compute layer kind to its J/MAC cost.
-	PerMACJ map[nn.LayerKind]float64
+	// PerMACJ is each layer kind's J/MAC cost; only the compute kinds
+	// carry one.
+	PerMACJ [nn.NumLayerKinds]float64
 	// OverheadJ is the fixed inference setup cost (b).
 	OverheadJ float64
 	// MemPressureGamma scales the super-linear cost growth of large
@@ -48,36 +49,36 @@ type Coefficients struct {
 	MemPressureMACs float64
 }
 
-// DefaultCoefficients returns the calibrated ground truth.
-func DefaultCoefficients() Coefficients {
-	return Coefficients{
-		PerMACJ: map[nn.LayerKind]float64{
-			nn.KindConv:    2.20e-9,
-			nn.KindDWConv:  1.80e-9,
-			nn.KindDense:   0.533e-9,
-			nn.KindMaxPool: 0.75e-9,
-			nn.KindAvgPool: 0.65e-9,
-			nn.KindNorm:    1.00e-9,
-		},
-		OverheadJ:        10e-6,
-		MemPressureGamma: 0.12,
-		MemPressureMACs:  200_000,
-	}
+// defaultCoefficients is the calibrated ground truth.
+var defaultCoefficients = Coefficients{
+	PerMACJ: [nn.NumLayerKinds]float64{
+		nn.KindConv:    2.20e-9,
+		nn.KindDWConv:  1.80e-9,
+		nn.KindDense:   0.533e-9,
+		nn.KindMaxPool: 0.75e-9,
+		nn.KindAvgPool: 0.65e-9,
+		nn.KindNorm:    1.00e-9,
+	},
+	OverheadJ:        10e-6,
+	MemPressureGamma: 0.12,
+	MemPressureMACs:  200_000,
 }
 
+// DefaultCoefficients returns a copy of the calibrated ground truth.
+func DefaultCoefficients() Coefficients { return defaultCoefficients }
+
 // TrueEnergy returns the noise-free inference energy for a per-kind MAC
-// breakdown. Kinds are accumulated in a fixed order so the floating-point
-// sum is deterministic regardless of map iteration order.
-func (c Coefficients) TrueEnergy(macs map[nn.LayerKind]int64) float64 {
+// breakdown. Kinds are accumulated in nn.ComputeKinds order, which fixes
+// the floating-point sum.
+func (c Coefficients) TrueEnergy(macs nn.KindMACs) float64 {
 	e := c.OverheadJ
 	for _, kind := range nn.ComputeKinds() {
-		m := macs[kind]
-		a, ok := c.PerMACJ[kind]
-		if !ok || m == 0 {
+		m := macs.Of(kind)
+		if m == 0 {
 			continue
 		}
 		pressure := 1 + c.MemPressureGamma*math.Log10(1+float64(m)/c.MemPressureMACs)
-		e += a * float64(m) * pressure
+		e += c.PerMACJ[kind] * float64(m) * pressure
 	}
 	return e
 }
@@ -118,7 +119,7 @@ func (m *Measurer) noisy(e, frac float64) float64 {
 
 // MeasureInference returns a measured inference energy for a network's
 // per-kind MAC breakdown.
-func (m *Measurer) MeasureInference(macs map[nn.LayerKind]int64) float64 {
+func (m *Measurer) MeasureInference(macs nn.KindMACs) float64 {
 	e := m.noisy(m.Coeff.TrueEnergy(macs), m.InferNoiseFrac)
 	m.Ledger.Charge(energy.AccountInfer, e)
 	return e
@@ -163,22 +164,18 @@ func (m *Measurer) MeasureAudioSensing(cfg dsp.FrontEndConfig) float64 {
 
 // LayerwiseFeatures returns per-kind MACs in nn.ComputeKinds order, the
 // eNAS proxy.
-func LayerwiseFeatures(macs map[nn.LayerKind]int64) []float64 {
+func LayerwiseFeatures(macs nn.KindMACs) []float64 {
 	kinds := nn.ComputeKinds()
 	out := make([]float64, len(kinds))
 	for i, k := range kinds {
-		out[i] = float64(macs[k])
+		out[i] = float64(macs.Of(k))
 	}
 	return out
 }
 
 // TotalMACsFeature returns the single-total proxy used by μNAS/HarvNet.
-func TotalMACsFeature(macs map[nn.LayerKind]int64) []float64 {
-	var t float64
-	for _, m := range macs {
-		t += float64(m)
-	}
-	return []float64{t}
+func TotalMACsFeature(macs nn.KindMACs) []float64 {
+	return []float64{float64(macs.Total())}
 }
 
 // GestureFeatures returns the (n, r, b, q) proxy of the sensing model.
@@ -199,7 +196,7 @@ func AudioFeatures(cfg dsp.FrontEndConfig) []float64 {
 
 // InferenceSample pairs a MAC breakdown with its measured energy.
 type InferenceSample struct {
-	MACs    map[nn.LayerKind]int64
+	MACs    nn.KindMACs
 	EnergyJ float64
 }
 
@@ -212,7 +209,7 @@ type InferenceEstimator struct {
 	Layerwise bool
 }
 
-func (e *InferenceEstimator) features(macs map[nn.LayerKind]int64) []float64 {
+func (e *InferenceEstimator) features(macs nn.KindMACs) []float64 {
 	if e.Layerwise {
 		return LayerwiseFeatures(macs)
 	}
@@ -237,7 +234,7 @@ func (e *InferenceEstimator) Fit(samples []InferenceSample) error {
 }
 
 // Predict estimates the inference energy of a MAC breakdown.
-func (e *InferenceEstimator) Predict(macs map[nn.LayerKind]int64) float64 {
+func (e *InferenceEstimator) Predict(macs nn.KindMACs) float64 {
 	p := e.Reg.Predict(e.features(macs))
 	if p < 0 {
 		p = 0

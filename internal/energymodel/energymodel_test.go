@@ -14,7 +14,7 @@ import (
 )
 
 // randomMACs draws one model from the measurement-campaign zoo.
-func randomMACs(rng *rand.Rand) map[nn.LayerKind]int64 { return ZooMACs(rng) }
+func randomMACs(rng *rand.Rand) nn.KindMACs { return ZooMACs(rng) }
 
 func randomGestureCfg(rng *rand.Rand) dataset.GestureConfig {
 	res := quant.Int
@@ -41,8 +41,8 @@ func randomAudioCfg(rng *rand.Rand) dsp.FrontEndConfig {
 
 func TestFig7LayerEnergiesAt75kMACs(t *testing.T) {
 	c := DefaultCoefficients()
-	dense := c.TrueEnergy(map[nn.LayerKind]int64{nn.KindDense: 75_000})
-	conv := c.TrueEnergy(map[nn.LayerKind]int64{nn.KindConv: 75_000})
+	dense := c.TrueEnergy(nn.KindMACs{}.With(nn.KindDense, 75_000))
+	conv := c.TrueEnergy(nn.KindMACs{}.With(nn.KindConv, 75_000))
 	if math.Abs(dense*1e6-50) > 5 {
 		t.Fatalf("Dense at 75k MACs = %.1f µJ, Fig 7 says ≈50", dense*1e6)
 	}
@@ -56,8 +56,8 @@ func TestFig7LayerEnergiesAt75kMACs(t *testing.T) {
 
 func TestTrueEnergyMonotoneInMACs(t *testing.T) {
 	c := DefaultCoefficients()
-	small := c.TrueEnergy(map[nn.LayerKind]int64{nn.KindConv: 10_000})
-	big := c.TrueEnergy(map[nn.LayerKind]int64{nn.KindConv: 100_000})
+	small := c.TrueEnergy(nn.KindMACs{}.With(nn.KindConv, 10_000))
+	big := c.TrueEnergy(nn.KindMACs{}.With(nn.KindConv, 100_000))
 	if big <= small {
 		t.Fatal("more MACs must cost more")
 	}
@@ -65,7 +65,7 @@ func TestTrueEnergyMonotoneInMACs(t *testing.T) {
 
 func TestMeasureInferenceNoiseBounded(t *testing.T) {
 	m := NewMeasurer(1)
-	macs := map[nn.LayerKind]int64{nn.KindConv: 100_000}
+	macs := nn.KindMACs{}.With(nn.KindConv, 100_000)
 	truth := m.Coeff.TrueEnergy(macs)
 	for i := 0; i < 100; i++ {
 		e := m.MeasureInference(macs)
@@ -82,7 +82,7 @@ func fitAndScoreInference(t *testing.T, reg regress.Model, layerwise bool, seed 
 	rng := rand.New(rand.NewSource(seed))
 	m := NewMeasurer(seed)
 	var train []InferenceSample
-	var evalX []map[nn.LayerKind]int64
+	var evalX []nn.KindMACs
 	var evalY []float64
 	for i := 0; i < 300; i++ {
 		macs := randomMACs(rng)
@@ -255,15 +255,15 @@ func TestAudioSensingTrueMonotone(t *testing.T) {
 func TestEstimatorPredictClampsNegative(t *testing.T) {
 	est := &InferenceEstimator{Reg: &regress.Linear{}, Layerwise: false}
 	err := est.Fit([]InferenceSample{
-		{MACs: map[nn.LayerKind]int64{nn.KindConv: 100_000}, EnergyJ: 1e-4},
-		{MACs: map[nn.LayerKind]int64{nn.KindConv: 200_000}, EnergyJ: 3e-4},
-		{MACs: map[nn.LayerKind]int64{nn.KindConv: 300_000}, EnergyJ: 5e-4},
+		{MACs: nn.KindMACs{}.With(nn.KindConv, 100_000), EnergyJ: 1e-4},
+		{MACs: nn.KindMACs{}.With(nn.KindConv, 200_000), EnergyJ: 3e-4},
+		{MACs: nn.KindMACs{}.With(nn.KindConv, 300_000), EnergyJ: 5e-4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Extrapolating to zero MACs would go negative; Predict must clamp.
-	if p := est.Predict(map[nn.LayerKind]int64{}); p < 0 {
+	if p := est.Predict(nn.KindMACs{}); p < 0 {
 		t.Fatalf("negative prediction %v", p)
 	}
 }
@@ -283,8 +283,8 @@ func TestFitRejectsEmpty(t *testing.T) {
 func TestDefaultRegIsLinear(t *testing.T) {
 	est := &InferenceEstimator{Layerwise: true}
 	err := est.Fit([]InferenceSample{
-		{MACs: map[nn.LayerKind]int64{nn.KindConv: 1000}, EnergyJ: 1e-5},
-		{MACs: map[nn.LayerKind]int64{nn.KindConv: 2000}, EnergyJ: 2e-5},
+		{MACs: nn.KindMACs{}.With(nn.KindConv, 1000), EnergyJ: 1e-5},
+		{MACs: nn.KindMACs{}.With(nn.KindConv, 2000), EnergyJ: 2e-5},
 	})
 	if err != nil {
 		t.Fatal(err)

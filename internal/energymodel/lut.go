@@ -17,9 +17,9 @@ import (
 type LUTEstimator struct {
 	// OverheadJ is the measured fixed cost of an empty inference.
 	OverheadJ float64
-	// Grid maps each kind to measured (MACs, energy-above-overhead)
-	// points sorted by MACs.
-	Grid map[nn.LayerKind][]LUTPoint
+	// Grid holds each compute kind's measured (MACs,
+	// energy-above-overhead) points sorted by MACs.
+	Grid [nn.NumLayerKinds][]LUTPoint
 	// Measurements counts the calibration measurements spent.
 	Measurements int
 }
@@ -33,12 +33,12 @@ type LUTPoint struct {
 // MeasureLayer returns a measured energy for an isolated layer of the
 // given kind and MAC count (a single-layer calibration model).
 func (m *Measurer) MeasureLayer(kind nn.LayerKind, macs int64) float64 {
-	return m.MeasureInference(map[nn.LayerKind]int64{kind: macs})
+	return m.MeasureInference(nn.KindMACs{}.With(kind, macs))
 }
 
 // MeasureOverhead returns a measured empty-model inference cost.
 func (m *Measurer) MeasureOverhead() float64 {
-	return m.MeasureInference(nil)
+	return m.MeasureInference(nn.KindMACs{})
 }
 
 // CalibrateLUT runs the per-layer measurement campaign: `points` log-spaced
@@ -48,7 +48,7 @@ func CalibrateLUT(m *Measurer, points, repeats int) (*LUTEstimator, error) {
 	if points < 2 || repeats < 1 {
 		return nil, fmt.Errorf("energymodel: LUT needs ≥2 points and ≥1 repeat")
 	}
-	l := &LUTEstimator{Grid: make(map[nn.LayerKind][]LUTPoint)}
+	l := &LUTEstimator{}
 	var oh float64
 	for r := 0; r < repeats; r++ {
 		oh += m.MeasureOverhead()
@@ -101,10 +101,10 @@ func (l *LUTEstimator) layerEnergy(kind nn.LayerKind, macs int64) float64 {
 }
 
 // Predict estimates whole-model inference energy.
-func (l *LUTEstimator) Predict(macs map[nn.LayerKind]int64) float64 {
+func (l *LUTEstimator) Predict(macs nn.KindMACs) float64 {
 	e := l.OverheadJ
 	for _, kind := range nn.ComputeKinds() {
-		e += l.layerEnergy(kind, macs[kind])
+		e += l.layerEnergy(kind, macs.Of(kind))
 	}
 	return e
 }

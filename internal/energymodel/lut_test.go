@@ -14,8 +14,10 @@ func TestCalibrateLUTStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lut.Grid) != len(nn.ComputeKinds()) {
-		t.Fatalf("%d kinds in grid", len(lut.Grid))
+	for _, kind := range nn.ComputeKinds() {
+		if len(lut.Grid[kind]) != 6 {
+			t.Fatalf("%v: %d grid points, want 6", kind, len(lut.Grid[kind]))
+		}
 	}
 	// kinds × points × repeats + overhead repeats.
 	want := len(nn.ComputeKinds())*6*3 + 3
@@ -28,10 +30,10 @@ func TestCalibrateLUTStructure(t *testing.T) {
 	for kind, grid := range lut.Grid {
 		for i := 1; i < len(grid); i++ {
 			if grid[i].MACs <= grid[i-1].MACs {
-				t.Fatalf("%v grid not sorted", kind)
+				t.Fatalf("%v grid not sorted", nn.LayerKind(kind))
 			}
 			if grid[i].EnergyJ < grid[i-1].EnergyJ {
-				t.Fatalf("%v energy not monotone in MACs", kind)
+				t.Fatalf("%v energy not monotone in MACs", nn.LayerKind(kind))
 			}
 		}
 	}
@@ -80,12 +82,12 @@ func TestLUTInterpolationBounds(t *testing.T) {
 	}
 	// Below-grid and above-grid MAC counts extrapolate proportionally
 	// and stay positive and ordered.
-	small := lut.Predict(map[nn.LayerKind]int64{nn.KindConv: 1_000})
-	large := lut.Predict(map[nn.LayerKind]int64{nn.KindConv: 10_000_000})
+	small := lut.Predict(nn.KindMACs{}.With(nn.KindConv, 1_000))
+	large := lut.Predict(nn.KindMACs{}.With(nn.KindConv, 10_000_000))
 	if small <= 0 || large <= small {
 		t.Fatalf("extrapolation broken: %v, %v", small, large)
 	}
-	if empty := lut.Predict(nil); empty != lut.OverheadJ {
+	if empty := lut.Predict(nn.KindMACs{}); empty != lut.OverheadJ {
 		t.Fatalf("empty model must predict the overhead, got %v", empty)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // (conv-heavy CNNs, dense-heavy MLPs, and mixed stacks), which is what
 // separates the layer-wise proxy from the single total-MACs proxy in
 // Table I. Totals are log-uniform over ≈50 k–800 k MACs.
-func ZooMACs(rng *rand.Rand) map[nn.LayerKind]int64 {
+func ZooMACs(rng *rand.Rand) nn.KindMACs {
 	total := math.Pow(10, 4.7+rng.Float64()*1.2)
 	style := rng.Intn(3)
 	var convFrac, denseFrac float64
@@ -38,12 +38,11 @@ func ZooMACs(rng *rand.Rand) map[nn.LayerKind]int64 {
 	rest -= mp
 	ap := rest * rng.Float64()
 	norm := rest - ap
-	return map[nn.LayerKind]int64{
-		nn.KindConv:    int64(total * convFrac),
-		nn.KindDense:   int64(total * denseFrac),
-		nn.KindDWConv:  int64(total * dw),
-		nn.KindMaxPool: int64(total * mp),
-		nn.KindAvgPool: int64(total * ap),
-		nn.KindNorm:    int64(total * norm),
-	}
+	return nn.KindMACs{}.
+		With(nn.KindConv, int64(total*convFrac)).
+		With(nn.KindDense, int64(total*denseFrac)).
+		With(nn.KindDWConv, int64(total*dw)).
+		With(nn.KindMaxPool, int64(total*mp)).
+		With(nn.KindAvgPool, int64(total*ap)).
+		With(nn.KindNorm, int64(total*norm))
 }

@@ -6,7 +6,6 @@ package evo_test
 // one; and the persistent memo never changes an outcome.
 
 import (
-	"bytes"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -15,12 +14,6 @@ import (
 	"solarml/internal/evo"
 	"solarml/internal/nas"
 )
-
-// sameResult compares results through the versioned codec, which covers the
-// MACsByKind map (not directly comparable) deterministically.
-func sameResult(a, b nas.Result) bool {
-	return bytes.Equal(nas.AppendResult(nil, a), nas.AppendResult(nil, b))
-}
 
 // Pinned values for the three-island golden run (captured from the initial
 // implementation; any divergence means the migrant-merge order or the
@@ -97,7 +90,7 @@ func sameOutcome(t *testing.T, what string, a, b *evo.IslandOutcome) {
 		}
 		for j := range ha {
 			if ha[j].Cand.Fingerprint() != hb[j].Cand.Fingerprint() ||
-				!sameResult(ha[j].Res, hb[j].Res) {
+				ha[j].Res != hb[j].Res {
 				t.Fatalf("%s: island %d history[%d] diverges", what, i, j)
 			}
 		}
@@ -171,7 +164,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		t.Errorf("best after resume = %#016x, want %#016x",
 			resumed.Best.Cand.Fingerprint(), full.Best.Cand.Fingerprint())
 	}
-	if !sameResult(full.Best.Res, resumed.Best.Res) {
+	if full.Best.Res != resumed.Best.Res {
 		t.Errorf("best result after resume = %+v, want %+v", resumed.Best.Res, full.Best.Res)
 	}
 	for i := range full.Islands {
@@ -182,7 +175,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 			t.Fatalf("island %d: history %d vs %d entries after resume", i, len(ha), len(hb))
 		}
 		for j := range ha {
-			if ha[j].Cand.Fingerprint() != hb[j].Cand.Fingerprint() || !sameResult(ha[j].Res, hb[j].Res) {
+			if ha[j].Cand.Fingerprint() != hb[j].Cand.Fingerprint() || ha[j].Res != hb[j].Res {
 				t.Fatalf("island %d history[%d] diverges after resume", i, j)
 			}
 		}

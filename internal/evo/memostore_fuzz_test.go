@@ -38,10 +38,19 @@ func sameResults(a, b map[uint64]nas.Result) bool {
 // FuzzMemoLine fuzzes the tolerant memo reader with arbitrary lines after a
 // valid header. It never panics; every line it rejects is counted in
 // Skipped; a repeated fingerprint keeps its first result; and every accepted
-// entry, re-appended through MemoStore.Append, reads back identically.
+// entry, re-appended through MemoStore.Append, reads back identically. A
+// result naming layer kind 9, outside the enum, is one such rejected line.
 func FuzzMemoLine(f *testing.F) {
 	good := fuzzMemoEntry(7, nas.Result{Accuracy: 0.9, EnergyJ: 1e-3})
+	res := nas.AppendResult(nil, nas.Result{Accuracy: 0.9, TotalMACs: 5})
+	res = append(res[:len(res)-1], 1, 2*9, 10) // one kind, 9 zig-zag encoded, with 5 MACs
+	kind9 := fmt.Sprintf(`{"v":1,"fp":"0000000000000009","res":"%s"}`, hex.EncodeToString(res))
+	if _, entries, st, err := readMemoData([]byte(fuzzMemoHeader + "\n" + kind9 + "\n")); err != nil ||
+		len(entries) != 0 || st.Skipped != 1 {
+		f.Fatalf("kind-9 line: %d entries, stats %+v, err %v; want it skipped", len(entries), st, err)
+	}
 	for _, seed := range []string{
+		kind9 + "\n" + good,
 		good,
 		good + "\n" + `{"v":1,"fp":"00000000000000`,
 		"!!not json!!\n" + good,

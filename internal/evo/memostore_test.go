@@ -61,7 +61,7 @@ func TestMemoStoreRoundTrip(t *testing.T) {
 		t.Fatalf("reopened store has %d entries, want 2", s2.Len())
 	}
 	got := s2.Entries()
-	if !sameResult(got[1], r1) || !sameResult(got[2], r2) {
+	if got[1] != r1 || got[2] != r2 {
 		t.Fatalf("reopened entries diverge: %+v", got)
 	}
 	if st := s2.Stats(); st.Loaded != 2 || st.Skipped != 0 || st.Duplicates != 0 {
@@ -189,7 +189,7 @@ func TestMergeMemoFiles(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("merged store has %d entries, want 3", len(got))
 	}
-	if !sameResult(got[2], rB) {
+	if got[2] != rB {
 		t.Fatalf("merge overwrote fp 2 with the later result; first-wins expected")
 	}
 

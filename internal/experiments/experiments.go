@@ -33,7 +33,7 @@ func (r Table1Row) String() string {
 // the paper's campaign measured "300 models with different layers and
 // numbers of MACs", deliberately varied in layer composition rather than
 // sampled from the NAS space.
-func randomArchMACs(space *nas.Space, rng *rand.Rand) map[nn.LayerKind]int64 {
+func randomArchMACs(space *nas.Space, rng *rand.Rand) nn.KindMACs {
 	return energymodel.ZooMACs(rng)
 }
 
@@ -51,7 +51,7 @@ func Table1(seed int64) []Table1Row {
 		macs := randomArchMACs(gestureSpace, rng)
 		train = append(train, energymodel.InferenceSample{MACs: macs, EnergyJ: m.MeasureInference(macs)})
 	}
-	var evalMACs []map[nn.LayerKind]int64
+	var evalMACs []nn.KindMACs
 	var evalY []float64
 	for i := 0; i < 100; i++ {
 		macs := randomArchMACs(gestureSpace, rng)
@@ -134,7 +134,7 @@ func Fig7() []Fig7Point {
 		for _, kind := range nn.ComputeKinds() {
 			out = append(out, Fig7Point{
 				Kind: kind, MACs: macs,
-				EnergyJ: coeff.TrueEnergy(map[nn.LayerKind]int64{kind: macs}),
+				EnergyJ: coeff.TrueEnergy(nn.KindMACs{}.With(kind, macs)),
 			})
 		}
 	}

@@ -172,7 +172,7 @@ func (s *Simulator) Run(duration float64, eventTimes []float64) (*Stats, error) 
 			return nil, fmt.Errorf("firmware: event time %.1f outside [0, %.1f]", et, duration)
 		}
 	}
-	stats := &Stats{Duration: duration, Counts: make(map[EventOutcome]int), ExitCounts: make(map[int]int)}
+	stats := s.newStats(duration)
 	if !s.leanStats {
 		stats.Events = make([]Event, 0, len(times))
 	}

@@ -119,7 +119,7 @@ type Config struct {
 	// Audio is the deployed front-end configuration for TaskKWS.
 	Audio dsp.FrontEndConfig
 	// InferMACs is the deployed model.
-	InferMACs map[nn.LayerKind]int64
+	InferMACs nn.KindMACs
 	// VTheta is the firmware's minimum supercap voltage to start an
 	// inference after boot (§III-B: "checks if the supercap voltage is
 	// sufficient (V > V_θ)").
@@ -130,7 +130,7 @@ type Config struct {
 	// multi-exit ladder (shallow→deep): at each event the firmware runs
 	// the deepest exit whose session energy fits the energy stored above
 	// V_θ, degrading gracefully instead of rejecting outright.
-	ExitMACs []map[nn.LayerKind]int64
+	ExitMACs []nn.KindMACs
 	// Obs, when set, wraps every booted interaction in a firmware.session
 	// span with firmware.detect/sense/infer children, each carrying its
 	// phase's energy as an energy_uj attribute.
@@ -150,12 +150,9 @@ func DefaultConfig() Config {
 			Channels: 6, RateHz: 80,
 			Quant: quant.Config{Res: quant.Int, Bits: 8},
 		},
-		InferMACs: map[nn.LayerKind]int64{
-			nn.KindConv:  350_000,
-			nn.KindDense: 40_000,
-		},
-		VTheta:   2.0,
-		InitialV: 2.2,
+		InferMACs: nn.KindMACs{}.With(nn.KindConv, 350_000).With(nn.KindDense, 40_000),
+		VTheta:    2.0,
+		InitialV:  2.2,
 	}
 }
 
@@ -173,6 +170,7 @@ const (
 	RejectedVTheta
 	// BrownOut: the session started but the stored energy ran out.
 	BrownOut
+	numOutcomes
 )
 
 // String names the outcome.
@@ -212,8 +210,8 @@ type Stats struct {
 	// the arrival count either way.
 	Events       []Event
 	Interactions int
-	Counts       map[EventOutcome]int
-	ExitCounts   map[int]int
+	Counts       [numOutcomes]int
+	ExitCounts   []int // completed sessions per ladder rung; nil without a ladder
 	HarvestedJ   float64
 	ConsumedJ    float64
 	FinalV       float64
@@ -222,6 +220,16 @@ type Stats struct {
 	// threshold-crossing events); the fixed-step test oracle leaves the
 	// count at zero.
 	VThetaUpCrossings int
+}
+
+// newStats returns the empty tally of a run: one exit counter per ladder
+// rung when the configuration has a ladder.
+func (s *Simulator) newStats(duration float64) *Stats {
+	stats := &Stats{Duration: duration}
+	if n := len(s.cfg.ExitMACs); n > 0 {
+		stats.ExitCounts = make([]int, n)
+	}
+	return stats
 }
 
 // Rate returns the completed fraction of all interactions.
@@ -309,7 +317,7 @@ func (c sessionCost) TotalJ() float64 { return c.WakeJ + c.SenseJ + c.InferJ }
 
 // sessionCostFor returns the per-phase cost of one full session
 // (wake + sample + process + infer) through the given model.
-func (s *Simulator) sessionCostFor(macs map[nn.LayerKind]int64) sessionCost {
+func (s *Simulator) sessionCostFor(macs nn.KindMACs) sessionCost {
 	wake := s.profile.WakeUpS * s.profile.WakeUpW
 	var sense, senseDur float64
 	if s.cfg.Task == nas.TaskKWS {
@@ -328,7 +336,7 @@ func (s *Simulator) sessionCostFor(macs map[nn.LayerKind]int64) sessionCost {
 
 // sessionEnergyFor returns the energy and duration of one full session
 // through the given model (the aggregate view of sessionCostFor).
-func (s *Simulator) sessionEnergyFor(macs map[nn.LayerKind]int64) (float64, float64) {
+func (s *Simulator) sessionEnergyFor(macs nn.KindMACs) (float64, float64) {
 	c := s.sessionCostFor(macs)
 	return c.TotalJ(), c.DurS
 }

@@ -43,7 +43,7 @@ func (s *Simulator) RunFixedStep(duration float64, eventTimes []float64, stepS f
 	}
 	times := append([]float64(nil), eventTimes...)
 	sort.Float64s(times)
-	stats := &Stats{Duration: duration, Counts: make(map[EventOutcome]int), ExitCounts: make(map[int]int)}
+	stats := s.newStats(duration)
 	now := 0.0
 	baseCost := s.sessionCostFor(s.cfg.InferMACs)
 	session := func(durS float64) float64 {
@@ -87,7 +87,7 @@ func runFleetFixedStep(fc FleetConfig, stepS float64) (*FleetStats, error) {
 			results[i], errs[i] = dev.RunFixedStep(fc.DurationS, times, stepS)
 		}
 	})
-	agg := &FleetStats{Devices: fc.Devices, Counts: make(map[EventOutcome]int)}
+	agg := &FleetStats{Devices: fc.Devices}
 	for i, st := range results {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("firmware: fleet device %d: %w", i, errs[i])

@@ -58,8 +58,8 @@ type FleetStats struct {
 	Devices           int
 	DeviceSeconds     float64
 	Interactions      int
-	Counts            map[EventOutcome]int
-	ExitCounts        map[int]int
+	Counts            [numOutcomes]int
+	ExitCounts        []int // completed sessions per ladder rung; nil without a ladder
 	VThetaUpCrossings int
 	HarvestedJ        float64
 	ConsumedJ         float64
@@ -178,9 +178,10 @@ func RunFleet(fc FleetConfig) (*FleetStats, error) {
 	agg := &FleetStats{
 		Devices:       fc.Devices,
 		DeviceSeconds: float64(fc.Devices) * fc.DurationS,
-		Counts:        make(map[EventOutcome]int),
-		ExitCounts:    make(map[int]int),
 		Dists:         NewFleetDists(),
+	}
+	if n := len(fc.Base.ExitMACs); n > 0 {
+		agg.ExitCounts = make([]int, n)
 	}
 	for i, err := range errs {
 		if err != nil {

@@ -66,10 +66,8 @@ func TestRunFleetDeterministicAcrossWorkers(t *testing.T) {
 		one.FinalVMean != many.FinalVMean {
 		t.Fatalf("worker count changed the fleet result:\n1: %s\n4: %s", one.Summary(), many.Summary())
 	}
-	for o, n := range one.Counts {
-		if many.Counts[o] != n {
-			t.Fatalf("outcome %s: %d vs %d", o, n, many.Counts[o])
-		}
+	if one.Counts != many.Counts {
+		t.Fatalf("outcome counts: %v vs %v", one.Counts, many.Counts)
 	}
 }
 
@@ -185,10 +183,8 @@ func TestRunFleetInstrumentedBitIdentical(t *testing.T) {
 			t.Fatalf("instrumentation changed the fleet result (workers=%d):\nplain: %s\ninst:  %s",
 				workers, plain.Summary(), inst.Summary())
 		}
-		for o, n := range plain.Counts {
-			if inst.Counts[o] != n {
-				t.Fatalf("outcome %s: %d vs %d", o, n, inst.Counts[o])
-			}
+		if plain.Counts != inst.Counts {
+			t.Fatalf("outcome counts: %v vs %v", plain.Counts, inst.Counts)
 		}
 		// The distributions are integer per-device captures in device
 		// order: identical across worker counts.

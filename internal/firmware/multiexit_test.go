@@ -7,11 +7,11 @@ import (
 )
 
 // exitLadder is a three-rung model ladder, shallow to deep.
-func exitLadder() []map[nn.LayerKind]int64 {
-	return []map[nn.LayerKind]int64{
-		{nn.KindConv: 40_000, nn.KindDense: 5_000},
-		{nn.KindConv: 200_000, nn.KindDense: 20_000},
-		{nn.KindConv: 900_000, nn.KindDense: 60_000},
+func exitLadder() []nn.KindMACs {
+	return []nn.KindMACs{
+		nn.KindMACs{}.With(nn.KindConv, 40_000).With(nn.KindDense, 5_000),
+		nn.KindMACs{}.With(nn.KindConv, 200_000).With(nn.KindDense, 20_000),
+		nn.KindMACs{}.With(nn.KindConv, 900_000).With(nn.KindDense, 60_000),
 	}
 }
 

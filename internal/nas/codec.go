@@ -2,7 +2,6 @@ package nas
 
 import (
 	"fmt"
-	"sort"
 
 	"solarml/internal/bytecodec"
 	"solarml/internal/dataset"
@@ -96,7 +95,7 @@ func ReadCandidate(r *bytecodec.Reader) (*Candidate, error) {
 }
 
 // AppendResult appends a versioned binary encoding of res. MACsByKind is
-// written in sorted key order so the encoding is deterministic.
+// written as its present kinds in ascending order, each with its count.
 func AppendResult(b []byte, res Result) []byte {
 	b = bytecodec.AppendUvarint(b, resultCodecVersion)
 	b = bytecodec.AppendF64(b, res.Accuracy)
@@ -104,20 +103,24 @@ func AppendResult(b []byte, res Result) []byte {
 	b = bytecodec.AppendF64(b, res.InferJ)
 	b = bytecodec.AppendF64(b, res.EnergyJ)
 	b = bytecodec.AppendVarint(b, res.TotalMACs)
-	kinds := make([]int, 0, len(res.MACsByKind))
-	for k := range res.MACsByKind {
-		kinds = append(kinds, int(k))
+	var n uint64
+	for k := range nn.NumLayerKinds {
+		if res.MACsByKind.Has(k) {
+			n++
+		}
 	}
-	sort.Ints(kinds)
-	b = bytecodec.AppendUvarint(b, uint64(len(kinds)))
-	for _, k := range kinds {
-		b = bytecodec.AppendInt(b, k)
-		b = bytecodec.AppendVarint(b, res.MACsByKind[nn.LayerKind(k)])
+	b = bytecodec.AppendUvarint(b, n)
+	for k := range nn.NumLayerKinds {
+		if res.MACsByKind.Has(k) {
+			b = bytecodec.AppendInt(b, int(k))
+			b = bytecodec.AppendVarint(b, res.MACsByKind.Of(k))
+		}
 	}
 	return b
 }
 
-// ReadResult decodes one result from r.
+// ReadResult decodes one result from r. Kinds must be strictly ascending
+// and inside the layer-kind enum, as AppendResult writes them.
 func ReadResult(r *bytecodec.Reader) (Result, error) {
 	var res Result
 	if v := r.Uvarint(); r.Err() == nil && v != resultCodecVersion {
@@ -128,14 +131,21 @@ func ReadResult(r *bytecodec.Reader) (Result, error) {
 	res.InferJ = r.F64()
 	res.EnergyJ = r.F64()
 	res.TotalMACs = r.Varint()
-	if n := r.Uvarint(); r.Err() == nil && n > 0 {
-		if n > 256 {
+	if n := r.Uvarint(); r.Err() == nil {
+		if n > uint64(nn.NumLayerKinds) {
 			return res, fmt.Errorf("nas: implausible MAC kind count %d", n)
 		}
-		res.MACsByKind = make(map[nn.LayerKind]int64, n)
+		prev := -1
 		for i := uint64(0); i < n; i++ {
-			k := nn.LayerKind(r.Int())
-			res.MACsByKind[k] = r.Varint()
+			k, macs := r.Int(), r.Varint()
+			if r.Err() != nil {
+				break
+			}
+			if k <= prev || k >= int(nn.NumLayerKinds) {
+				return res, fmt.Errorf("nas: MAC kind %d out of order or outside [0, %d)", k, nn.NumLayerKinds)
+			}
+			res.MACsByKind.Add(nn.LayerKind(k), macs)
+			prev = k
 		}
 	}
 	if err := r.Err(); err != nil {

@@ -44,7 +44,7 @@ func (ct Constraints) CheckStatic(c *Candidate) error {
 	if err != nil {
 		return err
 	}
-	if macs := an.TotalMACs(); macs > ct.MaxMACs {
+	if macs := an.MACs.Total(); macs > ct.MaxMACs {
 		return fmt.Errorf("nas: %d MACs exceeds limit %d", macs, ct.MaxMACs)
 	}
 	wb := weightBits(c)

@@ -25,7 +25,7 @@ type Result struct {
 	EnergyJ  float64
 	// TotalMACs and MACsByKind describe the network's compute.
 	TotalMACs  int64
-	MACsByKind map[nn.LayerKind]int64
+	MACsByKind nn.KindMACs
 }
 
 // Evaluator scores candidates.
@@ -47,7 +47,7 @@ type Evaluator interface {
 // final reporting uses the ground truth.
 type EnergyModel interface {
 	SensingEnergy(c *Candidate) float64
-	InferenceEnergy(macs map[nn.LayerKind]int64) float64
+	InferenceEnergy(macs nn.KindMACs) float64
 }
 
 // TruthEnergy is the simulator ground truth (used for final reporting and
@@ -71,7 +71,7 @@ func (t *TruthEnergy) SensingEnergy(c *Candidate) float64 {
 }
 
 // InferenceEnergy implements EnergyModel.
-func (t *TruthEnergy) InferenceEnergy(macs map[nn.LayerKind]int64) float64 {
+func (t *TruthEnergy) InferenceEnergy(macs nn.KindMACs) float64 {
 	return t.Coeff.TrueEnergy(macs)
 }
 
@@ -97,7 +97,7 @@ func (f *FittedEnergy) SensingEnergy(c *Candidate) float64 {
 }
 
 // InferenceEnergy implements EnergyModel.
-func (f *FittedEnergy) InferenceEnergy(macs map[nn.LayerKind]int64) float64 {
+func (f *FittedEnergy) InferenceEnergy(macs nn.KindMACs) float64 {
 	return f.Infer.Predict(macs)
 }
 
@@ -118,7 +118,7 @@ func CalibrateEnergy(space *Space, nMeasure int, layerwise, withSensing bool, se
 		if err != nil {
 			return nil, err
 		}
-		macs := an.MACsByKind()
+		macs := an.MACs
 		inferSamples = append(inferSamples, energymodel.InferenceSample{
 			MACs: macs, EnergyJ: m.MeasureInference(macs),
 		})

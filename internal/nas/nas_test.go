@@ -223,8 +223,8 @@ func TestCalibrateEnergyProducesUsableModels(t *testing.T) {
 		t.Fatal("gesture sensing estimator missing")
 	}
 	// Sanity: predictions positive and ordered for a small vs large model.
-	smallMACs := map[nn.LayerKind]int64{nn.KindConv: 50_000}
-	bigMACs := map[nn.LayerKind]int64{nn.KindConv: 500_000}
+	smallMACs := nn.KindMACs{}.With(nn.KindConv, 50_000)
+	bigMACs := nn.KindMACs{}.With(nn.KindConv, 500_000)
 	if fe.Infer.Predict(smallMACs) >= fe.Infer.Predict(bigMACs) {
 		t.Fatal("fitted inference model must be increasing in MACs")
 	}

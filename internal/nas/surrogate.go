@@ -78,8 +78,8 @@ func (s *SurrogateEvaluator) Evaluate(c *Candidate) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	res.MACsByKind = an.MACsByKind()
-	res.TotalMACs = an.TotalMACs()
+	res.MACsByKind = an.MACs
+	res.TotalMACs = an.MACs.Total()
 
 	var ceil, capScale float64
 	if c.Task == TaskGesture {

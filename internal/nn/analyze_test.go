@@ -11,7 +11,6 @@ package nn_test
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"testing"
 
@@ -119,10 +118,10 @@ func checkAgreement(t *testing.T, a *nn.Arch, withBuild bool) bool {
 	if aerr != nil {
 		return false
 	}
-	if got, want := an.MACsByKind(), ref.MACsByKind(); !maps.Equal(got, want) {
-		t.Fatalf("%s: MACsByKind %v, built %v", a, got, want)
+	if got, want := an.MACs, ref.MACsByKind(); got != want {
+		t.Fatalf("%s: MACs %+v, built %+v", a, got, want)
 	}
-	if got, want := an.TotalMACs(), ref.TotalMACs(); got != want {
+	if got, want := an.MACs.Total(), ref.TotalMACs(); got != want {
 		t.Fatalf("%s: TotalMACs %d, built %d", a, got, want)
 	}
 	if got, want := an.Params, ref.ParamCount(); got != want {
@@ -280,9 +279,9 @@ func TestAnalyzeCountsImplicitLayers(t *testing.T) {
 	if an.PeakPair != 256 || an.PeakActivation != 128 {
 		t.Fatalf("peak pair %d, peak activation %d; want 256, 128", an.PeakPair, an.PeakActivation)
 	}
-	want := map[nn.LayerKind]int64{nn.KindConv: 128, nn.KindFlatten: 0, nn.KindDense: 128*10 + 10*3}
-	if got := an.MACsByKind(); !maps.Equal(got, want) {
-		t.Fatalf("MACsByKind %v, want %v", got, want)
+	want := nn.KindMACs{}.With(nn.KindConv, 128).With(nn.KindFlatten, 0).With(nn.KindDense, 128*10+10*3)
+	if an.MACs != want {
+		t.Fatalf("MACs %+v, want %+v", an.MACs, want)
 	}
 	checkAgreement(t, a, true)
 }

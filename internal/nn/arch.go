@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 )
 
@@ -74,8 +73,9 @@ type Analysis struct {
 	// Params is the trainable parameter count.
 	Params int64
 	// MACs holds the per-sample multiply-accumulate count of each layer
-	// kind, the feature vector of E_M = Σ aᵢ·MACsᵢ + b.
-	MACs [numLayerKinds]int64
+	// kind the built network contains (zero-valued ReLU and Flatten
+	// included), the same breakdown Network.MACsByKind returns.
+	MACs KindMACs
 	// PeakActivation is the largest per-sample activation volume at any
 	// layer boundary, the input included.
 	PeakActivation int64
@@ -83,30 +83,7 @@ type Analysis struct {
 	// the working set of double-buffered execution.
 	PeakPair int64
 
-	normStats int64  // BatchNorm running-statistic values (mean and variance)
-	kinds     uint16 // bit k set when the network holds a layer of kind k
-}
-
-// TotalMACs returns the per-sample MAC count summed over all kinds.
-func (an Analysis) TotalMACs() int64 {
-	var t int64
-	for _, m := range an.MACs {
-		t += m
-	}
-	return t
-}
-
-// MACsByKind returns the MAC counts keyed by every kind the built network
-// contains (zero-valued ReLU and Flatten included), the same map
-// Network.MACsByKind returns.
-func (an Analysis) MACsByKind() map[LayerKind]int64 {
-	out := make(map[LayerKind]int64, bits.OnesCount16(an.kinds))
-	for k := LayerKind(0); k < numLayerKinds; k++ {
-		if an.kinds&(1<<k) != 0 {
-			out[k] = an.MACs[k]
-		}
-	}
-	return out
+	normStats int64 // BatchNorm running-statistic values (mean and variance)
 }
 
 // MemoryBytes estimates MCU RAM exactly as Network.MemoryBytes does:
@@ -151,10 +128,9 @@ type walker struct {
 
 // emit records a layer of the given kind whose output volume is w.vol.
 func (w *walker) emit(kind LayerKind, params, macs int64) error {
-	w.an.kinds |= 1 << kind
 	w.an.Params += params
-	w.an.MACs[kind] += macs
-	if w.an.Params > analysisLimit || w.an.MACs[kind] > analysisLimit {
+	w.an.MACs.Add(kind, macs)
+	if w.an.Params > analysisLimit || w.an.MACs.Of(kind) > analysisLimit {
 		return fmt.Errorf("nn: %s exceeds the analysis limit", kind)
 	}
 	w.an.PeakActivation = max(w.an.PeakActivation, w.vol)

@@ -25,7 +25,7 @@ func ExampleArch_Build() {
 		panic(err)
 	}
 	fmt.Println("total MACs:", net.TotalMACs())
-	fmt.Println("conv MACs: ", net.MACsByKind()[nn.KindConv])
+	fmt.Println("conv MACs: ", net.MACsByKind().Of(nn.KindConv))
 	fmt.Println("RAM (int8):", net.MemoryBytes(8, 8), "bytes")
 	// Output:
 	// total MACs: 3200

@@ -30,7 +30,9 @@ const (
 	KindReLU
 	KindFlatten
 	KindDropout
-	numLayerKinds
+	// NumLayerKinds is the number of layer kinds: kinds are the integers
+	// in [0, NumLayerKinds).
+	NumLayerKinds
 )
 
 // String returns the canonical kind name.
@@ -62,6 +64,43 @@ func (k LayerKind) String() string {
 // the layer-wise energy model.
 func ComputeKinds() []LayerKind {
 	return []LayerKind{KindConv, KindDWConv, KindDense, KindMaxPool, KindAvgPool, KindNorm}
+}
+
+// KindMACs is a per-sample MAC breakdown by layer kind, the feature vector
+// of the layer-wise inference energy model E_M = Σ aᵢ·MACsᵢ + b. A kind is
+// present once a layer of it has been added, so a network's zero-MAC ReLU
+// and Flatten layers stay distinct from kinds it does not hold. The zero
+// value is the empty breakdown, and two breakdowns compare with ==.
+type KindMACs struct {
+	macs  [NumLayerKinds]int64
+	kinds uint16 // bit k set when kind k is present
+}
+
+// Add marks kind k present and adds n MACs to it.
+func (m *KindMACs) Add(k LayerKind, n int64) {
+	m.kinds |= 1 << k
+	m.macs[k] += n
+}
+
+// With returns a copy of m with n MACs added to kind k.
+func (m KindMACs) With(k LayerKind, n int64) KindMACs {
+	m.Add(k, n)
+	return m
+}
+
+// Of returns kind k's MAC count (zero when absent).
+func (m KindMACs) Of(k LayerKind) int64 { return m.macs[k] }
+
+// Has reports whether kind k is present.
+func (m KindMACs) Has(k LayerKind) bool { return m.kinds&(1<<k) != 0 }
+
+// Total returns the MAC count summed over all kinds.
+func (m KindMACs) Total() int64 {
+	var t int64
+	for _, n := range m.macs {
+		t += n
+	}
+	return t
 }
 
 // Param is a trainable tensor together with its gradient and SGD momentum

@@ -142,16 +142,16 @@ func (m *MultiExitNetwork) MACsThroughExit(k int) int64 {
 }
 
 // MACsByKindThroughExit returns the per-kind breakdown for energy models.
-func (m *MultiExitNetwork) MACsByKindThroughExit(k int) map[LayerKind]int64 {
-	out := make(map[LayerKind]int64)
+func (m *MultiExitNetwork) MACsByKindThroughExit(k int) KindMACs {
+	var out KindMACs
 	shape := m.InShape
 	for s := 0; s <= k; s++ {
 		for _, l := range m.Stages[s] {
-			out[l.Kind()] += l.MACs(shape)
+			out.Add(l.Kind(), l.MACs(shape))
 			shape = l.OutShape(shape)
 		}
 	}
-	out[KindDense] += m.Exits[k].MACs([]int{shapeVolume(m.stageOut[k])})
+	out.Add(KindDense, m.Exits[k].MACs([]int{shapeVolume(m.stageOut[k])}))
 	return out
 }
 
@@ -372,7 +372,7 @@ func (m *MultiExitNetwork) AccuracyAtExit(x *tensor.Tensor, labels []int, k int)
 
 // DeepestAffordableExit returns the deepest exit whose inference energy
 // (per the per-MAC cost) fits the budget, or -1 if none does.
-func (m *MultiExitNetwork) DeepestAffordableExit(budgetJ float64, energyOf func(map[LayerKind]int64) float64) int {
+func (m *MultiExitNetwork) DeepestAffordableExit(budgetJ float64, energyOf func(KindMACs) float64) int {
 	best := -1
 	for k := 0; k < m.NumExits(); k++ {
 		if energyOf(m.MACsByKindThroughExit(k)) <= budgetJ {

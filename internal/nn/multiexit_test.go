@@ -87,12 +87,7 @@ func TestMultiExitMACsOrdering(t *testing.T) {
 	if m.MACsThroughExit(0) >= m.MACsThroughExit(1) {
 		t.Fatal("a deeper exit must cost more MACs")
 	}
-	byKind := m.MACsByKindThroughExit(1)
-	var sum int64
-	for _, v := range byKind {
-		sum += v
-	}
-	if sum != m.MACsThroughExit(1) {
+	if m.MACsByKindThroughExit(1).Total() != m.MACsThroughExit(1) {
 		t.Fatal("per-kind breakdown must sum to the total")
 	}
 }
@@ -144,13 +139,7 @@ func TestInferConfidentRouting(t *testing.T) {
 func TestDeepestAffordableExit(t *testing.T) {
 	m, _, _ := trainedMultiExit(t)
 	// Energy proportional to total MACs.
-	energyOf := func(macs map[LayerKind]int64) float64 {
-		var total int64
-		for _, v := range macs {
-			total += v
-		}
-		return float64(total) * 1e-9
-	}
+	energyOf := func(macs KindMACs) float64 { return float64(macs.Total()) * 1e-9 }
 	e0 := energyOf(m.MACsByKindThroughExit(0))
 	e1 := energyOf(m.MACsByKindThroughExit(1))
 	if got := m.DeepestAffordableExit(e1+1e-12, energyOf); got != 1 {

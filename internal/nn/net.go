@@ -118,11 +118,11 @@ func (n *Network) ZeroGrads() {
 
 // MACsByKind returns per-sample MAC counts grouped by layer kind, the
 // feature vector of the paper's layer-wise inference energy model.
-func (n *Network) MACsByKind() map[LayerKind]int64 {
-	out := make(map[LayerKind]int64)
+func (n *Network) MACsByKind() KindMACs {
+	var out KindMACs
 	s := n.InShape
 	for _, l := range n.Layers {
-		out[l.Kind()] += l.MACs(s)
+		out.Add(l.Kind(), l.MACs(s))
 		s = l.OutShape(s)
 	}
 	return out
@@ -130,13 +130,7 @@ func (n *Network) MACsByKind() map[LayerKind]int64 {
 
 // TotalMACs returns the per-sample MAC count summed over all layers,
 // the single proxy used by the μNAS/HarvNet baseline energy model.
-func (n *Network) TotalMACs() int64 {
-	var t int64
-	for _, v := range n.MACsByKind() {
-		t += v
-	}
-	return t
-}
+func (n *Network) TotalMACs() int64 { return n.MACsByKind().Total() }
 
 // PeakActivation returns the largest per-sample activation element count
 // across layer boundaries, a proxy for working RAM.

@@ -94,24 +94,20 @@ func TestNetworkMACsByKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	byKind := net.MACsByKind()
-	if byKind[KindConv] != 4*8*8*1*9 {
-		t.Fatalf("Conv MACs = %d", byKind[KindConv])
+	if byKind.Of(KindConv) != 4*8*8*1*9 {
+		t.Fatalf("Conv MACs = %d", byKind.Of(KindConv))
 	}
-	if byKind[KindNorm] != 2*4*8*8 {
-		t.Fatalf("Norm MACs = %d", byKind[KindNorm])
+	if byKind.Of(KindNorm) != 2*4*8*8 {
+		t.Fatalf("Norm MACs = %d", byKind.Of(KindNorm))
 	}
-	if byKind[KindMaxPool] != 4*4*4*4 {
-		t.Fatalf("MaxPool MACs = %d", byKind[KindMaxPool])
+	if byKind.Of(KindMaxPool) != 4*4*4*4 {
+		t.Fatalf("MaxPool MACs = %d", byKind.Of(KindMaxPool))
 	}
 	// Classifier head: Dense(4·4·4 → 10).
-	if byKind[KindDense] != 64*10 {
-		t.Fatalf("Dense MACs = %d", byKind[KindDense])
+	if byKind.Of(KindDense) != 64*10 {
+		t.Fatalf("Dense MACs = %d", byKind.Of(KindDense))
 	}
-	var sum int64
-	for _, v := range byKind {
-		sum += v
-	}
-	if net.TotalMACs() != sum {
+	if net.TotalMACs() != byKind.Of(KindConv)+byKind.Of(KindNorm)+byKind.Of(KindMaxPool)+byKind.Of(KindDense) {
 		t.Fatal("TotalMACs must equal the sum over kinds")
 	}
 }

@@ -45,7 +45,7 @@ func TestForwardProfiledMatchesForward(t *testing.T) {
 	if len(timings) != len(net.Layers) {
 		t.Fatalf("%d timings for %d layers", len(timings), len(net.Layers))
 	}
-	byKind := make(map[LayerKind]int64)
+	var byKind KindMACs
 	for i, lt := range timings {
 		if lt.Index != i {
 			t.Fatalf("timing %d has index %d", i, lt.Index)
@@ -53,18 +53,10 @@ func TestForwardProfiledMatchesForward(t *testing.T) {
 		if lt.Forward < 0 {
 			t.Fatalf("negative forward time at layer %d", i)
 		}
-		byKind[lt.Kind] += lt.MACs
+		byKind.Add(lt.Kind, lt.MACs)
 	}
-	want := net.MACsByKind()
-	for k, v := range want {
-		if byKind[k] != v {
-			t.Fatalf("profiled MACs for %s = %d, MACsByKind says %d", k, byKind[k], v)
-		}
-	}
-	for k, v := range byKind {
-		if v != 0 && want[k] != v {
-			t.Fatalf("profiled MACs invented %s = %d", k, v)
-		}
+	if want := net.MACsByKind(); byKind != want {
+		t.Fatalf("profiled MACs %+v, MACsByKind says %+v", byKind, want)
 	}
 }
 

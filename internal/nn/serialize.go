@@ -157,7 +157,7 @@ func decodeFloatModel(payload []byte) (*Arch, *Network, error) {
 				return nil, nil, fmt.Errorf("nn: implausible layer field %d", v)
 			}
 		}
-		if vals[0] < 0 || vals[0] >= int32(numLayerKinds) {
+		if vals[0] < 0 || vals[0] >= int32(NumLayerKinds) {
 			return nil, nil, fmt.Errorf("nn: unknown layer kind %d", vals[0])
 		}
 		arch.Body = append(arch.Body, LayerSpec{

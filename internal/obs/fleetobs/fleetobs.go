@@ -76,80 +76,6 @@ func (a *atomicFloat) setMax(v float64) {
 func (a *atomicFloat) load() float64   { return math.Float64frombits(a.bits.Load()) }
 func (a *atomicFloat) store(v float64) { a.bits.Store(math.Float64bits(v)) }
 
-// counterStripe is one worker's share of a ShardedCounter, padded so
-// neighbouring stripes never share a cache line.
-type counterStripe struct {
-	v atomic.Int64
-	_ [cacheLine - 8]byte
-}
-
-// ShardedCounter is a monotonically increasing integer striped across
-// workers. Add is one uncontended atomic on the worker's own cache line;
-// Value (and the registry publication) sums the stripes. A nil
-// *ShardedCounter is a valid no-op, mirroring the obs instruments.
-type ShardedCounter struct {
-	stripes []counterStripe
-	sink    *obs.Counter
-
-	mu        sync.Mutex
-	published int64
-}
-
-// NewShardedCounter returns a counter with the given stripe count (one per
-// worker; values < 1 become 1). With a non-nil registry the counter
-// registers under name and keeps the registry's plain counter equal to the
-// striped total on every snapshot (sum on read, via OnSnapshot).
-func NewShardedCounter(reg *obs.Registry, name string, stripes int) *ShardedCounter {
-	if stripes < 1 {
-		stripes = 1
-	}
-	c := &ShardedCounter{stripes: make([]counterStripe, stripes)}
-	if reg != nil {
-		c.sink = reg.Counter(name)
-		reg.OnSnapshot(c.Sync)
-	}
-	return c
-}
-
-// Add increments worker w's stripe by d. Any w is valid (wrapped onto the
-// stripe count), so callers can pass chunk indices directly.
-func (c *ShardedCounter) Add(w int, d int64) {
-	if c == nil {
-		return
-	}
-	c.stripes[uint(w)%uint(len(c.stripes))].v.Add(d)
-}
-
-// Inc increments worker w's stripe by one.
-func (c *ShardedCounter) Inc(w int) { c.Add(w, 1) }
-
-// Value sums the stripes: the exact total of every Add so far.
-func (c *ShardedCounter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	var t int64
-	for i := range c.stripes {
-		t += c.stripes[i].v.Load()
-	}
-	return t
-}
-
-// Sync publishes the striped total into the registry counter as a delta, so
-// the registry value always equals Value() at publication time. Runs
-// automatically on every registry snapshot; explicit calls are idempotent.
-func (c *ShardedCounter) Sync() {
-	if c == nil || c.sink == nil {
-		return
-	}
-	c.mu.Lock()
-	if total := c.Value(); total != c.published {
-		c.sink.Add(total - c.published)
-		c.published = total
-	}
-	c.mu.Unlock()
-}
-
 // histStripe is one worker's share of a ShardedHistogram. The fields are
 // updated with uncontended atomics; the counts slice is a separate
 // allocation, so stripes do not share lines.

@@ -10,40 +10,6 @@ import (
 	"solarml/internal/obs"
 )
 
-// TestShardedCounterEquivalence drives a sharded counter from many
-// goroutines and checks the summed total — and the registry-published value
-// after a snapshot — equals the serial sum of all increments.
-func TestShardedCounterEquivalence(t *testing.T) {
-	reg := obs.NewRegistry()
-	const workers, perWorker = 8, 10_000
-	c := NewShardedCounter(reg, "test.sharded", workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				c.Inc(w)
-				c.Add(w, 2)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	want := int64(workers * perWorker * 3)
-	if got := c.Value(); got != want {
-		t.Fatalf("Value() = %d, want %d", got, want)
-	}
-	if got := reg.Snapshot().Counters["test.sharded"]; got != want {
-		t.Fatalf("registry counter = %d, want %d", got, want)
-	}
-	// Idempotent: a second snapshot must not re-publish the delta.
-	if got := reg.Snapshot().Counters["test.sharded"]; got != want {
-		t.Fatalf("second snapshot counter = %d, want %d", got, want)
-	}
-}
-
 // TestShardedHistogramEquivalence checks the striped histogram merged into
 // the registry is identical to a plain histogram that observed every value
 // directly — the bit-identity contract for fleet instrumentation.
@@ -135,11 +101,9 @@ func TestShardedHistogramMatchesSerial(t *testing.T) {
 
 // TestHotPathAllocs pins the fleet hot path at zero allocations per update.
 func TestHotPathAllocs(t *testing.T) {
-	c := NewShardedCounter(nil, "", 4)
 	h := NewShardedHistogram(nil, "", []float64{1, 10, 100}, 4)
 	d := NewDist([]float64{1, 10, 100})
 	if n := testing.AllocsPerRun(1000, func() {
-		c.Add(1, 3)
 		h.Observe(2, 42)
 		d.Observe(7)
 	}); n != 0 {
@@ -150,13 +114,6 @@ func TestHotPathAllocs(t *testing.T) {
 // TestNilInstruments checks nil sharded instruments are safe no-ops, like
 // the base obs instruments.
 func TestNilInstruments(t *testing.T) {
-	var c *ShardedCounter
-	c.Add(0, 1)
-	c.Inc(3)
-	c.Sync()
-	if c.Value() != 0 {
-		t.Fatal("nil counter Value != 0")
-	}
 	var h *ShardedHistogram
 	h.Observe(0, 1)
 	h.Sync()
@@ -270,32 +227,9 @@ func TestRingGapFilter(t *testing.T) {
 	}
 }
 
-// The contention benchmarks compare the striped write path against the
+// The contention benchmark compares the striped write path against the
 // plain obs instruments across worker counts. Each RunParallel goroutine
 // claims a distinct stripe, matching how fleetPool chunks map to stripes.
-func BenchmarkShardedCounterContention(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("sharded/stripes=%d", workers), func(b *testing.B) {
-			c := NewShardedCounter(nil, "", workers)
-			var next atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				w := int(next.Add(1) - 1)
-				for pb.Next() {
-					c.Add(w, 1)
-				}
-			})
-		})
-	}
-	b.Run("plain-atomic", func(b *testing.B) {
-		c := obs.NewRegistry().Counter("c")
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Add(1)
-			}
-		})
-	})
-}
-
 func BenchmarkShardedHistogramContention(b *testing.B) {
 	bounds := obs.TimeBuckets
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -56,7 +56,7 @@ type inspStripe struct {
 
 // Inspector makes a long fleet (or island-search) run observable while it
 // runs: workers report per-unit completion through striped atomics (the
-// same no-shared-lines discipline as ShardedCounter), and the read side —
+// same no-shared-lines discipline as ShardedHistogram), and the read side —
 // the /debug/fleet handler — derives progress, throughput, ETA, per-worker
 // lag, and a bounded downsampled time series from them. A nil *Inspector is
 // a valid disabled inspector: Advance and Finish return immediately, so the

@@ -140,7 +140,6 @@ func TestInspectorSSE(t *testing.T) {
 // run concurrently.
 func TestConcurrentScrapeRace(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewShardedCounter(reg, "fleet.interactions", 4)
 	h := NewShardedHistogram(reg, "fleet.energy_uj", obs.TimeBuckets, 4)
 	in := NewInspector("devices", 10000, 4)
 
@@ -152,7 +151,6 @@ func TestConcurrentScrapeRace(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
-				c.Add(w, 1)
 				h.Observe(w, float64(i%100)*1e-4)
 				in.Advance(w, 1, 1)
 			}
@@ -182,9 +180,6 @@ func TestConcurrentScrapeRace(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got := reg.Snapshot().Counters["fleet.interactions"]; got != 8000 {
-		t.Fatalf("counter = %d, want 8000", got)
-	}
 	if got := reg.Snapshot().Histograms["fleet.energy_uj"].Count; got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
