@@ -404,8 +404,8 @@ func BenchmarkIslandSearch(b *testing.B) {
 	b.Run("islands4_cache", run(4, true))
 }
 
-// BenchmarkSurrogateEvaluation times one candidate evaluation — the inner
-// loop of the NAS benchmarks.
+// BenchmarkSurrogateEvaluation times one evaluation of a bound candidate,
+// as every search candidate is — the inner loop of the NAS benchmarks.
 func BenchmarkSurrogateEvaluation(b *testing.B) {
 	space := nas.GestureSpace()
 	eval := nas.NewSurrogateEvaluator(nas.NewTruthEnergy())

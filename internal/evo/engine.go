@@ -27,7 +27,8 @@ type engine struct {
 	out        *Outcome
 	population []Entry
 	accepted   int
-	cycle      int // completed phase-2 cycles
+	cycle      int   // completed phase-2 cycles
+	perm       []int // tournament sampling buffer, reused every cycle
 
 	memo  *memoCache
 	warm  nas.WarmStartEvaluator
@@ -261,10 +262,10 @@ func (e *engine) step() {
 	e.cycle++
 	cycle := e.cycle
 	// The policy builds the cycle's scorer first (μNAS draws its
-	// scalarization weight here), then one Perm runs the tournament:
-	// each sampled index is scored exactly once.
+	// scalarization weight here), then one Perm-equivalent draw sequence
+	// runs the tournament: each sampled index is scored exactly once.
 	score := e.pol.CycleScore(e.rng.Rand, cycle)
-	sampled := e.rng.Perm(len(e.population))[:e.cfg.SampleSize]
+	sampled := e.sample()
 	best := sampled[0]
 	bestScore := score(e.population[best])
 	for _, idx := range sampled[1:] {
@@ -314,6 +315,25 @@ func (e *engine) step() {
 			obs.Int("accepted", e.accepted),
 		}, attrs...)...)
 	}
+}
+
+// sample draws the tournament: the first SampleSize entries of a random
+// permutation of the population indices. It replays rand.Perm's loop into
+// the engine's buffer, so it consumes exactly the draws rand.Perm would —
+// the seeded stream, every golden, and RNGState.Draws are unchanged — and
+// allocates nothing once the buffer has grown to the population size.
+func (e *engine) sample() []int {
+	n := len(e.population)
+	if cap(e.perm) < n {
+		e.perm = make([]int, n)
+	}
+	m := e.perm[:n]
+	for i := range m {
+		j := e.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m[:e.cfg.SampleSize]
 }
 
 // finish closes the phase spans and reports the policy's best entry.

@@ -26,9 +26,10 @@
 //     that Merge reconciles across runs.
 //
 // Determinism contract: the engine consumes the seeded rng only through
-// Policy.Fill, Policy.CycleScore, one rand.Perm per tournament, and
-// Policy.Mutate — never from evaluation, telemetry, or the cache — and
-// parallel batches merge results in input order. A seeded run therefore
+// Policy.Fill, Policy.CycleScore, one Perm-equivalent draw sequence into
+// an engine-owned buffer per tournament, and Policy.Mutate — never from
+// evaluation, telemetry, or the cache — and parallel batches merge results
+// in input order. A seeded run therefore
 // returns a byte-identical Outcome for any Workers count, with telemetry on
 // or off, and with the cache on or off (provided the evaluator is
 // deterministic per candidate, which both repo evaluators are on the

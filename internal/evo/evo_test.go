@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"solarml/internal/bytecodec"
 	"solarml/internal/evo"
 	"solarml/internal/nas"
 	"solarml/internal/obs"
@@ -136,5 +137,69 @@ func TestForEachCoversAllIndices(t *testing.T) {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
 			}
 		}
+	}
+}
+
+// gridStub takes a sensing grid step every cycle, so every cycle runs a
+// parallel batch whose workers share one lineage parent.
+type gridStub struct{ stubPolicy }
+
+func (p *gridStub) GridCycle(int) bool { return true }
+
+func (p *gridStub) Neighbors(parent *nas.Candidate) []*nas.Candidate {
+	return p.space.GridNeighbors(parent)
+}
+
+// lineageEval is a warm-starting evaluator whose results depend on the
+// parent's fingerprint, read on the worker goroutine. Neither method
+// rebinds the candidates it is handed.
+type lineageEval struct{}
+
+func (lineageEval) Evaluate(c *nas.Candidate) (nas.Result, error) {
+	return lineageResult(c.Fingerprint()), nil
+}
+
+func (lineageEval) EvaluateFrom(child, parent *nas.Candidate) (nas.Result, error) {
+	return lineageResult(child.Fingerprint() ^ parent.Fingerprint()>>1), nil
+}
+
+func lineageResult(h uint64) nas.Result {
+	return nas.Result{Accuracy: 0.5 + float64(h%500)/1000, EnergyJ: 1e-3 + float64(h%997)*1e-6}
+}
+
+// TestGridBatchSharesParentAcrossWorkers runs grid batches on four workers
+// that all read one parent's fingerprint, over a population in which every
+// other member is unbound (decoded, never validated, as a restored
+// checkpoint holds it), and requires the outcome of a sequential run. Run
+// it under -race: reading a parent must never write it.
+func TestGridBatchSharesParentAcrossWorkers(t *testing.T) {
+	run := func(workers int) *evo.Outcome {
+		space := nas.GestureSpace()
+		fills := 0
+		pol := &gridStub{stubPolicy{space: space, fill: func(rng *rand.Rand) *nas.Candidate {
+			c := space.RandomCandidate(rng)
+			if fills++; fills%2 == 0 {
+				dec, err := nas.ReadCandidate(bytecodec.NewReader(nas.AppendCandidate(nil, c)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c = dec
+			}
+			return c
+		}}}
+		cfg := stubConfig()
+		cfg.Population, cfg.SampleSize, cfg.Cycles, cfg.Workers = 12, 4, 12, workers
+		out, err := evo.Run(pol, lineageEval{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	seq, par := run(1), run(4)
+	if seq.Evaluations != par.Evaluations || seq.Best.Res != par.Best.Res ||
+		seq.Best.Cand.Fingerprint() != par.Best.Cand.Fingerprint() {
+		t.Fatalf("4 workers: %d evaluations, best %#016x %+v; sequential: %d, %#016x %+v",
+			par.Evaluations, par.Best.Cand.Fingerprint(), par.Best.Res,
+			seq.Evaluations, seq.Best.Cand.Fingerprint(), seq.Best.Res)
 	}
 }

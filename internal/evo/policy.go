@@ -17,8 +17,9 @@ import (
 // called from the engine goroutine only, never from evaluation workers.
 //
 // rng discipline: only Fill, CycleScore, and Mutate may consume the rng they
-// are handed, and CycleScore runs before the cycle's tournament Perm. Any
-// other draw would shift the seeded stream and break reproducibility.
+// are handed, and CycleScore runs before the cycle's tournament draws (one
+// Perm-equivalent draw sequence into an engine-owned buffer). Any other
+// draw would shift the seeded stream and break reproducibility.
 type Policy interface {
 	// Prefix names the algorithm for spans and metrics ("enas", "munas",
 	// "harvnet"): the engine emits <prefix>.search/.phase1/.phase2 spans,
@@ -37,7 +38,7 @@ type Policy interface {
 	// score against.
 	Init(population []Entry, eMin, eMax float64)
 	// CycleScore returns the cycle's tournament scorer. It runs before the
-	// tournament's Perm and is the one place a policy may consume per-cycle
+	// tournament's draws and is the one place a policy may consume per-cycle
 	// randomness (μNAS draws its scalarization weight here). The returned
 	// function also ranks grid-mutation batches, so it must embed any
 	// infeasibility penalty.

@@ -8,6 +8,7 @@ package nas
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"solarml/internal/dataset"
@@ -44,6 +45,17 @@ func (t Task) Classes() int {
 
 // Candidate is one point of the joint search space: sensing parameters plus
 // a network architecture whose input shape is derived from the sensing side.
+//
+// A candidate carries a binding: the architecture analysis and fingerprint
+// computed by its last successful Rebind, Validate or Analyze, which
+// Fingerprint, Constraints.CheckStatic and SurrogateEvaluator.Evaluate read
+// instead of walking the architecture and hashing again. The binding is not
+// tracked against the exported fields, so after writing any of them (the
+// sensing parameters, Task, or Arch and its Body) call Rebind, Validate or
+// Analyze before reading it. Clone returns an unbound copy; an unbound
+// candidate (a fresh literal, or one decoded by ReadCandidate) is analyzed
+// and hashed on every read. Only rebinding writes the binding, so
+// goroutines may read one bound candidate concurrently.
 type Candidate struct {
 	Task Task
 	// Gesture holds the sensing parameters when Task == TaskGesture.
@@ -53,28 +65,46 @@ type Candidate struct {
 	// Arch is the network body; its Input is kept in sync with the
 	// sensing configuration by Rebind.
 	Arch *nn.Arch
+
+	bind binding
 }
 
-// Clone returns a deep copy.
+// binding is what a successful rebind computed from the exported fields.
+type binding struct {
+	an    nn.Analysis
+	fp    uint64
+	bound bool
+}
+
+// Clone returns an unbound deep copy: it is about to be mutated.
 func (c *Candidate) Clone() *Candidate {
 	out := *c
 	out.Arch = c.Arch.Clone()
+	out.bind = binding{}
 	return &out
 }
 
 // InputShape returns the network input implied by the sensing parameters.
 func (c *Candidate) InputShape() []int {
+	in := c.inputShape()
+	return in[:]
+}
+
+// inputShape is InputShape as a value, which rebind compares with the
+// architecture's input without allocating.
+func (c *Candidate) inputShape() [3]int {
 	switch c.Task {
 	case TaskGesture:
-		return c.Gesture.InputShape()
+		return [3]int(c.Gesture.InputShape())
 	default:
 		frames := c.Audio.NumFrames(int(dataset.AudioRateHz * dataset.AudioDurationS))
-		return []int{1, frames, c.Audio.NumFeatures}
+		return [3]int{1, frames, c.Audio.NumFeatures}
 	}
 }
 
 // Rebind updates the architecture's input shape from the sensing
 // configuration and reports whether the architecture still materializes.
+// On success it binds the candidate's analysis and fingerprint.
 func (c *Candidate) Rebind() error {
 	_, err := c.rebind()
 	return err
@@ -82,9 +112,17 @@ func (c *Candidate) Rebind() error {
 
 // rebind is Rebind returning the architecture analysis.
 func (c *Candidate) rebind() (nn.Analysis, error) {
-	c.Arch.Input = c.InputShape()
+	if in := c.inputShape(); !slices.Equal(c.Arch.Input, in[:]) {
+		c.Arch.Input = slices.Clone(in[:])
+	}
 	c.Arch.Classes = c.Task.Classes()
-	return c.Arch.Analyze()
+	an, err := c.Arch.Analyze()
+	if err != nil {
+		c.bind = binding{}
+		return an, err
+	}
+	c.bind = binding{an: an, fp: c.fingerprint(), bound: true}
+	return an, nil
 }
 
 // Validate checks both halves of the candidate.
@@ -97,19 +135,32 @@ func (c *Candidate) Validate() error {
 // architecture to the sensing configuration, and returns the architecture
 // analysis (parameters, MACs by kind, activation peaks).
 func (c *Candidate) Analyze() (nn.Analysis, error) {
-	switch c.Task {
-	case TaskGesture:
-		if err := c.Gesture.Validate(); err != nil {
-			return nn.Analysis{}, err
-		}
-	case TaskKWS:
-		if err := c.Audio.Validate(); err != nil {
-			return nn.Analysis{}, err
-		}
-	default:
-		return nn.Analysis{}, fmt.Errorf("nas: unknown task %d", c.Task)
+	if err := c.validateSensing(); err != nil {
+		c.bind = binding{}
+		return nn.Analysis{}, err
 	}
 	return c.rebind()
+}
+
+// validateSensing checks the sensing half against the task's ranges.
+func (c *Candidate) validateSensing() error {
+	switch c.Task {
+	case TaskGesture:
+		return c.Gesture.Validate()
+	case TaskKWS:
+		return c.Audio.Validate()
+	}
+	return fmt.Errorf("nas: unknown task %d", c.Task)
+}
+
+// archAnalysis returns the bound architecture analysis, or analyzes the
+// architecture as it stands when the candidate is unbound. It never writes
+// the candidate.
+func (c *Candidate) archAnalysis() (nn.Analysis, error) {
+	if c.bind.bound {
+		return c.bind.an, nil
+	}
+	return c.Arch.Analyze()
 }
 
 // SensingString renders the sensing half compactly.
@@ -128,8 +179,17 @@ func (c *Candidate) String() string {
 // Fingerprint returns a stable hash of the candidate configuration, used
 // for deterministic surrogate noise and deduplication: 64-bit FNV-1a over
 // the decimal fields, "|"-separated for the sensing half and ","/";"-framed
-// per layer. It allocates nothing.
+// per layer. A bound candidate returns the hash its rebind computed; an
+// unbound one is hashed on every call. It allocates nothing.
 func (c *Candidate) Fingerprint() uint64 {
+	if c.bind.bound {
+		return c.bind.fp
+	}
+	return c.fingerprint()
+}
+
+// fingerprint hashes the candidate's fields as they stand.
+func (c *Candidate) fingerprint() uint64 {
 	h := fingerprint{sum: fnvOffset64}
 	h.field(int64(c.Task), '|')
 	h.field(int64(c.Gesture.Channels), '|')
@@ -157,13 +217,29 @@ const (
 // fingerprint is a running FNV-1a hash over decimal integer fields.
 type fingerprint struct{ sum uint64 }
 
-// field hashes v in decimal followed by the separator sep.
+// field hashes v in decimal followed by the separator sep. Nearly every
+// field of a search-space candidate lies in [0, 99], so those are hashed
+// digit by digit without formatting.
 func (f *fingerprint) field(v int64, sep byte) {
-	var buf [24]byte
-	for _, b := range append(strconv.AppendInt(buf[:0], v, 10), sep) {
-		f.sum ^= uint64(b)
-		f.sum *= fnvPrime64
+	switch {
+	case v >= 0 && v < 10:
+		f.add('0' + byte(v))
+	case v >= 10 && v < 100:
+		f.add('0' + byte(v/10))
+		f.add('0' + byte(v%10))
+	default:
+		var buf [24]byte
+		for _, b := range strconv.AppendInt(buf[:0], v, 10) {
+			f.add(b)
+		}
 	}
+	f.add(sep)
+}
+
+// add hashes one byte.
+func (f *fingerprint) add(b byte) {
+	f.sum ^= uint64(b)
+	f.sum *= fnvPrime64
 }
 
 // quantFromEffective is a helper mapping search moves across the int/float

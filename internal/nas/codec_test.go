@@ -111,7 +111,8 @@ func TestCandidateCodecRejectsVersionSkew(t *testing.T) {
 
 // FuzzReadCandidate: arbitrary bytes must never panic the decoder, nor the
 // static constraint check and validation that checkpoint and memo restore
-// run on what it decodes; and any accepted input must satisfy
+// run on what it decodes; a candidate that validates must be bound to the
+// fingerprint and analysis a fresh computation gives; and any accepted input must satisfy
 // encode→decode→encode byte-equality once normalized (the raw input itself
 // may use non-minimal varints, which Go's varint reader tolerates, so the
 // first encode canonicalizes).
@@ -128,7 +129,11 @@ func FuzzReadCandidate(f *testing.F) {
 		}
 		enc := AppendCandidate(nil, c)
 		_ = DefaultConstraints(c.Task).CheckStatic(c)
-		_ = c.Validate()
+		if c.Validate() == nil {
+			if err := BindingMismatch(c); err != nil {
+				t.Fatalf("validated candidate: %v", err)
+			}
+		}
 		r2 := bytecodec.NewReader(enc)
 		c2, err := ReadCandidate(r2)
 		if err != nil || r2.Len() != 0 {

@@ -38,9 +38,10 @@ func weightBits(c *Candidate) int {
 
 // CheckStatic verifies the structural constraints (memory, MACs) that can
 // be checked without training. It runs on the architecture analysis alone,
-// so no tensor is ever allocated to screen a candidate.
+// so no tensor is ever allocated to screen a candidate: the candidate's
+// bound analysis, or a fresh walk of its architecture when it is unbound.
 func (ct Constraints) CheckStatic(c *Candidate) error {
-	an, err := c.Arch.Analyze()
+	an, err := c.archAnalysis()
 	if err != nil {
 		return err
 	}

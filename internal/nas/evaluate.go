@@ -114,7 +114,7 @@ func CalibrateEnergy(space *Space, nMeasure int, layerwise, withSensing bool, se
 	var audioSamples []energymodel.AudioSample
 	for i := 0; i < nMeasure; i++ {
 		c := space.RandomCandidate(rng)
-		an, err := c.Arch.Analyze()
+		an, err := c.archAnalysis()
 		if err != nil {
 			return nil, err
 		}
@@ -201,11 +201,11 @@ type materialized struct {
 	trainY, testY []int
 }
 
-// sensingKey fingerprints only the sensing half of a candidate.
+// sensingKey fingerprints only the sensing half of a candidate: the
+// fingerprint of the same sensing over an empty body.
 func sensingKey(c *Candidate) uint64 {
-	clone := c.Clone()
-	clone.Arch = &nn.Arch{Classes: c.Task.Classes()}
-	return clone.Fingerprint()
+	sensing := Candidate{Task: c.Task, Gesture: c.Gesture, Audio: c.Audio, Arch: &nn.Arch{}}
+	return sensing.Fingerprint()
 }
 
 // materializeFor renders train/test datasets under the candidate's sensing

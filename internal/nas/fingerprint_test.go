@@ -66,3 +66,37 @@ func TestFingerprintGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSensingKeyGolden pins the TrainEvaluator's dataset-cache key: equal
+// sensing over different bodies shares one key, the key is not either
+// candidate's full fingerprint, and its value never drifts.
+func TestSensingKeyGolden(t *testing.T) {
+	dense := func(out int) *nn.Arch { return &nn.Arch{Body: []nn.LayerSpec{{Kind: nn.KindDense, Out: out}}} }
+	gesture := dataset.GestureConfig{Channels: 6, RateHz: 80, Quant: quant.Config{Res: quant.Int, Bits: 8}}
+	audio := dsp.FrontEndConfig{SampleRate: dataset.AudioRateHz, StripeMS: 20, DurationMS: 25, NumFeatures: 13}
+	for _, tc := range []struct {
+		a, b *Candidate
+		want uint64
+	}{
+		{&Candidate{Task: TaskGesture, Gesture: gesture, Arch: dense(16)},
+			&Candidate{Task: TaskGesture, Gesture: gesture, Arch: dense(32)}, 0xa60604c4214f6229},
+		{&Candidate{Task: TaskKWS, Audio: audio, Arch: dense(16)},
+			&Candidate{Task: TaskKWS, Audio: audio, Arch: dense(32)}, 0x32397670f6c5753f},
+	} {
+		for _, c := range []*Candidate{tc.a, tc.b} {
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ka, kb := sensingKey(tc.a), sensingKey(tc.b)
+		if ka != kb {
+			t.Errorf("%s: equal sensing keyed %#016x and %#016x", tc.a.Task, ka, kb)
+		}
+		if ka == tc.a.Fingerprint() || ka == tc.b.Fingerprint() {
+			t.Errorf("%s: sensing key %#016x equals a full fingerprint", tc.a.Task, ka)
+		}
+		if ka != tc.want {
+			t.Errorf("%s: sensing key %#016x, want %#016x", tc.a.Task, ka, tc.want)
+		}
+	}
+}

@@ -77,43 +77,27 @@ func TestMutateArchProducesValidDistinct(t *testing.T) {
 	}
 }
 
-func TestMutateSensingProducesValidNeighbors(t *testing.T) {
-	for _, space := range []*Space{GestureSpace(), KWSSpace()} {
-		rng := rand.New(rand.NewSource(4))
-		parent := space.RandomCandidate(rng)
-		for i := 0; i < 50; i++ {
-			child := space.MutateSensing(rng, parent)
-			if err := child.Validate(); err != nil {
-				t.Fatalf("%s sensing mutant invalid: %v", space.Task, err)
-			}
-			// Architecture body must be unchanged.
-			if len(child.Arch.Body) != len(parent.Arch.Body) {
-				t.Fatal("MutateSensing must not touch the architecture")
-			}
-			parent = child
-		}
-	}
-}
-
 func TestGestureSensingMorphismStepSizes(t *testing.T) {
-	// Table II: n±1, r±2, q±1 (or representation replace).
+	// Table II: n±1, r±2, q±1 (or representation replace), one axis per
+	// grid neighbour.
 	space := GestureSpace()
 	rng := rand.New(rand.NewSource(5))
-	parent := space.RandomCandidate(rng)
 	for i := 0; i < 100; i++ {
-		child := space.MutateSensing(rng, parent)
-		dn := child.Gesture.Channels - parent.Gesture.Channels
-		dr := child.Gesture.RateHz - parent.Gesture.RateHz
-		if dn != 0 && dn != 1 && dn != -1 {
-			t.Fatalf("channel step %d", dn)
-		}
-		if dr != 0 && dr != 2 && dr != -2 {
-			t.Fatalf("rate step %d", dr)
-		}
-		if child.Gesture.Quant.Res == parent.Gesture.Quant.Res {
-			dq := child.Gesture.Quant.Bits - parent.Gesture.Quant.Bits
-			if dq < -1 || dq > 1 {
-				t.Fatalf("quant step %d", dq)
+		parent := space.RandomCandidate(rng)
+		for _, child := range space.GridNeighbors(parent) {
+			dn := child.Gesture.Channels - parent.Gesture.Channels
+			dr := child.Gesture.RateHz - parent.Gesture.RateHz
+			if dn != 0 && dn != 1 && dn != -1 {
+				t.Fatalf("channel step %d", dn)
+			}
+			if dr != 0 && dr != 2 && dr != -2 {
+				t.Fatalf("rate step %d", dr)
+			}
+			if child.Gesture.Quant.Res == parent.Gesture.Quant.Res {
+				dq := child.Gesture.Quant.Bits - parent.Gesture.Quant.Bits
+				if dq < -1 || dq > 1 {
+					t.Fatalf("quant step %d", dq)
+				}
 			}
 		}
 	}
@@ -453,9 +437,14 @@ func TestCandidateFingerprintSensitivity(t *testing.T) {
 	if c.Fingerprint() != same.Fingerprint() {
 		t.Fatal("clone must share fingerprint")
 	}
-	mutated := space.MutateSensing(rng, c)
-	if mutated.Fingerprint() == c.Fingerprint() {
-		t.Fatal("sensing change must alter fingerprint")
+	neighbors := space.GridNeighbors(c)
+	if len(neighbors) == 0 {
+		t.Fatal("no sensing neighbours")
+	}
+	for _, nb := range neighbors {
+		if nb.Fingerprint() == c.Fingerprint() {
+			t.Fatalf("sensing change %s → %s must alter fingerprint", c.SensingString(), nb.SensingString())
+		}
 	}
 }
 

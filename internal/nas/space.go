@@ -2,6 +2,7 @@ package nas
 
 import (
 	"math/rand"
+	"slices"
 
 	"solarml/internal/dataset"
 	"solarml/internal/dsp"
@@ -53,7 +54,8 @@ func KWSSpace() *Space {
 	}
 }
 
-// RandomSensing draws a uniform sensing configuration from Table II.
+// RandomSensing draws a uniform sensing configuration from Table II into
+// c's sensing half; rebind c before reading its binding.
 func (s *Space) RandomSensing(rng *rand.Rand, c *Candidate) {
 	switch s.Task {
 	case TaskGesture:
@@ -83,10 +85,16 @@ func (s *Space) RandomSensing(rng *rand.Rand, c *Candidate) {
 	}
 }
 
-// randomArchBody draws a random architecture body. The caller must Rebind
-// and validity-check the result.
-func (s *Space) randomArchBody(rng *rand.Rand) []nn.LayerSpec {
-	var body []nn.LayerSpec
+// randomArchBody draws a random architecture body into buf's storage,
+// allocating only when buf cannot hold the largest body the space draws.
+// The caller must Rebind and validity-check the result.
+func (s *Space) randomArchBody(rng *rand.Rand, buf []nn.LayerSpec) []nn.LayerSpec {
+	// At most four layers per block (conv, norm, ReLU, pool) and two per
+	// dense layer (dense, ReLU).
+	body := buf[:0]
+	if n := 4*s.MaxBlocks + 2*s.MaxDense; cap(body) < n {
+		body = make([]nn.LayerSpec, 0, n)
+	}
 	blocks := 1 + rng.Intn(s.MaxBlocks)
 	for b := 0; b < blocks; b++ {
 		k := s.KernelChoices[rng.Intn(len(s.KernelChoices))]
@@ -125,10 +133,12 @@ func (s *Space) randomArchBody(rng *rand.Rand) []nn.LayerSpec {
 // RandomCandidate draws random sensing parameters and a random architecture
 // until the pair materializes (pooling fits, shapes stay positive).
 func (s *Space) RandomCandidate(rng *rand.Rand) *Candidate {
+	// A rejected draw is overwritten in place: RandomSensing sets the
+	// task's whole sensing configuration and the body is redrawn.
+	c := &Candidate{Task: s.Task, Arch: &nn.Arch{Classes: s.Task.Classes()}}
 	for {
-		c := &Candidate{Task: s.Task, Arch: &nn.Arch{Classes: s.Task.Classes()}}
 		s.RandomSensing(rng, c)
-		c.Arch.Body = s.randomArchBody(rng)
+		c.Arch.Body = s.randomArchBody(rng, c.Arch.Body)
 		if c.Rebind() == nil {
 			return c
 		}
@@ -139,9 +149,13 @@ func (s *Space) RandomCandidate(rng *rand.Rand) *Candidate {
 // layer, change a kernel, insert or delete a layer. Returns a valid mutant
 // (retrying internally) that differs from the parent.
 func (s *Space) MutateArch(rng *rand.Rand, parent *Candidate) *Candidate {
+	pfp := parent.Fingerprint()
+	c := parent.Clone()
 	for tries := 0; tries < 64; tries++ {
-		c := parent.Clone()
-		body := c.Arch.Body
+		// Every try morphs a fresh copy of the parent's body; the sensing
+		// half, and so the input shape, is the parent's throughout.
+		body := append(c.Arch.Body[:0], parent.Arch.Body...)
+		c.Arch.Body = body
 		op := rng.Intn(4)
 		switch {
 		case op == 0 && len(body) > 0: // widen/narrow
@@ -175,8 +189,7 @@ func (s *Space) MutateArch(rng *rand.Rand, parent *Candidate) *Candidate {
 			default:
 				ins = nn.LayerSpec{Kind: nn.KindReLU}
 			}
-			body = append(body[:i], append([]nn.LayerSpec{ins}, body[i:]...)...)
-			c.Arch.Body = body
+			c.Arch.Body = slices.Insert(body, i, ins)
 		case op == 3 && len(body) > 1: // delete a layer
 			i := rng.Intn(len(body))
 			body = append(body[:i], body[i+1:]...)
@@ -184,58 +197,17 @@ func (s *Space) MutateArch(rng *rand.Rand, parent *Candidate) *Candidate {
 		default:
 			continue
 		}
-		if c.Rebind() == nil && c.Fingerprint() != parent.Fingerprint() {
+		if c.Rebind() == nil && c.Fingerprint() != pfp {
 			return c
 		}
 	}
 	// Mutation space exhausted around this parent; fall back to a fresh
 	// architecture with the parent's sensing parameters.
-	c := parent.Clone()
-	c.Arch.Body = s.randomArchBody(rng)
+	c.Arch.Body = s.randomArchBody(rng, c.Arch.Body)
 	for c.Rebind() != nil {
-		c.Arch.Body = s.randomArchBody(rng)
+		c.Arch.Body = s.randomArchBody(rng, c.Arch.Body)
 	}
 	return c
-}
-
-// MutateSensing applies one Table II sensing morphism (n±1, r±2, q±1, or
-// the int/float replace move; s±1, d±1, f±1 for KWS), keeping the
-// architecture fixed and revalidating the pair.
-func (s *Space) MutateSensing(rng *rand.Rand, parent *Candidate) *Candidate {
-	for tries := 0; tries < 64; tries++ {
-		c := parent.Clone()
-		switch s.Task {
-		case TaskGesture:
-			switch rng.Intn(3) {
-			case 0:
-				c.Gesture.Channels += 1 - 2*rng.Intn(2)
-			case 1:
-				c.Gesture.RateHz += 2 - 4*rng.Intn(2)
-			default:
-				qs := quantNeighbors(c.Gesture.Quant)
-				c.Gesture.Quant = qs[rng.Intn(len(qs))]
-			}
-			if c.Gesture.Validate() != nil {
-				continue
-			}
-		case TaskKWS:
-			switch rng.Intn(3) {
-			case 0:
-				c.Audio.StripeMS += 1 - 2*rng.Intn(2)
-			case 1:
-				c.Audio.DurationMS += 1 - 2*rng.Intn(2)
-			default:
-				c.Audio.NumFeatures += 1 - 2*rng.Intn(2)
-			}
-			if c.Audio.Validate() != nil {
-				continue
-			}
-		}
-		if c.Rebind() == nil && c.Fingerprint() != parent.Fingerprint() {
-			return c
-		}
-	}
-	return parent.Clone()
 }
 
 // GridNeighbors enumerates the full one-step sensing neighbourhood of the
@@ -243,8 +215,9 @@ func (s *Space) MutateSensing(rng *rand.Rand, parent *Candidate) *Candidate {
 // valid pairs.
 func (s *Space) GridNeighbors(parent *Candidate) []*Candidate {
 	var out []*Candidate
+	pfp := parent.Fingerprint()
 	add := func(c *Candidate) {
-		if c.Validate() == nil && c.Fingerprint() != parent.Fingerprint() {
+		if c.Validate() == nil && c.Fingerprint() != pfp {
 			out = append(out, c)
 		}
 	}

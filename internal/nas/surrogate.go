@@ -71,10 +71,18 @@ func (s *SurrogateEvaluator) kwsCeiling(c *Candidate) float64 {
 	return 0.40 + 0.56*info
 }
 
-// Evaluate implements Evaluator.
+// Evaluate implements Evaluator. It validates the sensing half and reuses
+// a bound candidate's analysis and fingerprint; an unbound candidate is
+// analyzed (and so bound) first.
 func (s *SurrogateEvaluator) Evaluate(c *Candidate) (Result, error) {
 	var res Result
-	an, err := c.Analyze()
+	var an nn.Analysis
+	var err error
+	if c.bind.bound {
+		an, err = c.bind.an, c.validateSensing()
+	} else {
+		an, err = c.Analyze()
+	}
 	if err != nil {
 		return res, err
 	}

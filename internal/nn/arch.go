@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -105,14 +106,18 @@ func inRange(v, lo int) bool { return v >= lo && v <= analysisLimit }
 // product multiplies positive factors, reporting false once the running
 // product exceeds analysisLimit.
 func product(fs ...int) (int64, bool) {
-	p := int64(1)
+	p := uint64(1)
 	for _, f := range fs {
-		if f <= 0 || p > analysisLimit/int64(f) {
+		if f <= 0 {
 			return 0, false
 		}
-		p *= int64(f)
+		hi, lo := bits.Mul64(p, uint64(f))
+		if hi != 0 || lo > analysisLimit {
+			return 0, false
+		}
+		p = lo
 	}
-	return p, true
+	return int64(p), true
 }
 
 // walker is Analyze's running state: the per-sample activation shape —
@@ -130,7 +135,7 @@ type walker struct {
 func (w *walker) emit(kind LayerKind, params, macs int64) error {
 	w.an.Params += params
 	w.an.MACs.Add(kind, macs)
-	if w.an.Params > analysisLimit || w.an.MACs.Of(kind) > analysisLimit {
+	if w.an.Params > analysisLimit || w.an.MACs.macs[kind] > analysisLimit {
 		return fmt.Errorf("nn: %s exceeds the analysis limit", kind)
 	}
 	w.an.PeakActivation = max(w.an.PeakActivation, w.vol)

@@ -261,6 +261,10 @@ func (s *Server) runBatch(ex *nn.Int8Executor, staging []float64, batch []*reque
 		copy(staging[i*s.inVol:(i+1)*s.inVol], r.x)
 	}
 	logits := ex.Forward(staging[:n*s.inVol], n)
+	// Count the batch before releasing its callers: a caller holding its
+	// reply must find its batch in the metrics.
+	s.batches.Inc()
+	s.batchSize.Observe(float64(n))
 	for i, r := range batch {
 		row := logits[i*s.classes : (i+1)*s.classes]
 		r.out = append(r.out[:0], row...)
@@ -272,8 +276,6 @@ func (s *Server) runBatch(ex *nn.Int8Executor, staging []float64, batch []*reque
 		}
 		close(r.done)
 	}
-	s.batches.Inc()
-	s.batchSize.Observe(float64(n))
 	s.batchSeconds.Observe(time.Since(start).Seconds())
 	sp.End()
 }
