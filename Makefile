@@ -8,7 +8,7 @@ GO ?= go
 # fleet snapshots) so the repo root stays clean; it is git-ignored wholesale.
 BUILD_DIR ?= build
 
-.PHONY: verify vet race check bench bench-obs bench-energy bench-fleet bench-int8 bench-json bench-smoke bench-diff smoke-report search-resume-smoke
+.PHONY: verify vet race check bench bench-obs bench-energy bench-fleet bench-int8 bench-json bench-smoke bench-diff smoke-report search-resume-smoke fuzz-smoke
 
 verify:
 	$(GO) build ./...
@@ -123,7 +123,8 @@ search-resume-smoke:
 # this and uploads the artifacts. The final leg exercises the serving path:
 # deploy exports an int8 model and a C header of the same program (which
 # must compile as warning-free C99), serve hosts the model, and one HTTP
-# classify must land in the live serve.* metrics.
+# classify must land in the live serve.* metrics, its decode and encode
+# stage histograms included.
 smoke-report:
 	mkdir -p $(BUILD_DIR)
 	$(GO) run ./cmd/enas-search -pop 10 -sample 4 -cycles 20 -seed 1 -cache \
@@ -201,4 +202,22 @@ smoke-report:
 	grep -q '"class"' $(BUILD_DIR)/serve_reply.json
 	grep -q '^serve_requests 1' $(BUILD_DIR)/serve_metrics.txt
 	grep -q '^serve_batches' $(BUILD_DIR)/serve_metrics.txt
+	grep -q '^serve_decode_seconds_count 1' $(BUILD_DIR)/serve_metrics.txt
+	grep -q '^serve_encode_seconds_count 1' $(BUILD_DIR)/serve_metrics.txt
 	@echo "smoke-report: serve leg classified one request over HTTP with live serve.* metrics"
+
+# fuzz-smoke runs every Fuzz* target in the repository, one at a time, for
+# FUZZ_TIME each: the decoders of untrusted bytes (model containers,
+# checkpoints, memo lines, candidate and result codecs, power traces, HTTP
+# bodies) and the event-queue ordering. New inputs the fuzzer finds stay in
+# the Go build cache; a failing input is written to the package's
+# testdata/fuzz and fails the target.
+FUZZ_TIME = 10s
+fuzz-smoke:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for target in $$(echo "$$list" | grep '^Fuzz' || true); do \
+			echo "fuzz-smoke: $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZ_TIME) $$pkg; \
+		done; \
+	done

@@ -10,8 +10,13 @@
 // Concurrent requests coalesce into executor batches (up to -batch samples
 // or -batch-deadline of waiting, whichever first); -workers executors run
 // batches in parallel. The shared obs flags apply: -pprof serves live
-// /metrics (serve.* counters and latency histograms) next to /debug/pprof,
-// -trace-out records serve.request/serve.batch spans.
+// /metrics (serve.* counters and latency, decode and encode histograms) next
+// to /debug/pprof, -trace-out records serve.request/serve.batch spans.
+//
+// A /classify body may hold up to the queue depth (4 × -batch) instances at
+// 32 bytes per value; a longer body is refused with 413. The HTTP server
+// allows 5 s to read request headers, 30 s to read a whole request and 30 s
+// to write a reply, and closes a keep-alive connection idle for 2 min.
 package main
 
 import (
@@ -29,6 +34,15 @@ import (
 	"solarml/internal/nn"
 	"solarml/internal/obs/cli"
 	"solarml/internal/serve"
+)
+
+// Connection timeouts: a client that stalls sending headers or a body, or
+// stops reading its reply, holds a connection for at most these.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -80,7 +94,11 @@ func run(model, addr string, batch int, deadline time.Duration, workers int, obs
 		return err
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr: addr, Handler: srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
+		WriteTimeout: writeTimeout, IdleTimeout: idleTimeout,
+	}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	go func() {

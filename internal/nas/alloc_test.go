@@ -48,3 +48,18 @@ func TestSurrogateEvaluateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStaticRejectAllocs pins the cost of a static rejection: a MAC- or
+// memory-limit failure allocates only its error value, whose message is
+// formatted when read.
+func TestStaticRejectAllocs(t *testing.T) {
+	c := staticRejectCandidate(t)
+	for _, ct := range []Constraints{
+		{MemoryBytes: 1 << 30, MaxMACs: 1000},
+		{MemoryBytes: 1000, MaxMACs: 1 << 30},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = ct.CheckStatic(c) }); allocs > 1 {
+			t.Errorf("%+v CheckStatic reject: %.0f allocs/op, want ≤ 1", ct, allocs)
+		}
+	}
+}

@@ -46,16 +46,28 @@ func (ct Constraints) CheckStatic(c *Candidate) error {
 		return err
 	}
 	if macs := an.MACs.Total(); macs > ct.MaxMACs {
-		return fmt.Errorf("nas: %d MACs exceeds limit %d", macs, ct.MaxMACs)
+		return &limitError{what: "MACs", have: macs, limit: ct.MaxMACs}
 	}
 	wb := weightBits(c)
 	if wb < 8 {
 		wb = 8 // sub-byte weights are stored byte-packed on the MCU
 	}
 	if mem := an.MemoryBytes(wb, 8); mem > ct.MemoryBytes {
-		return fmt.Errorf("nas: %d B memory exceeds limit %d", mem, ct.MemoryBytes)
+		return &limitError{what: "B memory", have: mem, limit: ct.MemoryBytes}
 	}
 	return nil
+}
+
+// limitError is a static constraint a candidate breaks. It formats only
+// when Error is called: the search rejects about a quarter of its random
+// draws here and reads only that the error is non-nil.
+type limitError struct {
+	what        string // "MACs" or "B memory"
+	have, limit int64
+}
+
+func (e *limitError) Error() string {
+	return fmt.Sprintf("nas: %d %s exceeds limit %d", e.have, e.what, e.limit)
 }
 
 // Feasible reports whether accuracy acc meets the error cap — the

@@ -120,6 +120,69 @@ func product(fs ...int) (int64, bool) {
 	return int64(p), true
 }
 
+// archFault names why Analyze rejected a layer.
+type archFault uint8
+
+const (
+	faultKindLimit   archFault = iota // running totals of spec.Kind past the limit
+	faultSpecLimit                    // the layer's own counts past the limit
+	faultDenseWidth                   // Dense width spec.Out out of range
+	faultDenseLimit                   // Dense(spec.Out) over a inputs past the limit
+	faultRank                         // spec.Kind needs (C,H,W) input; rank a
+	faultGeometry                     // kernel, stride or padding out of range
+	faultConvWidth                    // Conv width spec.Out out of range
+	faultCollapse                     // output of input (a,b,c) is empty
+	faultPoolFit                      // pooling window does not fit the input
+	faultUnknownKind                  // spec.Kind is no layer kind
+	faultAfterDense                   // a feature layer follows a Dense layer
+)
+
+// headLayer is archError.layer for the classifier head.
+const headLayer = -1
+
+// archError is an Analyze rejection of one layer. It holds the values its
+// message needs and formats them only when Error is called: a search
+// rejects many drawn architectures and reads only that the error is
+// non-nil, so building the message up front was most of a rejection's cost.
+type archError struct {
+	fault   archFault
+	layer   int       // body index, or headLayer; the walker leaves it to Analyze
+	spec    LayerSpec // the rejected layer
+	a, b, c int64     // fault-specific values (see archFault)
+}
+
+func (e *archError) Error() string {
+	var msg string
+	switch e.fault {
+	case faultKindLimit:
+		msg = fmt.Sprintf("nn: %s exceeds the analysis limit", e.spec.Kind)
+	case faultSpecLimit:
+		msg = fmt.Sprintf("nn: %s exceeds the analysis limit", e.spec)
+	case faultDenseWidth:
+		msg = fmt.Sprintf("nn: invalid Dense width %d", e.spec.Out)
+	case faultDenseLimit:
+		msg = fmt.Sprintf("nn: Dense(%d) over %d inputs exceeds the analysis limit", e.spec.Out, e.a)
+	case faultRank:
+		msg = fmt.Sprintf("nn: %s needs (C,H,W) input, have rank %d", e.spec.Kind, e.a)
+	case faultGeometry:
+		msg = fmt.Sprintf("nn: invalid %s geometry (k=%d s=%d p=%d)", e.spec.Kind, e.spec.K, e.spec.Stride, e.spec.Pad)
+	case faultConvWidth:
+		msg = fmt.Sprintf("nn: invalid Conv width %d", e.spec.Out)
+	case faultCollapse:
+		msg = fmt.Sprintf("nn: %s collapses input (%d,%d,%d) (k=%d s=%d)", e.spec.Kind, e.a, e.b, e.c, e.spec.K, e.spec.Stride)
+	case faultPoolFit:
+		msg = fmt.Sprintf("nn: %s does not fit the input", e.spec)
+	case faultUnknownKind:
+		msg = fmt.Sprintf("nn: unknown layer kind %d", e.spec.Kind)
+	case faultAfterDense:
+		return fmt.Sprintf("nn: layer %d (%s) after Dense must be Dense or ReLU", e.layer, e.spec)
+	}
+	if e.layer == headLayer {
+		return "nn: classifier head: " + msg
+	}
+	return fmt.Sprintf("nn: layer %d: %s", e.layer, msg)
+}
+
 // walker is Analyze's running state: the per-sample activation shape —
 // (C, H, W) when rank is 3, otherwise only the volume matters — and the
 // analysis accumulated so far.
@@ -132,11 +195,11 @@ type walker struct {
 }
 
 // emit records a layer of the given kind whose output volume is w.vol.
-func (w *walker) emit(kind LayerKind, params, macs int64) error {
+func (w *walker) emit(kind LayerKind, params, macs int64) *archError {
 	w.an.Params += params
 	w.an.MACs.Add(kind, macs)
 	if w.an.Params > analysisLimit || w.an.MACs.macs[kind] > analysisLimit {
-		return fmt.Errorf("nn: %s exceeds the analysis limit", kind)
+		return &archError{fault: faultKindLimit, spec: LayerSpec{Kind: kind}}
 	}
 	w.an.PeakActivation = max(w.an.PeakActivation, w.vol)
 	w.an.PeakPair = max(w.an.PeakPair, w.prev+w.vol)
@@ -159,48 +222,49 @@ func (w *walker) flatten() {
 }
 
 // dense records a Dense layer of out units over the current volume.
-func (w *walker) dense(out int) error {
+func (w *walker) dense(out int) *archError {
+	s := LayerSpec{Kind: KindDense, Out: out}
 	if !inRange(out, 1) {
-		return fmt.Errorf("nn: invalid Dense width %d", out)
+		return &archError{fault: faultDenseWidth, spec: s}
 	}
 	weights, ok := product(int(w.vol), out)
 	if !ok {
-		return fmt.Errorf("nn: Dense(%d) over %d inputs exceeds the analysis limit", out, w.vol)
+		return &archError{fault: faultDenseLimit, spec: s, a: w.vol}
 	}
 	w.rank, w.vol = 1, int64(out)
 	return w.emit(KindDense, weights+int64(out), weights)
 }
 
 // layer records one body layer.
-func (w *walker) layer(s LayerSpec) error {
+func (w *walker) layer(s LayerSpec) *archError {
 	switch s.Kind {
 	case KindConv, KindDWConv:
 		if w.rank != 3 {
-			return fmt.Errorf("nn: %s needs (C,H,W) input, have rank %d", s.Kind, w.rank)
+			return &archError{fault: faultRank, spec: s, a: int64(w.rank)}
 		}
 		if !inRange(s.K, 1) || !inRange(s.Stride, 1) || !inRange(s.Pad, 0) {
-			return fmt.Errorf("nn: invalid %s geometry (k=%d s=%d p=%d)", s.Kind, s.K, s.Stride, s.Pad)
+			return &archError{fault: faultGeometry, spec: s}
 		}
 		out, fanIn := w.c, 1 // depthwise: one K×K filter per channel
 		if s.Kind == KindConv {
 			if !inRange(s.Out, 1) {
-				return fmt.Errorf("nn: invalid Conv width %d", s.Out)
+				return &archError{fault: faultConvWidth, spec: s}
 			}
 			out, fanIn = s.Out, w.c
 		}
 		oh, ow := convOutDim(w.h, s.K, s.Stride, s.Pad), convOutDim(w.w, s.K, s.Stride, s.Pad)
 		if oh <= 0 || ow <= 0 {
-			return fmt.Errorf("nn: %s collapses input (%d,%d,%d) (k=%d s=%d)", s.Kind, w.c, w.h, w.w, s.K, s.Stride)
+			return &archError{fault: faultCollapse, spec: s, a: int64(w.c), b: int64(w.h), c: int64(w.w)}
 		}
 		weights, ok1 := product(out, fanIn, s.K, s.K)
 		macs, ok2 := product(out, oh, ow, fanIn, s.K, s.K)
 		if !ok1 || !ok2 || !w.spatial(out, oh, ow) {
-			return fmt.Errorf("nn: %s exceeds the analysis limit", s)
+			return &archError{fault: faultSpecLimit, spec: s}
 		}
 		return w.emit(s.Kind, weights+int64(out), macs)
 	case KindMaxPool, KindAvgPool:
 		if w.rank != 3 || s.K <= 0 || w.h < s.K || w.w < s.K {
-			return fmt.Errorf("nn: %s does not fit the input", s)
+			return &archError{fault: faultPoolFit, spec: s}
 		}
 		oh, ow := w.h/s.K, w.w/s.K
 		macs, _ := product(w.c, oh, ow, s.K, s.K) // ≤ C·H·W, within the limit
@@ -208,7 +272,7 @@ func (w *walker) layer(s LayerSpec) error {
 		return w.emit(s.Kind, 0, macs)
 	case KindNorm:
 		if w.rank != 3 {
-			return fmt.Errorf("nn: Norm needs (C,H,W) input, have rank %d", w.rank)
+			return &archError{fault: faultRank, spec: s, a: int64(w.rank)}
 		}
 		w.an.normStats += 2 * int64(w.c) // ≤ the norm's 2·C params, so within the limit
 		return w.emit(KindNorm, 2*int64(w.c), 2*w.vol)
@@ -220,11 +284,11 @@ func (w *walker) layer(s LayerSpec) error {
 	case KindDense:
 		return w.dense(s.Out)
 	}
-	return fmt.Errorf("nn: unknown layer kind %d", s.Kind)
+	return &archError{fault: faultUnknownKind, spec: s}
 }
 
 // Analyze validates the architecture and returns its static profile without
-// allocating: it walks the layer shapes of the network Build would
+// allocating (a rejection allocates only its error value): it walks the layer shapes of the network Build would
 // materialize — implicit Flatten layers and the classifier head included —
 // by arithmetic alone. An error means Build would refuse the description;
 // every layer geometry that cannot run (non-positive kernels, strides,
@@ -246,13 +310,14 @@ func (a *Arch) Analyze() (Analysis, error) {
 	dense := false
 	for i, s := range a.Body {
 		if dense && s.Kind != KindDense && s.Kind != KindReLU {
-			return Analysis{}, fmt.Errorf("nn: layer %d (%s) after Dense must be Dense or ReLU", i, s)
+			return Analysis{}, &archError{fault: faultAfterDense, layer: i, spec: s}
 		}
 		if s.Kind == KindDense && !dense && w.rank > 1 {
 			w.flatten()
 		}
 		if err := w.layer(s); err != nil {
-			return Analysis{}, fmt.Errorf("nn: layer %d: %w", i, err)
+			err.layer = i
+			return Analysis{}, err
 		}
 		dense = dense || s.Kind == KindDense
 	}
@@ -260,7 +325,8 @@ func (a *Arch) Analyze() (Analysis, error) {
 		w.flatten()
 	}
 	if err := w.dense(a.Classes); err != nil {
-		return Analysis{}, fmt.Errorf("nn: classifier head: %w", err)
+		err.layer = headLayer
+		return Analysis{}, err
 	}
 	return w.an, nil
 }

@@ -223,6 +223,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	ensureGrad(c.W, c.B)
 	n, oh, ow := grad.Shape[0], grad.Shape[2], grad.Shape[3]
 	h, w := c.lastH, c.lastW
 	rows := c.InC * c.K * c.K
@@ -403,6 +404,7 @@ func (c *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	ensureGrad(c.W, c.B)
 	x := c.lastX
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := grad.Shape[2], grad.Shape[3]

@@ -67,6 +67,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	ensureGrad(d.W, d.B)
 	n := grad.Shape[0]
 	// dW (Out, In) += gradᵀ × x, accumulated straight into the gradient.
 	d.ctx.MatMulTransA(d.W.Grad.Data, grad.Data, d.lastX.Data, n, d.Out, d.In, true)

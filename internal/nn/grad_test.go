@@ -29,7 +29,7 @@ func checkGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
 	bindLayer(l)
 	for _, p := range l.Params() {
-		p.Grad.Zero()
+		p.zeroGrad()
 	}
 	y := l.Forward(x, true)
 	dy := y.Clone() // dL/dy = y

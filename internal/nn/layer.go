@@ -106,6 +106,11 @@ func (m KindMACs) Total() int64 {
 // Param is a trainable tensor together with its gradient and SGD momentum
 // buffer. Layers expose their parameters through Params so the optimizer can
 // update them uniformly.
+//
+// Grad and Momentum are training state: nil until the first backward pass
+// (ensureGrad) and the first optimizer step (SGD.StepCtx) allocate them
+// zeroed, so a network built only to infer or to report its MACs holds its
+// weights once, not three times.
 type Param struct {
 	Value    *tensor.Tensor
 	Grad     *tensor.Tensor
@@ -113,10 +118,23 @@ type Param struct {
 }
 
 func newParam(shape ...int) *Param {
-	return &Param{
-		Value:    tensor.New(shape...),
-		Grad:     tensor.New(shape...),
-		Momentum: tensor.New(shape...),
+	return &Param{Value: tensor.New(shape...)}
+}
+
+// ensureGrad allocates a zeroed gradient for each parameter without one.
+// Layers call it at the top of Backward, before any parallel accumulation.
+func ensureGrad(ps ...*Param) {
+	for _, p := range ps {
+		if p.Grad == nil {
+			p.Grad = tensor.New(p.Value.Shape...)
+		}
+	}
+}
+
+// zeroGrad clears the gradient; one not yet allocated is zero already.
+func (p *Param) zeroGrad() {
+	if p.Grad != nil {
+		p.Grad.Zero()
 	}
 }
 

@@ -248,7 +248,7 @@ func (m *MultiExitNetwork) Fit(inputs *tensor.Tensor, labels []int, cfg FitConfi
 				by[bi] = labels[src]
 			}
 			for _, p := range params {
-				p.Grad.Zero()
+				p.zeroGrad()
 			}
 			stageOuts := m.forwardStages(bx, true)
 			// Per-exit losses and head gradients. All exits share the (bs,

@@ -112,7 +112,7 @@ func (n *Network) ParamCount() int64 {
 // ZeroGrads clears all parameter gradients.
 func (n *Network) ZeroGrads() {
 	for _, p := range n.Params() {
-		p.Grad.Zero()
+		p.zeroGrad()
 	}
 }
 
@@ -300,6 +300,10 @@ func (o *SGD) StepCtx(ctx *compute.Context, params []*Param) {
 		o.fn = o.stepRange
 	}
 	for _, p := range params {
+		ensureGrad(p)
+		if p.Momentum == nil {
+			p.Momentum = tensor.New(p.Value.Shape...)
+		}
 		o.v, o.g, o.mom = p.Value.Data, p.Grad.Data, p.Momentum.Data
 		ctx.ParallelFor(len(o.v), 6, o.fn)
 	}
@@ -388,7 +392,7 @@ func (c *gradClipper) clip(ctx *compute.Context, params []*Param, limit float64)
 // scratch, every layer buffer, and the QAT shadow snapshot are all reused.
 func (n *Network) trainStep(bx *tensor.Tensor, by []int, params []*Param, opt *SGD, cfg *TrainConfig) float64 {
 	for _, p := range params {
-		p.Grad.Zero()
+		p.zeroGrad()
 	}
 	qat := cfg.QATWeightBits > 0
 	if qat {

@@ -256,6 +256,7 @@ func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 func TestSGDStepMovesDownhill(t *testing.T) {
 	p := newParam(1)
 	p.Value.Data[0] = 1.0
+	ensureGrad(p)
 	p.Grad.Data[0] = 2.0 // dL/dw > 0 → w must decrease
 	opt := &SGD{LR: 0.1}
 	opt.StepCtx(serialContext, []*Param{p})

@@ -142,6 +142,7 @@ func (b *BatchNorm) forwardChannels(c0, c1 int) {
 // Backward implements Layer using the standard batch-norm gradient; the
 // channel partition mirrors Forward, so gradient sums keep serial order.
 func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	ensureGrad(b.Gamma, b.Beta)
 	n, c := grad.Shape[0], grad.Shape[1]
 	plane := grad.Shape[2] * grad.Shape[3]
 	dx := b.arena.tensor(b, slotDX, grad.Shape...)

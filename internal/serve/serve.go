@@ -12,9 +12,15 @@
 // already queued and runs immediately (the low-latency configuration; it
 // still forms batches under load because items queue while a batch runs).
 //
+// The HTTP path decodes a /classify body with a fixed-schema codec
+// (codec.go) straight into pooled per-request sample buffers and appends
+// the reply into a pooled buffer, so a warm request costs its model, not
+// its JSON. Bodies are capped at QueueDepth instances' worth of bytes.
+//
 // Every stage is observable through the shared obs plumbing: serve.*
-// counters and histograms land in the registry the -pprof /metrics endpoint
-// exposes, and serve.request / serve.batch spans land in the trace.
+// counters and histograms (end-to-end latency, batch execution, and the
+// decode and encode stages) land in the registry the -pprof /metrics
+// endpoint exposes, and serve.request / serve.batch spans land in the trace.
 package serve
 
 import (
@@ -54,14 +60,38 @@ type Result struct {
 	Logits []float64 `json:"logits"`
 }
 
-// request is one sample in flight: filled by a worker, released by closing
-// done.
+// request is one sample in flight: its input (inVol values) and, once a
+// worker has run it, its logits and argmax class.
 type request struct {
-	x    []float64
-	out  []float64
-	cls  int
-	err  error
-	done chan struct{}
+	x   []float64
+	out []float64
+	cls int
+	job *job
+}
+
+// job is one ClassifyBatch call or /classify request: its samples, the
+// signal that the last of them has run, and the HTTP body and reply
+// buffers. Jobs are pooled with everything they own, so a warm server
+// serves a request without allocating per sample.
+type job struct {
+	reqs  []*request // reqs[:n] are this call's samples; the rest are spares
+	n     int
+	done  sync.WaitGroup // one count per sample in flight
+	body  []byte
+	reply []byte
+}
+
+// sample returns the job's i-th sample buffer, i ≤ len(reqs), allocating it
+// on first use.
+func (s *Server) sample(j *job, i int) *request {
+	if i == len(j.reqs) {
+		j.reqs = append(j.reqs, &request{
+			x:   make([]float64, s.inVol),
+			out: make([]float64, s.classes),
+			job: j,
+		})
+	}
+	return j.reqs[i]
 }
 
 // Server batches classify requests over a pool of int8 executors.
@@ -78,14 +108,19 @@ type Server struct {
 	closed   bool
 	inflight sync.WaitGroup
 
+	jobs    sync.Pool // *job
+	maxBody int64     // /classify body cap in bytes
+
 	requests *obs.Counter
 	samples  *obs.Counter
 	errors   *obs.Counter
 	batches  *obs.Counter
 
-	batchSize    *obs.Histogram
-	latency      *obs.Histogram
-	batchSeconds *obs.Histogram
+	batchSize     *obs.Histogram
+	latency       *obs.Histogram
+	batchSeconds  *obs.Histogram
+	decodeSeconds *obs.Histogram
+	encodeSeconds *obs.Histogram
 }
 
 // New validates cfg, starts the worker pool, and returns the server.
@@ -117,10 +152,14 @@ func New(cfg Config) (*Server, error) {
 		errors:   cfg.Reg.Counter("serve.errors"),
 		batches:  cfg.Reg.Counter("serve.batches"),
 
-		batchSize:    cfg.Reg.Histogram("serve.batch_size", []float64{1, 2, 4, 8, 16, 32, 64}),
-		latency:      cfg.Reg.Histogram("serve.latency_seconds", obs.TimeBuckets),
-		batchSeconds: cfg.Reg.Histogram("serve.batch_seconds", obs.TimeBuckets),
+		batchSize:     cfg.Reg.Histogram("serve.batch_size", []float64{1, 2, 4, 8, 16, 32, 64}),
+		latency:       cfg.Reg.Histogram("serve.latency_seconds", obs.TimeBuckets),
+		batchSeconds:  cfg.Reg.Histogram("serve.batch_seconds", obs.TimeBuckets),
+		decodeSeconds: cfg.Reg.Histogram("serve.decode_seconds", obs.TimeBuckets),
+		encodeSeconds: cfg.Reg.Histogram("serve.encode_seconds", obs.TimeBuckets),
 	}
+	s.maxBody = maxBodyBytes(s.inVol, cfg.QueueDepth)
+	s.jobs.New = func() any { return new(job) }
 	for i := 0; i < cfg.Workers; i++ {
 		ex := cfg.Model.NewExecutor(cfg.Compute, cfg.MaxBatch)
 		staging := make([]float64, cfg.MaxBatch*s.inVol)
@@ -146,13 +185,36 @@ func (s *Server) Classify(x []float64) (Result, error) {
 
 // ClassifyBatch enqueues every sample before waiting on any of them, so a
 // multi-instance request batches with itself as well as with its neighbors.
+// The samples are copied into pooled buffers; the returned logits are the
+// caller's own.
 func (s *Server) ClassifyBatch(xs [][]float64) ([]Result, error) {
 	for i, x := range xs {
 		if len(x) != s.inVol {
 			s.errors.Inc()
-			return nil, fmt.Errorf("serve: instance %d has %d values, model wants %d", i, len(x), s.inVol)
+			return nil, &lengthError{i, len(x), s.inVol}
 		}
 	}
+	j := s.jobs.Get().(*job)
+	defer s.jobs.Put(j)
+	for i, x := range xs {
+		copy(s.sample(j, i).x, x)
+	}
+	j.n = len(xs)
+	if err := s.run(j); err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(xs))
+	logits := make([]float64, len(xs)*s.classes)
+	for i, r := range j.reqs[:j.n] {
+		row := logits[i*s.classes : (i+1)*s.classes]
+		copy(row, r.out)
+		out[i] = Result{Class: r.cls, Logits: row}
+	}
+	return out, nil
+}
+
+// run classifies the job's samples and waits until the last has run.
+func (s *Server) run(j *job) error {
 	// Registering with inflight under the lock guarantees Close drains us:
 	// it flips closed first, then waits for inflight before stopping the
 	// workers, so every request admitted here is eventually run.
@@ -160,33 +222,25 @@ func (s *Server) ClassifyBatch(xs [][]float64) ([]Result, error) {
 	if s.closed {
 		s.mu.Unlock()
 		s.errors.Inc()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	s.inflight.Add(1)
 	s.mu.Unlock()
 	defer s.inflight.Done()
 
 	start := time.Now()
-	reqs := make([]*request, len(xs))
-	for i, x := range xs {
-		reqs[i] = &request{x: x, done: make(chan struct{})}
-		s.queue <- reqs[i]
+	reqs := j.reqs[:j.n]
+	j.done.Add(len(reqs))
+	for _, r := range reqs {
+		s.queue <- r
 	}
-	out := make([]Result, len(xs))
-	for i, r := range reqs {
-		<-r.done
-		if r.err != nil {
-			s.errors.Inc()
-			return nil, r.err
-		}
-		out[i] = Result{Class: r.cls, Logits: r.out}
-	}
+	j.done.Wait()
 	sec := time.Since(start).Seconds()
-	for range xs {
+	for range reqs {
 		s.samples.Inc()
 		s.latency.Observe(sec)
 	}
-	return out, nil
+	return nil
 }
 
 // Close stops the server: new Classify calls fail with ErrClosed, already
@@ -267,27 +321,17 @@ func (s *Server) runBatch(ex *nn.Int8Executor, staging []float64, batch []*reque
 	s.batchSize.Observe(float64(n))
 	for i, r := range batch {
 		row := logits[i*s.classes : (i+1)*s.classes]
-		r.out = append(r.out[:0], row...)
+		copy(r.out, row)
 		r.cls = 0
 		for j := 1; j < s.classes; j++ {
 			if row[j] > row[r.cls] {
 				r.cls = j
 			}
 		}
-		close(r.done)
+		r.job.done.Done() // r belongs to its caller from here on
 	}
 	s.batchSeconds.Observe(time.Since(start).Seconds())
 	sp.End()
-}
-
-// classifyRequest is the POST /classify body.
-type classifyRequest struct {
-	Instances [][]float64 `json:"instances"`
-}
-
-// classifyResponse is the POST /classify reply.
-type classifyResponse struct {
-	Predictions []Result `json:"predictions"`
 }
 
 // statusResponse is the GET /status reply.
@@ -315,36 +359,62 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// jsonContentType is the reply's Content-Type header value, shared so that
+// setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
 	s.requests.Inc()
-	var req classifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.errors.Inc()
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Instances) == 0 {
-		s.errors.Inc()
-		http.Error(w, "no instances", http.StatusBadRequest)
-		return
-	}
-	sp := s.cfg.Rec.StartSpan("serve.request", obs.Int("instances", len(req.Instances)))
-	res, err := s.ClassifyBatch(req.Instances)
-	sp.End()
+	j := s.jobs.Get().(*job)
+	defer s.jobs.Put(j)
+	var err error
+	j.body, err = readBody(j.body, http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength, s.maxBody)
 	if err != nil {
+		s.errors.Inc()
 		code := http.StatusBadRequest
-		if errors.Is(err, ErrClosed) {
-			code = http.StatusServiceUnavailable
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+			j.body = nil // a body at the cap is not worth pooling
 		}
 		http.Error(w, err.Error(), code)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(classifyResponse{Predictions: res})
+
+	start := time.Now()
+	j.n, err = decodeInstances(j.body, s.inVol, func(i int) []float64 { return s.sample(j, i).x })
+	s.decodeSeconds.Observe(time.Since(start).Seconds())
+	if err == nil && j.n == 0 {
+		err = errors.New("no instances")
+	}
+	if err != nil {
+		s.errors.Inc()
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+
+	sp := s.cfg.Rec.StartSpan("serve.request", obs.Int("instances", j.n))
+	err = s.run(j)
+	sp.End()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+
+	start = time.Now()
+	j.reply, err = appendReply(j.reply[:0], j.reqs[:j.n])
+	s.encodeSeconds.Observe(time.Since(start).Seconds())
+	if err != nil {
+		s.errors.Inc()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(j.reply)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
