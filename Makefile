@@ -70,9 +70,11 @@ bench-json:
 # trajectory artifact (entries outside the smoke subset are retained).
 # allocs/op on the arena step is the number to watch — it must stay at 0.
 # BenchmarkFig10aDigits (about 50 ms) puts a whole surrogate search, and so
-# the evolution engine, in the subset beside the evaluator alone.
+# the evolution engine, in the subset beside the evaluator alone;
+# BenchmarkSurrogateSearchPerfbenchShape adds the short searches of
+# perfbench's surrogate-search workload, whose allocs/op bench-diff guards.
 bench-smoke:
-	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_PATTERN='BenchmarkTrainStepArena|BenchmarkSurrogateEvaluation|BenchmarkFig10aDigits|BenchmarkTrainStepCNNBackend|BenchmarkMatMulBackend|BenchmarkNoopSpan|BenchmarkSearchTelemetry|BenchmarkLedgerCharge|BenchmarkNoopLedgerCharge|BenchmarkFleetDeviceYears|BenchmarkIslandSearch|BenchmarkInt8Forward|BenchmarkFloatForward|BenchmarkServeLatency'
+	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_PATTERN='BenchmarkTrainStepArena|BenchmarkSurrogateEvaluation|BenchmarkSurrogateSearchPerfbenchShape|BenchmarkFig10aDigits|BenchmarkTrainStepCNNBackend|BenchmarkMatMulBackend|BenchmarkNoopSpan|BenchmarkSearchTelemetry|BenchmarkLedgerCharge|BenchmarkNoopLedgerCharge|BenchmarkFleetDeviceYears|BenchmarkIslandSearch|BenchmarkInt8Forward|BenchmarkFloatForward|BenchmarkServeLatency'
 
 # bench-diff turns the BENCH_solarml.json trajectory into a perf gate:
 # compare the working tree's trajectory point against the last committed

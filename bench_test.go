@@ -404,6 +404,41 @@ func BenchmarkIslandSearch(b *testing.B) {
 	b.Run("islands4_cache", run(4, true))
 }
 
+// BenchmarkSurrogateSearchPerfbenchShape times the searches of perfbench's
+// surrogate-search workload: eNAS at the paper's population (50), sample
+// (20), and grid period (R = 20) over 30 cycles, alternating the two tasks
+// with λ stratified over [0, 1), scored by the surrogate over energy models
+// calibrated once from 300 draws per task. One op is one search; evals/s
+// counts the candidates scored, and allocs/op is the engine's and the
+// candidates' allocation cost per search.
+func BenchmarkSurrogateSearchPerfbenchShape(b *testing.B) {
+	spaces := []*nas.Space{nas.GestureSpace(), nas.KWSSpace()}
+	evals := make([]nas.Evaluator, len(spaces))
+	for i, space := range spaces {
+		fitted, err := nas.CalibrateEnergy(space, 300, true, true, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals[i] = nas.NewSurrogateEvaluator(fitted)
+	}
+	const strata = 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	scored := 0
+	for i := 0; i < b.N; i++ {
+		k := i % len(spaces)
+		cfg := enas.DefaultConfig(spaces[k].Task, (float64(i/len(spaces)%strata)+0.5)/strata)
+		cfg.Cycles = 30
+		cfg.Seed = int64(i + 1)
+		out, err := enas.Search(spaces[k], evals[k], cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scored += out.Evaluations
+	}
+	b.ReportMetric(float64(scored)/b.Elapsed().Seconds(), "evals/s")
+}
+
 // BenchmarkSurrogateEvaluation times one evaluation of a bound candidate,
 // as every search candidate is — the inner loop of the NAS benchmarks.
 func BenchmarkSurrogateEvaluation(b *testing.B) {

@@ -102,7 +102,7 @@ type Outcome struct {
 }
 
 // objective scores an entry under the normalized energy trade-off.
-func objective(e Entry, lambda, eMin, eMax float64) float64 {
+func objective(e *Entry, lambda, eMin, eMax float64) float64 {
 	span := eMax - eMin
 	if span <= 0 {
 		span = 1
@@ -111,7 +111,7 @@ func objective(e Entry, lambda, eMin, eMax float64) float64 {
 }
 
 // score evaluates an entry under the configured objective.
-func (cfg Config) score(e Entry, eMin, eMax float64) float64 {
+func (cfg *Config) score(e *Entry, eMin, eMax float64) float64 {
 	if cfg.Objective != nil {
 		return cfg.Objective(e.Res.Accuracy, e.Res.EnergyJ, eMin, eMax)
 	}
@@ -127,6 +127,24 @@ type policy struct {
 	cfg        Config
 	space      *nas.Space
 	eMin, eMax float64
+	scorer     func(*Entry) float64 // CycleScore's scorer, built once per run
+}
+
+// newPolicy builds the policy and its tournament scorer, which soft-
+// penalizes infeasible entries during parent selection so evolution can
+// escape an infeasible region but never prefers it. The scorer consumes no
+// randomness, keeping the seeded stream identical to the pre-engine
+// implementation.
+func newPolicy(space *nas.Space, cfg Config) *policy {
+	p := &policy{cfg: cfg, space: space}
+	p.scorer = func(e *Entry) float64 {
+		s := p.cfg.score(e, p.eMin, p.eMax)
+		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
+			s -= 1
+		}
+		return s
+	}
+	return p
 }
 
 // NewPolicy returns the eNAS search as an evo.Policy for the engine's
@@ -139,7 +157,7 @@ func NewPolicy(space *nas.Space, cfg Config) (evo.Policy, error) {
 	if cfg.SensingEvery <= 0 {
 		cfg.SensingEvery = 20
 	}
-	return &policy{cfg: cfg, space: space}, nil
+	return newPolicy(space, cfg), nil
 }
 
 func (p *policy) Prefix() string { return "enas" }
@@ -155,19 +173,9 @@ func (p *policy) SearchAttrs() []obs.Attr {
 
 func (p *policy) Init(_ []Entry, eMin, eMax float64) { p.eMin, p.eMax = eMin, eMax }
 
-// CycleScore soft-penalizes infeasible entries during parent selection so
-// evolution can escape an infeasible region but never prefers it. The
-// closure consumes no randomness, keeping the seeded stream identical to
-// the pre-engine implementation.
-func (p *policy) CycleScore(*rand.Rand, int) func(Entry) float64 {
-	return func(e Entry) float64 {
-		s := p.cfg.score(e, p.eMin, p.eMax)
-		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
-			s -= 1
-		}
-		return s
-	}
-}
+// CycleScore returns the run's scorer (see newPolicy); it reads the bounds
+// Init set.
+func (p *policy) CycleScore(*rand.Rand, int) func(*Entry) float64 { return p.scorer }
 
 func (p *policy) GridCycle(cycle int) bool { return cycle%p.cfg.SensingEvery == 0 }
 
@@ -182,11 +190,11 @@ func (p *policy) Mutate(rng *rand.Rand, parent *nas.Candidate) *nas.Candidate {
 func (p *policy) Accepted(Entry) {}
 
 func (p *policy) Report(history []Entry) (Entry, []obs.Attr) {
-	best := bestFeasible(history, p.cfg, p.eMin, p.eMax)
+	best := bestFeasible(history, &p.cfg, p.eMin, p.eMax)
 	return best, []obs.Attr{
 		obs.F64("best_acc", best.Res.Accuracy),
 		obs.F64("best_energy_j", best.Res.EnergyJ),
-		obs.F64("objective", p.cfg.score(best, p.eMin, p.eMax)),
+		obs.F64("objective", p.cfg.score(&best, p.eMin, p.eMax)),
 		obs.F64("e_min_j", p.eMin),
 		obs.F64("e_max_j", p.eMax),
 	}
@@ -203,7 +211,7 @@ func Search(space *nas.Space, eval nas.Evaluator, cfg Config) (*Outcome, error) 
 	if cfg.SensingEvery <= 0 {
 		cfg.SensingEvery = 20
 	}
-	pol := &policy{cfg: cfg, space: space}
+	pol := newPolicy(space, cfg)
 
 	out, err := evo.Run(pol, eval, evo.Config{
 		Population: cfg.Population, SampleSize: cfg.SampleSize, Cycles: cfg.Cycles,
@@ -222,21 +230,22 @@ func Search(space *nas.Space, eval nas.Evaluator, cfg Config) (*Outcome, error) 
 // bestFeasible returns the best entry of the history under the objective,
 // honouring the accuracy cap (falling back to the best overall if nothing
 // is feasible yet).
-func bestFeasible(history []Entry, cfg Config, eMin, eMax float64) Entry {
+func bestFeasible(history []Entry, cfg *Config, eMin, eMax float64) Entry {
 	var best Entry
 	bestObj := math.Inf(-1)
-	for _, e := range history {
+	for i := range history {
+		e := &history[i]
 		if !cfg.Constraints.Feasible(e.Res.Accuracy) {
 			continue
 		}
 		if o := cfg.score(e, eMin, eMax); o > bestObj {
-			bestObj, best = o, e
+			bestObj, best = o, *e
 		}
 	}
 	if best.Cand == nil {
-		for _, e := range history {
-			if o := cfg.score(e, eMin, eMax); o > bestObj {
-				bestObj, best = o, e
+		for i := range history {
+			if o := cfg.score(&history[i], eMin, eMax); o > bestObj {
+				bestObj, best = o, history[i]
 			}
 		}
 	}

@@ -96,7 +96,7 @@ func (e *engine) restoreState(r *bytecodec.Reader) error {
 	e.out.Evaluations = int(r.Uvarint())
 	e.accepted = int(r.Uvarint())
 	e.cycle = int(r.Uvarint())
-	readEntries := func(what string, limit uint64) ([]Entry, error) {
+	readEntries := func(what string, limit uint64, minCap int) ([]Entry, error) {
 		n := r.Uvarint()
 		if r.Err() != nil {
 			return nil, r.Err()
@@ -104,7 +104,7 @@ func (e *engine) restoreState(r *bytecodec.Reader) error {
 		if n > limit {
 			return nil, fmt.Errorf("implausible %s length %d", what, n)
 		}
-		out := make([]Entry, 0, n)
+		out := make([]Entry, 0, max(int(n), minCap))
 		for i := uint64(0); i < n; i++ {
 			g := r.Bytes()
 			resBytes := r.Bytes()
@@ -127,12 +127,12 @@ func (e *engine) restoreState(r *bytecodec.Reader) error {
 		}
 		return out, nil
 	}
-	hist, err := readEntries("history", 1<<24)
+	hist, err := readEntries("history", 1<<24, historyCap(e.cfg))
 	if err != nil {
 		return err
 	}
 	e.out.History = hist
-	pop, err := readEntries("population", 1<<20)
+	pop, err := readEntries("population", 1<<20, 0)
 	if err != nil {
 		return err
 	}

@@ -29,8 +29,8 @@ func (p *ckptPolicy) GridCycle(int) bool                        { return false }
 func (p *ckptPolicy) Neighbors(*nas.Candidate) []*nas.Candidate { return nil }
 func (p *ckptPolicy) Accepted(Entry)                            {}
 
-func (p *ckptPolicy) CycleScore(*rand.Rand, int) func(Entry) float64 {
-	return func(e Entry) float64 { return e.Res.Accuracy }
+func (p *ckptPolicy) CycleScore(*rand.Rand, int) func(*Entry) float64 {
+	return func(e *Entry) float64 { return e.Res.Accuracy }
 }
 
 func (p *ckptPolicy) Mutate(rng *rand.Rand, parent *nas.Candidate) *nas.Candidate {

@@ -23,12 +23,18 @@ type engine struct {
 	pre    string
 	island int // island index, or -1 for single-shard runs
 
-	rng        *RNG
-	out        *Outcome
+	rng *RNG
+	out *Outcome
+	// population is the aging window: the oldest entry first. It slides
+	// down popBuf, a backing array of twice the population size, and is
+	// copied back to popBuf's start only when it reaches the end, so
+	// aging allocates nothing.
 	population []Entry
+	popBuf     []Entry
 	accepted   int
-	cycle      int   // completed phase-2 cycles
-	perm       []int // tournament sampling buffer, reused every cycle
+	cycle      int     // completed phase-2 cycles
+	perm       []int   // tournament sampling buffer, reused every cycle
+	got        []Entry // evaluateAll's successes, reused every batch
 
 	memo  *memoCache
 	warm  nas.WarmStartEvaluator
@@ -50,16 +56,19 @@ func newEngine(pol Policy, eval nas.Evaluator, cfg Config, shared *memoCache, pa
 	}
 	e := &engine{
 		pol: pol, eval: eval, cfg: cfg, pre: pol.Prefix(), island: island,
-		rng: NewRNG(cfg.Seed), out: &Outcome{}, rec: cfg.Obs,
+		rng: NewRNG(cfg.Seed), out: &Outcome{History: make([]Entry, 0, historyCap(cfg))}, rec: cfg.Obs,
+		popBuf: make([]Entry, 2*cfg.Population), got: make([]Entry, 0, cfg.Population),
 	}
-	e.mEvals = cfg.Metrics.Counter(e.pre + ".evaluations")
-	e.mRejects = cfg.Metrics.Counter(e.pre + ".constraint_rejects")
-	e.mErrors = cfg.Metrics.Counter(e.pre + ".eval_errors")
-	e.mAccepted = cfg.Metrics.Counter(e.pre + ".children_accepted")
-	e.mFailed = cfg.Metrics.Counter(e.pre + ".cycles_without_child")
-	e.mFillRejects = cfg.Metrics.Counter("evo.fill_rejects")
-	e.hEval = cfg.Metrics.Histogram(e.pre+".eval_seconds", obs.TimeBuckets)
-	e.hUtil = cfg.Metrics.Histogram(e.pre+".worker_utilization", obs.RatioBuckets)
+	if m := cfg.Metrics; m != nil {
+		e.mEvals = m.Counter(e.pre + ".evaluations")
+		e.mRejects = m.Counter(e.pre + ".constraint_rejects")
+		e.mErrors = m.Counter(e.pre + ".eval_errors")
+		e.mAccepted = m.Counter(e.pre + ".children_accepted")
+		e.mFailed = m.Counter(e.pre + ".cycles_without_child")
+		e.mFillRejects = m.Counter("evo.fill_rejects")
+		e.hEval = m.Histogram(e.pre+".eval_seconds", obs.TimeBuckets)
+		e.hUtil = m.Histogram(e.pre+".worker_utilization", obs.RatioBuckets)
+	}
 	e.memo = shared
 	if e.memo == nil && (cfg.Cache || cfg.Memo != nil) {
 		e.memo = newMemoCache(cfg.Metrics.Counter("evo.cache_hits"), cfg.Metrics.Counter("evo.cache_misses"))
@@ -67,6 +76,10 @@ func newEngine(pol Policy, eval nas.Evaluator, cfg Config, shared *memoCache, pa
 	}
 	e.warm, _ = eval.(nas.WarmStartEvaluator)
 	e.timed = e.rec.Enabled() || cfg.Metrics != nil
+	underParent := parent != nil && parent.Enabled()
+	if !underParent && !e.rec.Enabled() {
+		return e, nil // the zero search span records nothing
+	}
 	attrs := append([]obs.Attr{
 		obs.Int("population", cfg.Population), obs.Int("sample", cfg.SampleSize),
 		obs.Int("cycles", cfg.Cycles), obs.Int64("seed", cfg.Seed),
@@ -76,7 +89,7 @@ func newEngine(pol Policy, eval nas.Evaluator, cfg Config, shared *memoCache, pa
 	if island >= 0 {
 		attrs = append(attrs, obs.Int("island", island))
 	}
-	if parent != nil && parent.Enabled() {
+	if underParent {
 		e.search = parent.Child(e.pre+".search", attrs...)
 	} else {
 		e.search = e.rec.StartSpan(e.pre+".search", attrs...)
@@ -84,15 +97,32 @@ func newEngine(pol Policy, eval nas.Evaluator, cfg Config, shared *memoCache, pa
 	return e, nil
 }
 
+// historyCap is the History capacity a run starts with: the filled
+// population, one child per cycle, and half a child more per cycle for
+// grid steps (eNAS at R = 20 averages 0.35), so a run of the paper's shape
+// never regrows it.
+func historyCap(cfg Config) int {
+	return cfg.Population + cfg.Cycles + cfg.Cycles/2
+}
+
+// child opens a sub-span of the search span named <prefix>.<name>,
+// building the name only when the search span records.
+func (e *engine) child(name string) obs.Span {
+	if !e.search.Enabled() {
+		return obs.Span{}
+	}
+	return e.search.Child(e.pre + "." + name)
+}
+
 // evalOne scores a single candidate: static constraint check, memo lookup,
 // then the evaluator — via EvaluateFrom when the lineage parent is known and
 // the evaluator warm-starts (that path bypasses the memo in both directions:
-// its result depends on the parent's weights, not just the fingerprint). It
-// records no history; callers merge.
-func (e *engine) evalOne(c, parent *nas.Candidate, timeIt bool) (Entry, bool) {
+// its result depends on the parent's weights, not just the fingerprint). On
+// success it writes the entry to dst. It records no history; callers merge.
+func (e *engine) evalOne(c, parent *nas.Candidate, timeIt bool, dst *Entry) bool {
 	if c == nil {
 		e.mRejects.Inc()
-		return Entry{}, false
+		return false
 	}
 	warmPath := e.warm != nil && parent != nil
 	var fp uint64
@@ -102,49 +132,51 @@ func (e *engine) evalOne(c, parent *nas.Candidate, timeIt bool) (Entry, bool) {
 		// a hit skips the static constraint check as well.
 		fp = c.Fingerprint()
 		if res, ok := e.memo.get(fp); ok {
-			return Entry{Cand: c, Res: res}, true
+			*dst = Entry{Cand: c, Res: res}
+			return true
 		}
 	}
 	if err := e.cfg.Constraints.CheckStatic(c); err != nil {
 		e.mRejects.Inc()
-		return Entry{}, false
+		return false
 	}
 	var t0 time.Time
 	if timeIt {
 		t0 = time.Now()
 	}
-	var res nas.Result
 	var err error
 	if warmPath {
-		res, err = e.warm.EvaluateFrom(c, parent)
+		dst.Res, err = e.warm.EvaluateFrom(c, parent)
 	} else {
-		res, err = e.eval.Evaluate(c)
+		dst.Res, err = e.eval.Evaluate(c)
 	}
 	if timeIt {
 		e.hEval.Observe(time.Since(t0).Seconds())
 	}
 	if err != nil {
 		e.mErrors.Inc()
-		return Entry{}, false
+		return false
 	}
+	dst.Cand = c
 	if e.memo != nil && !warmPath {
-		e.memo.put(fp, res)
+		e.memo.put(fp, dst.Res)
 	}
-	return Entry{Cand: c, Res: res}, true
+	return true
 }
 
-func (e *engine) record(ent Entry) {
+func (e *engine) record(ent *Entry) {
 	e.out.Evaluations++
 	e.mEvals.Inc()
-	e.out.History = append(e.out.History, ent)
+	e.out.History = append(e.out.History, *ent)
 }
 
-func (e *engine) evaluate(c, parent *nas.Candidate) (Entry, bool) {
-	ent, ok := e.evalOne(c, parent, e.timed)
+// evaluate scores one candidate into dst and records it on success.
+func (e *engine) evaluate(c, parent *nas.Candidate, dst *Entry) bool {
+	ok := e.evalOne(c, parent, e.timed, dst)
 	if ok {
-		e.record(ent)
+		e.record(dst)
 	}
-	return ent, ok
+	return ok
 }
 
 // evaluateAll scores a batch, in parallel when configured, recording history
@@ -152,19 +184,25 @@ func (e *engine) evaluate(c, parent *nas.Candidate) (Entry, bool) {
 // trace hierarchy; from, when non-nil, is the lineage parent of every
 // candidate in the batch (the grid-mutation case: sensing neighbours keep
 // the parent architecture), so warm-start weight inheritance applies on the
-// parallel path exactly as it does sequentially.
+// parallel path exactly as it does sequentially. The returned slice is the
+// engine's buffer: it is valid until the next evaluateAll.
 func (e *engine) evaluateAll(span *obs.Span, cands []*nas.Candidate, from *nas.Candidate) []Entry {
+	ok := e.got[:0]
 	if e.cfg.Workers <= 1 || len(cands) <= 1 {
-		var ok []Entry
+		var ent Entry
 		for _, c := range cands {
-			if ent, k := e.evaluate(c, from); k {
+			if e.evaluate(c, from, &ent) {
 				ok = append(ok, ent)
 			}
 		}
+		e.got = ok
 		return ok
 	}
-	batch := span.Child(e.pre+".eval_batch",
-		obs.Int("n", len(cands)), obs.Int("workers", e.cfg.Workers))
+	var batch obs.Span
+	if span.Enabled() {
+		batch = span.Child(e.pre+".eval_batch",
+			obs.Int("n", len(cands)), obs.Int("workers", e.cfg.Workers))
+	}
 	var t0 time.Time
 	if e.timed {
 		t0 = time.Now()
@@ -180,15 +218,14 @@ func (e *engine) evaluateAll(span *obs.Span, cands []*nas.Candidate, from *nas.C
 		if e.timed {
 			w0 = time.Now()
 		}
-		slots[i].e, slots[i].ok = e.evalOne(cands[i], from, false)
+		slots[i].ok = e.evalOne(cands[i], from, false, &slots[i].e)
 		if e.timed {
 			slots[i].busy = time.Since(w0)
 		}
 	})
-	var ok []Entry
-	for _, s := range slots {
-		if s.ok {
-			e.record(s.e)
+	for i := range slots {
+		if s := &slots[i]; s.ok {
+			e.record(&s.e)
 			ok = append(ok, s.e)
 		}
 	}
@@ -207,6 +244,7 @@ func (e *engine) evaluateAll(span *obs.Span, cands []*nas.Candidate, from *nas.C
 		e.hUtil.Observe(util)
 		batch.End(obs.Int("ok", len(ok)), obs.F64("utilization", util))
 	}
+	e.got = ok
 	return ok
 }
 
@@ -216,8 +254,9 @@ func (e *engine) evaluateAll(span *obs.Span, cands []*nas.Candidate, from *nas.C
 // initialized with the population's energy bounds and the shard is ready
 // to step.
 func (e *engine) fill() error {
-	phase1 := e.search.Child(e.pre + ".phase1")
-	e.population = make([]Entry, 0, e.cfg.Population)
+	phase1 := e.child("phase1")
+	e.population = e.popBuf[:0]
+	batch := make([]*nas.Candidate, 0, e.cfg.Population)
 	for rounds := 0; len(e.population) < e.cfg.Population; rounds++ {
 		if rounds > fillRounds {
 			phase1.End(obs.Str("error", "cannot fill population"))
@@ -226,9 +265,9 @@ func (e *engine) fill() error {
 				e.pre, e.cfg.Population, fillRounds)
 		}
 		need := e.cfg.Population - len(e.population)
-		batch := make([]*nas.Candidate, need)
-		for i := range batch {
-			batch[i] = e.pol.Fill(e.rng.Rand)
+		batch = batch[:0]
+		for range need {
+			batch = append(batch, e.pol.Fill(e.rng.Rand))
 		}
 		got := e.evaluateAll(&phase1, batch, nil)
 		e.mFillRejects.Add(int64(need - len(got)))
@@ -245,15 +284,30 @@ func (e *engine) fill() error {
 	}
 	phase1.End(obs.Int("evaluations", e.out.Evaluations),
 		obs.F64("e_min_j", e.out.EMin), obs.F64("e_max_j", e.out.EMax))
-	e.cfg.Metrics.Gauge(e.pre + ".e_min_j").Set(e.out.EMin)
-	e.cfg.Metrics.Gauge(e.pre + ".e_max_j").Set(e.out.EMax)
+	if m := e.cfg.Metrics; m != nil {
+		m.Gauge(e.pre + ".e_min_j").Set(e.out.EMin)
+		m.Gauge(e.pre + ".e_max_j").Set(e.out.EMax)
+	}
 	e.pol.Init(e.population, e.out.EMin, e.out.EMax)
 	e.startPhase2()
 	return nil
 }
 
 func (e *engine) startPhase2() {
-	e.phase2 = e.search.Child(e.pre + ".phase2")
+	e.phase2 = e.child("phase2")
+}
+
+// age applies the aging discipline: the oldest len(in) members leave and in
+// joins as the youngest. The window slides down the backing array and is
+// copied back to its start only when it reaches the end.
+func (e *engine) age(in ...Entry) {
+	pop := e.population[len(in):]
+	if cap(pop)-len(pop) < len(in) {
+		n := copy(e.popBuf, pop)
+		clear(e.popBuf[n:]) // keep no departed entries alive
+		pop = e.popBuf[:n]
+	}
+	e.population = append(pop, in...)
 }
 
 // step runs one aging-evolution cycle: tournament → mutate (or GRIDMUTATE)
@@ -267,13 +321,13 @@ func (e *engine) step() {
 	score := e.pol.CycleScore(e.rng.Rand, cycle)
 	sampled := e.sample()
 	best := sampled[0]
-	bestScore := score(e.population[best])
+	bestScore := score(&e.population[best])
 	for _, idx := range sampled[1:] {
-		if s := score(e.population[idx]); s > bestScore {
+		if s := score(&e.population[idx]); s > bestScore {
 			best, bestScore = idx, s
 		}
 	}
-	parent := e.population[best]
+	parent := e.population[best].Cand
 
 	var child Entry
 	ok := false
@@ -283,21 +337,22 @@ func (e *engine) step() {
 		// Neighbours keep the parent architecture, so they inherit its
 		// trained weights when the evaluator warm-starts.
 		bestObj := math.Inf(-1)
-		for _, ent := range e.evaluateAll(&e.phase2, e.pol.Neighbors(parent.Cand), parent.Cand) {
-			if o := score(ent); o > bestObj {
-				bestObj, child, ok = o, ent, true
+		got := e.evaluateAll(&e.phase2, e.pol.Neighbors(parent), parent)
+		for i := range got {
+			if o := score(&got[i]); o > bestObj {
+				bestObj, child, ok = o, got[i], true
 			}
 		}
 	} else {
 		// One architecture morphism, warm-started from the parent's
 		// trained weights when the evaluator supports it.
 		for tries := 0; tries < mutateTries && !ok; tries++ {
-			child, ok = e.evaluate(e.pol.Mutate(e.rng.Rand, parent.Cand), parent.Cand)
+			ok = e.evaluate(e.pol.Mutate(e.rng.Rand, parent), parent, &child)
 		}
 	}
 	if ok {
 		// Aging: append the child, remove the oldest.
-		e.population = append(e.population[1:], child)
+		e.age(child)
 		e.accepted++
 		e.mAccepted.Inc()
 		e.pol.Accepted(child)
@@ -383,5 +438,5 @@ func (e *engine) immigrate(in []Entry) {
 	if len(in) > len(e.population) {
 		in = in[:len(e.population)]
 	}
-	e.population = append(e.population[len(in):], in...)
+	e.age(in...)
 }

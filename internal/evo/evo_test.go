@@ -33,8 +33,8 @@ func (p *stubPolicy) SearchAttrs() []obs.Attr { return nil }
 
 func (p *stubPolicy) Init([]evo.Entry, float64, float64) {}
 
-func (p *stubPolicy) CycleScore(*rand.Rand, int) func(evo.Entry) float64 {
-	return func(e evo.Entry) float64 { return e.Res.Accuracy }
+func (p *stubPolicy) CycleScore(*rand.Rand, int) func(*evo.Entry) float64 {
+	return func(e *evo.Entry) float64 { return e.Res.Accuracy }
 }
 
 func (p *stubPolicy) GridCycle(int) bool { return false }

@@ -42,7 +42,14 @@ type Policy interface {
 	// randomness (μNAS draws its scalarization weight here). The returned
 	// function also ranks grid-mutation batches, so it must embed any
 	// infeasibility penalty.
-	CycleScore(rng *rand.Rand, cycle int) func(Entry) float64
+	//
+	// The scorer reads the entry it is handed and neither modifies nor
+	// retains the pointer, which points into the engine's population or
+	// batch buffer. The engine calls CycleScore every cycle, so a policy
+	// should build its scorer once per run and keep any per-cycle state
+	// (μNAS's weight) in the policy rather than allocate a closure per
+	// cycle.
+	CycleScore(rng *rand.Rand, cycle int) func(*Entry) float64
 	// GridCycle reports whether this cycle takes a sensing grid step
 	// (eNAS's GRIDMUTATE every R cycles) instead of an architecture
 	// morphism. Fixed-sensing policies always return false.
@@ -124,15 +131,7 @@ func (StatelessState) UnmarshalState(data []byte) error {
 // the space but keeps the given sensing configuration — the candidate
 // source of the fixed-sensing baselines (μNAS and HarvNet search the
 // architecture only). It returns nil when the pair does not materialize,
-// which the engine counts as a reject.
+// which the engine counts as a reject. See nas.Space.RandomArch.
 func FixedSensing(space *nas.Space, sensing *nas.Candidate) func(*rand.Rand) *nas.Candidate {
-	return func(rng *rand.Rand) *nas.Candidate {
-		c := space.RandomCandidate(rng)
-		fixed := sensing.Clone()
-		fixed.Arch = c.Arch
-		if fixed.Rebind() != nil {
-			return nil
-		}
-		return fixed
-	}
+	return func(rng *rand.Rand) *nas.Candidate { return space.RandomArch(rng, sensing) }
 }

@@ -60,7 +60,7 @@ type Outcome struct {
 }
 
 // ratio is the HarvNet objective.
-func ratio(e Entry) float64 {
+func ratio(e *Entry) float64 {
 	if e.Res.EnergyJ <= 0 {
 		return 0
 	}
@@ -73,16 +73,28 @@ func ratio(e Entry) float64 {
 type policy struct {
 	evo.NASGenome
 	evo.StatelessState
-	cfg   Config
-	space *nas.Space
-	fill  func(*rand.Rand) *nas.Candidate
+	cfg    Config
+	space  *nas.Space
+	fill   func(*rand.Rand) *nas.Candidate
+	scorer func(*Entry) float64 // CycleScore's scorer, built once per run
 }
 
 // NewPolicy returns the HarvNet-objective search as an evo.Policy for the
 // engine's island/checkpoint driver path (evo.RunIslands), which constructs
 // one policy instance per island.
 func NewPolicy(space *nas.Space, sensing *nas.Candidate, cfg Config) evo.Policy {
-	return &policy{cfg: cfg, space: space, fill: evo.FixedSensing(space, sensing)}
+	return newPolicy(space, sensing, cfg)
+}
+
+func newPolicy(space *nas.Space, sensing *nas.Candidate, cfg Config) *policy {
+	p := &policy{cfg: cfg, space: space, fill: evo.FixedSensing(space, sensing)}
+	p.scorer = func(e *Entry) float64 {
+		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
+			return math.Inf(-1) // infeasible candidates never win tournaments
+		}
+		return ratio(e)
+	}
+	return p
 }
 
 func (p *policy) Prefix() string { return "harvnet" }
@@ -93,14 +105,7 @@ func (p *policy) SearchAttrs() []obs.Attr { return nil }
 
 func (p *policy) Init([]Entry, float64, float64) {}
 
-func (p *policy) CycleScore(*rand.Rand, int) func(Entry) float64 {
-	return func(e Entry) float64 {
-		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
-			return math.Inf(-1) // infeasible candidates never win tournaments
-		}
-		return ratio(e)
-	}
-}
+func (p *policy) CycleScore(*rand.Rand, int) func(*Entry) float64 { return p.scorer }
 
 func (p *policy) GridCycle(int) bool { return false }
 
@@ -114,32 +119,33 @@ func (p *policy) Accepted(Entry) {}
 
 func (p *policy) Report(history []Entry) (Entry, []obs.Attr) {
 	var best Entry
-	for _, e := range history {
+	for i := range history {
+		e := &history[i]
 		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
 			continue
 		}
-		if best.Cand == nil || ratio(e) > ratio(best) {
-			best = e
+		if best.Cand == nil || ratio(e) > ratio(&best) {
+			best = *e
 		}
 	}
 	if best.Cand == nil {
-		for _, e := range history {
-			if best.Cand == nil || ratio(e) > ratio(best) {
-				best = e
+		for i := range history {
+			if e := &history[i]; best.Cand == nil || ratio(e) > ratio(&best) {
+				best = *e
 			}
 		}
 	}
 	return best, []obs.Attr{
 		obs.F64("best_acc", best.Res.Accuracy),
 		obs.F64("best_energy_j", best.Res.EnergyJ),
-		obs.F64("best_ratio", ratio(best)),
+		obs.F64("best_ratio", ratio(&best)),
 	}
 }
 
 // Search runs the HarvNet-style evolution from a fixed sensing
 // configuration.
 func Search(space *nas.Space, sensing *nas.Candidate, eval nas.Evaluator, cfg Config) (*Outcome, error) {
-	pol := &policy{cfg: cfg, space: space, fill: evo.FixedSensing(space, sensing)}
+	pol := newPolicy(space, sensing, cfg)
 	out, err := evo.Run(pol, eval, evo.Config{
 		Population: cfg.Population, SampleSize: cfg.SampleSize, Cycles: cfg.Cycles,
 		Seed: cfg.Seed, Constraints: cfg.Constraints, Workers: cfg.Workers,

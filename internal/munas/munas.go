@@ -76,13 +76,30 @@ type policy struct {
 	space *nas.Space
 	fill  func(*rand.Rand) *nas.Candidate
 	eMax  float64
+
+	// The cycle's scalarization: CycleScore draws the weight w and fixes
+	// the energy scale, and scorer, built once per run, reads both.
+	w, scale float64
+	scorer   func(*Entry) float64
 }
 
 // NewPolicy returns the μNAS search as an evo.Policy for the engine's
 // island/checkpoint driver path (evo.RunIslands), which constructs one
 // policy instance per island.
 func NewPolicy(space *nas.Space, sensing *nas.Candidate, cfg Config) evo.Policy {
-	return &policy{cfg: cfg, space: space, fill: evo.FixedSensing(space, sensing)}
+	return newPolicy(space, sensing, cfg)
+}
+
+func newPolicy(space *nas.Space, sensing *nas.Candidate, cfg Config) *policy {
+	p := &policy{cfg: cfg, space: space, fill: evo.FixedSensing(space, sensing)}
+	p.scorer = func(e *Entry) float64 {
+		s := p.w*e.Res.Accuracy - (1-p.w)*e.Res.EnergyJ/p.scale
+		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
+			s -= 1
+		}
+		return s
+	}
+	return p
 }
 
 // MarshalState checkpoints the running scalarization energy scale — the one
@@ -116,16 +133,9 @@ func (p *policy) Init(_ []Entry, _, eMax float64) { p.eMax = eMax }
 // CycleScore draws the cycle's fresh scalarization weight — the one place
 // μNAS consumes per-cycle randomness — and normalizes energy by the running
 // scale established so far.
-func (p *policy) CycleScore(rng *rand.Rand, _ int) func(Entry) float64 {
-	w := rng.Float64()
-	eMax := p.eMax
-	return func(e Entry) float64 {
-		s := w*e.Res.Accuracy - (1-w)*e.Res.EnergyJ/eMax
-		if !p.cfg.Constraints.Feasible(e.Res.Accuracy) {
-			s -= 1
-		}
-		return s
-	}
+func (p *policy) CycleScore(rng *rand.Rand, _ int) func(*Entry) float64 {
+	p.w, p.scale = rng.Float64(), p.eMax
+	return p.scorer
 }
 
 func (p *policy) GridCycle(int) bool { return false }
@@ -170,7 +180,7 @@ func (p *policy) Report(history []Entry) (Entry, []obs.Attr) {
 // Search runs μNAS from a fixed sensing configuration: `sensing` provides
 // the sensing half (and task); only the architecture evolves.
 func Search(space *nas.Space, sensing *nas.Candidate, eval nas.Evaluator, cfg Config) (*Outcome, error) {
-	pol := &policy{cfg: cfg, space: space, fill: evo.FixedSensing(space, sensing)}
+	pol := newPolicy(space, sensing, cfg)
 	out, err := evo.Run(pol, eval, evo.Config{
 		Population: cfg.Population, SampleSize: cfg.SampleSize, Cycles: cfg.Cycles,
 		Seed: cfg.Seed, Constraints: cfg.Constraints, Workers: cfg.Workers,

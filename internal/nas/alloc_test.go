@@ -4,6 +4,7 @@ package nas
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -61,5 +62,27 @@ func TestStaticRejectAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { _ = ct.CheckStatic(c) }); allocs > 1 {
 			t.Errorf("%+v CheckStatic reject: %.0f allocs/op, want ≤ 1", ct, allocs)
 		}
+	}
+}
+
+// TestCalibrateEnergyBytes pins the set-up cost of a surrogate search: the
+// 300-draw calibration campaign of both tasks allocated 1,022 KB when every
+// draw allocated a fresh candidate in four objects and the sample slices
+// grew by doubling; the draws now copy out only the accepted candidate, in
+// two objects, and the slices are sized once.
+func TestCalibrateEnergyBytes(t *testing.T) {
+	const maxKB = 800
+	var total uint64
+	for _, space := range []*Space{GestureSpace(), KWSSpace()} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := CalibrateEnergy(space, 300, true, true, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	if kb := float64(total) / 1024; kb > maxKB {
+		t.Errorf("CalibrateEnergy(300) over both tasks: %.0f KB, want ≤ %d KB", kb, maxKB)
 	}
 }

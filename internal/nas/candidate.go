@@ -56,6 +56,11 @@ func (t Task) Classes() int {
 // candidate (a fresh literal, or one decoded by ReadCandidate) is analyzed
 // and hashed on every read. Only rebinding writes the binding, so
 // goroutines may read one bound candidate concurrently.
+//
+// The candidates RandomCandidate, Clone, MutateArch and GridNeighbors
+// return own their storage: the candidate, its Arch, and the Arch's input
+// shape are one allocation, and the body a second one with a spare slot
+// for a MutateArch insert.
 type Candidate struct {
 	Task Task
 	// Gesture holds the sensing parameters when Task == TaskGesture.
@@ -67,6 +72,17 @@ type Candidate struct {
 	Arch *nn.Arch
 
 	bind binding
+	// in backs Arch.Input when the candidate owns its storage; rebind then
+	// overwrites the shape in place instead of allocating a new one.
+	in [3]int
+}
+
+// candidateBlock lays a candidate out with its architecture, so that one
+// allocation holds the candidate, its Arch, and (in Candidate.in) the
+// Arch's input shape.
+type candidateBlock struct {
+	Candidate
+	arch nn.Arch
 }
 
 // binding is what a successful rebind computed from the exported fields.
@@ -76,12 +92,38 @@ type binding struct {
 	bound bool
 }
 
-// Clone returns an unbound deep copy: it is about to be mutated.
+// Clone returns an unbound deep copy: it is about to be mutated. The copy
+// owns its storage (see Candidate).
 func (c *Candidate) Clone() *Candidate {
-	out := *c
-	out.Arch = c.Arch.Clone()
-	out.bind = binding{}
-	return &out
+	return c.withBody(c.Arch.Body)
+}
+
+// withBody returns an unbound copy of c's sensing half, classes and input
+// shape over a copy of body, in one block plus a body of len(body)+1
+// slots. It reads c and body without retaining them, so c may live on the
+// caller's stack.
+func (c *Candidate) withBody(body []nn.LayerSpec) *Candidate {
+	b := &candidateBlock{arch: nn.Arch{Classes: c.Arch.Classes}}
+	out := &b.Candidate
+	out.Task, out.Gesture, out.Audio, out.Arch = c.Task, c.Gesture, c.Audio, &b.arch
+	if in := c.Arch.Input; in != nil && len(in) <= len(out.in) {
+		b.arch.Input = out.in[:len(in)]
+		copy(b.arch.Input, in)
+	} else {
+		b.arch.Input = slices.Clone(in)
+	}
+	if body != nil {
+		b.arch.Body = make([]nn.LayerSpec, len(body), len(body)+1)
+		copy(b.arch.Body, body)
+	}
+	return out
+}
+
+// ownsInput reports whether Arch.Input is backed by the candidate's own
+// shape storage, which rebind may overwrite in place.
+func (c *Candidate) ownsInput() bool {
+	in := c.Arch.Input
+	return cap(in) == len(c.in) && &in[:1][0] == &c.in[0]
 }
 
 // InputShape returns the network input implied by the sensing parameters.
@@ -113,7 +155,14 @@ func (c *Candidate) Rebind() error {
 // rebind is Rebind returning the architecture analysis.
 func (c *Candidate) rebind() (nn.Analysis, error) {
 	if in := c.inputShape(); !slices.Equal(c.Arch.Input, in[:]) {
-		c.Arch.Input = slices.Clone(in[:])
+		if a := c.Arch; c.ownsInput() {
+			// Through a, this reslice is a self-assignment to the escape
+			// analysis, so a candidate on the stack stays there.
+			a.Input = a.Input[:len(in)]
+			copy(a.Input, in[:])
+		} else {
+			c.Arch.Input = slices.Clone(in[:])
+		}
 	}
 	c.Arch.Classes = c.Task.Classes()
 	an, err := c.Arch.Analyze()

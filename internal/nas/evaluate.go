@@ -109,9 +109,15 @@ func CalibrateEnergy(space *Space, nMeasure int, layerwise, withSensing bool, se
 	rng := rand.New(rand.NewSource(seed))
 	m := energymodel.NewMeasurer(seed + 1)
 	out := &FittedEnergy{Infer: &energymodel.InferenceEstimator{Layerwise: layerwise}}
-	var inferSamples []energymodel.InferenceSample
+	n := max(nMeasure, 0)
+	inferSamples := make([]energymodel.InferenceSample, 0, n)
 	var gestureSamples []energymodel.GestureSample
 	var audioSamples []energymodel.AudioSample
+	if withSensing && space.Task == TaskGesture {
+		gestureSamples = make([]energymodel.GestureSample, 0, n)
+	} else if withSensing {
+		audioSamples = make([]energymodel.AudioSample, 0, n)
+	}
 	for i := 0; i < nMeasure; i++ {
 		c := space.RandomCandidate(rng)
 		an, err := c.archAnalysis()

@@ -131,18 +131,52 @@ func (s *Space) randomArchBody(rng *rand.Rand, buf []nn.LayerSpec) []nn.LayerSpe
 }
 
 // RandomCandidate draws random sensing parameters and a random architecture
-// until the pair materializes (pooling fits, shapes stay positive).
+// until the pair materializes (pooling fits, shapes stay positive). It
+// returns the accepted draw bound, in storage of its own (see Candidate).
 func (s *Space) RandomCandidate(rng *rand.Rand) *Candidate {
+	return s.randomCandidate(rng, nil)
+}
+
+// RandomArch draws exactly as RandomCandidate does, then puts the accepted
+// architecture under the sensing configuration of sensing instead of the
+// drawn one — the candidate source of the fixed-sensing baselines. It
+// returns the candidate bound, or nil when the architecture does not
+// materialize under that configuration. sensing is read, not modified.
+func (s *Space) RandomArch(rng *rand.Rand, sensing *Candidate) *Candidate {
+	return s.randomCandidate(rng, sensing)
+}
+
+// scratchBody is the body capacity RandomCandidate draws into on its stack;
+// a space whose largest body is longer draws on the heap instead.
+const scratchBody = 32
+
+// randomCandidate is RandomCandidate, or RandomArch when sensing is
+// non-nil. Every draw lands in stack scratch, so a rejected draw costs no
+// storage; only the accepted one is copied out.
+func (s *Space) randomCandidate(rng *rand.Rand, sensing *Candidate) *Candidate {
+	var body [scratchBody]nn.LayerSpec
+	arch := nn.Arch{Classes: s.Task.Classes()}
+	draw := Candidate{Task: s.Task, Arch: &arch}
+	arch.Input = draw.in[:]
 	// A rejected draw is overwritten in place: RandomSensing sets the
 	// task's whole sensing configuration and the body is redrawn.
-	c := &Candidate{Task: s.Task, Arch: &nn.Arch{Classes: s.Task.Classes()}}
 	for {
-		s.RandomSensing(rng, c)
-		c.Arch.Body = s.randomArchBody(rng, c.Arch.Body)
-		if c.Rebind() == nil {
-			return c
+		s.RandomSensing(rng, &draw)
+		arch.Body = s.randomArchBody(rng, body[:0])
+		if draw.Rebind() == nil {
+			break
 		}
 	}
+	if sensing == nil {
+		c := draw.withBody(arch.Body)
+		c.bind = draw.bind // the copy has the same fields, so the same binding
+		return c
+	}
+	c := sensing.withBody(arch.Body)
+	if c.Rebind() != nil {
+		return nil
+	}
+	return c
 }
 
 // MutateArch applies one μNAS-style architecture morphism: widen/narrow a
@@ -214,7 +248,7 @@ func (s *Space) MutateArch(rng *rand.Rand, parent *Candidate) *Candidate {
 // candidate (the local grid of Algorithm 1's GRIDMUTATE), keeping only
 // valid pairs.
 func (s *Space) GridNeighbors(parent *Candidate) []*Candidate {
-	var out []*Candidate
+	out := make([]*Candidate, 0, 7) // the gesture neighbourhood's size; KWS has 6
 	pfp := parent.Fingerprint()
 	add := func(c *Candidate) {
 		if c.Validate() == nil && c.Fingerprint() != pfp {

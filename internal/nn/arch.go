@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -301,7 +302,9 @@ func (a *Arch) Analyze() (Analysis, error) {
 	}
 	vol, ok := product(a.Input...)
 	if len(a.Input) == 0 || !ok {
-		return Analysis{}, fmt.Errorf("nn: invalid input shape %v", a.Input)
+		// Format a copy: handing a.Input itself to fmt would make every
+		// Arch that is analyzed escape to the heap.
+		return Analysis{}, fmt.Errorf("nn: invalid input shape %v", slices.Clone(a.Input))
 	}
 	w := walker{an: Analysis{PeakActivation: vol, PeakPair: vol}, rank: len(a.Input), vol: vol, prev: vol}
 	if w.rank == 3 {

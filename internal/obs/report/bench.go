@@ -25,18 +25,24 @@ type BenchResult struct {
 	Runs    int64   `json:"runs"`
 	NsPerOp float64 `json:"ns_per_op"`
 	// BPerOp/AllocsPerOp are present only under -benchmem (MemReported).
+	// MemReported is kept in the trajectory file, so a diff of two files
+	// can tell a zero-allocation benchmark from one run without -benchmem.
 	BPerOp      int64 `json:"b_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
-	MemReported bool  `json:"-"`
+	MemReported bool  `json:"benchmem,omitempty"`
 }
 
 // benchLine matches e.g.
 //
-//	BenchmarkFoo-8   	 1000	   1234 ns/op	  56 B/op	   7 allocs/op
+//	BenchmarkFoo-8   	 1000	   1234 ns/op	 9.5 evals/s	  56 B/op	   7 allocs/op
 //
-// with the B/op and allocs/op fields optional (absent without -benchmem).
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// up to ns/op; benchMetric then reads the value-unit pairs after it, which
+// hold any metrics the benchmark reports itself and, under -benchmem, the
+// B/op and allocs/op fields.
+var (
+	benchLine   = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op((?:\s+\S+\s+\S+)*)`)
+	benchMetric = regexp.MustCompile(`(\S+)\s+(\S+)`)
+)
 
 var benchPkgLine = regexp.MustCompile(`^pkg:\s+(\S+)`)
 
@@ -63,12 +69,14 @@ func ParseGoBench(r io.Reader) ([]BenchResult, error) {
 		res.Procs, _ = strconv.Atoi(m[2])
 		res.Runs, _ = strconv.ParseInt(m[3], 10, 64)
 		res.NsPerOp, _ = strconv.ParseFloat(m[4], 64)
-		if m[5] != "" {
-			res.BPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-			res.MemReported = true
-		}
-		if m[6] != "" {
-			res.AllocsPerOp, _ = strconv.ParseInt(m[6], 10, 64)
+		for _, f := range benchMetric.FindAllStringSubmatch(m[5], -1) {
+			switch f[2] {
+			case "B/op":
+				res.BPerOp, _ = strconv.ParseInt(f[1], 10, 64)
+				res.MemReported = true
+			case "allocs/op":
+				res.AllocsPerOp, _ = strconv.ParseInt(f[1], 10, 64)
+			}
 		}
 		out = append(out, res)
 	}

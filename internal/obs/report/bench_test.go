@@ -208,3 +208,35 @@ func TestDiffBench(t *testing.T) {
 		}
 	}
 }
+
+// TestParseGoBenchCustomMetrics pins a line whose benchmark reports its own
+// metric (b.ReportMetric), which Go prints between ns/op and B/op: the
+// memory fields must still be read, and they must survive the trajectory
+// file, so that a diff of two files flags allocs/op growth.
+func TestParseGoBenchCustomMetrics(t *testing.T) {
+	parse := func(line string) report.BenchFile {
+		t.Helper()
+		results, err := report.ParseGoBench(strings.NewReader("pkg: solarml\n" + line + "\n"))
+		if err != nil || len(results) != 1 {
+			t.Fatalf("parse %q: %v, %+v", line, err, results)
+		}
+		var buf bytes.Buffer
+		if err := report.NewBenchFile(results).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		bf, err := report.ReadBenchFile(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bf
+	}
+	old := parse("BenchmarkSearch-2   \t     100\t    300000 ns/op\t    280000 evals/s\t  126000 B/op\t     432 allocs/op")
+	r := old.Benchmarks["BenchmarkSearch"]
+	if r.NsPerOp != 300000 || r.BPerOp != 126000 || r.AllocsPerOp != 432 || !r.MemReported {
+		t.Fatalf("custom-metric line read back as %+v", r)
+	}
+	cur := parse("BenchmarkSearch-2   \t     100\t    290000 ns/op\t    290000 evals/s\t  127000 B/op\t     433 allocs/op")
+	if d := report.DiffBench(old, cur)[0]; !d.AllocsUp || !d.Regressed(0.3) {
+		t.Fatalf("allocs/op growth between trajectory files not flagged: %+v", d)
+	}
+}

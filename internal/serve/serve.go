@@ -315,10 +315,6 @@ func (s *Server) runBatch(ex *nn.Int8Executor, staging []float64, batch []*reque
 		copy(staging[i*s.inVol:(i+1)*s.inVol], r.x)
 	}
 	logits := ex.Forward(staging[:n*s.inVol], n)
-	// Count the batch before releasing its callers: a caller holding its
-	// reply must find its batch in the metrics.
-	s.batches.Inc()
-	s.batchSize.Observe(float64(n))
 	for i, r := range batch {
 		row := logits[i*s.classes : (i+1)*s.classes]
 		copy(r.out, row)
@@ -328,9 +324,15 @@ func (s *Server) runBatch(ex *nn.Int8Executor, staging []float64, batch []*reque
 				r.cls = j
 			}
 		}
+	}
+	// Record the batch before releasing its callers: a caller holding its
+	// reply must find its batch in the metrics.
+	s.batches.Inc()
+	s.batchSize.Observe(float64(n))
+	s.batchSeconds.Observe(time.Since(start).Seconds())
+	for _, r := range batch {
 		r.job.done.Done() // r belongs to its caller from here on
 	}
-	s.batchSeconds.Observe(time.Since(start).Seconds())
 	sp.End()
 }
 

@@ -314,3 +314,52 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("nil model accepted")
 	}
 }
+
+// TestBatchSecondsBeforeReply pins the batch histogram's ordering: a
+// worker observes serve.batch_seconds before it releases the batch's
+// callers, so a /metrics scrape right after a reply already counts that
+// reply's batch. Serial requests run one batch each.
+func TestBatchSecondsBeforeReply(t *testing.T) {
+	m, calib := testModel(t)
+	reg := obs.NewRegistry()
+	s, err := New(Config{Model: m, Reg: reg, BatchDeadline: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mux := http.NewServeMux()
+	mux.Handle("/", s.Handler())
+	mux.Handle("/metrics", reg.PrometheusHandler())
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	body, _ := json.Marshal(classifyRequest{Instances: [][]float64{calib.Data[:m.InVol()]}})
+	for n := 1; n <= 20; n++ {
+		resp, err := http.Post(srv.URL+"/classify", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("classify status %d", resp.StatusCode)
+		}
+		resp, err = http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text bytes.Buffer
+		_, err = text.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("serve_batches %d\n", n),
+			fmt.Sprintf("serve_batch_seconds_count %d\n", n),
+		} {
+			if !strings.Contains(text.String(), want) {
+				t.Fatalf("scrape after reply %d lacks %q:\n%s", n, strings.TrimSpace(want), text.String())
+			}
+		}
+	}
+}
