@@ -36,8 +36,12 @@ bench-obs:
 # bench-energy pins the joule ledger's hot-path cost: the enabled charge
 # must stay allocation-free and the nil-ledger no-op near zero, so
 # producers can charge unconditionally (no `if led != nil` at call sites).
+# BenchmarkLedgerContention then sets striped lanes against one shared
+# ledger across worker counts: the number that justifies striping the fleet
+# ledger, run long enough for the contention to show.
 bench-energy:
-	$(GO) test -run NONE -bench 'BenchmarkLedger|BenchmarkNoopLedger' -benchtime 100x -benchmem ./internal/obs/energy/
+	$(GO) test -run NONE -bench 'BenchmarkLedgerCharge|BenchmarkLedgerSync|BenchmarkNoopLedger' -benchtime 100x -benchmem ./internal/obs/energy/
+	$(GO) test -run NONE -bench 'BenchmarkLedgerContention' -benchtime 200000x -count 3 -benchmem ./internal/obs/energy/
 
 # bench-fleet records the fleet simulation throughput pair into the
 # trajectory: BenchmarkFleetDeviceYears (event-driven core) against

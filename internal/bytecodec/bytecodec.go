@@ -62,9 +62,6 @@ func (r *Reader) Err() error { return r.err }
 // Len returns how many bytes remain unread.
 func (r *Reader) Len() int { return len(r.b) }
 
-// Rest returns the unread remainder of the buffer.
-func (r *Reader) Rest() []byte { return r.b }
-
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("bytecodec: "+format, args...)

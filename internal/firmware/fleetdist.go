@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"solarml/internal/obs"
-	"solarml/internal/obs/fleetobs"
 )
 
 // Registry histogram names for the per-device fleet distributions.
@@ -22,7 +21,7 @@ const (
 
 // Fixed bucket ladders for the per-device distributions. Geometric ladders
 // cover minutes-long smoke fleets and device-year runs with the same flat
-// arrays; quantiles interpolate inside buckets (fleetobs.Dist).
+// arrays; quantiles interpolate inside buckets (obs.Dist).
 var (
 	fleetInteractionBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1e3, 2.5e3, 5e3, 1e4, 1e5}
 	fleetBrownOutBounds    = []float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 1e3}
@@ -34,22 +33,22 @@ var (
 // fleet aggregate says "2 % of interactions browned out", the distributions
 // say whether that is every device browning out rarely or a dark-corner
 // cohort browning out constantly. Capture is flat-array and allocation-free
-// per device (fleetobs.Dist), so ten-million-device fleets pay a few
+// per device (obs.Dist), so ten-million-device fleets pay a few
 // hundred bytes total.
 type FleetDists struct {
-	Interactions fleetobs.Dist
-	BrownOuts    fleetobs.Dist
-	HarvestedJ   fleetobs.Dist
-	FinalV       fleetobs.Dist
+	Interactions obs.Dist
+	BrownOuts    obs.Dist
+	HarvestedJ   obs.Dist
+	FinalV       obs.Dist
 }
 
 // NewFleetDists returns empty distributions over the fixed fleet ladders.
 func NewFleetDists() FleetDists {
 	return FleetDists{
-		Interactions: fleetobs.NewDist(fleetInteractionBounds),
-		BrownOuts:    fleetobs.NewDist(fleetBrownOutBounds),
-		HarvestedJ:   fleetobs.NewDist(fleetHarvestedBounds),
-		FinalV:       fleetobs.NewDist(fleetFinalVBounds),
+		Interactions: obs.NewDist(fleetInteractionBounds),
+		BrownOuts:    obs.NewDist(fleetBrownOutBounds),
+		HarvestedJ:   obs.NewDist(fleetHarvestedBounds),
+		FinalV:       obs.NewDist(fleetFinalVBounds),
 	}
 }
 
@@ -82,12 +81,12 @@ func (d *FleetDists) WriteCSV(w io.Writer) error {
 	if d == nil {
 		return nil
 	}
-	if err := fleetobs.WriteCSVHeader(w); err != nil {
+	if err := obs.WriteDistCSVHeader(w); err != nil {
 		return err
 	}
 	for _, row := range []struct {
 		name string
-		dist *fleetobs.Dist
+		dist *obs.Dist
 	}{
 		{"interactions", &d.Interactions},
 		{"brownouts", &d.BrownOuts},
@@ -103,7 +102,7 @@ func (d *FleetDists) WriteCSV(w io.Writer) error {
 
 // quantileLine renders one distribution's p50/p95/p99 with the given format
 // verb per value.
-func quantileLine(d *fleetobs.Dist, format string) string {
+func quantileLine(d *obs.Dist, format string) string {
 	return fmt.Sprintf(format+"/"+format+"/"+format,
 		d.Quantile(0.50), d.Quantile(0.95), d.Quantile(0.99))
 }

@@ -191,7 +191,3 @@ func Search(space *nas.Space, sensing *nas.Candidate, eval nas.Evaluator, cfg Co
 	}
 	return &Outcome{BestAccuracy: out.Best, History: out.History, Evaluations: out.Evaluations}, nil
 }
-
-// ParetoEntries returns the history's accuracy/energy points for frontier
-// reporting.
-func (o *Outcome) ParetoEntries() []Entry { return o.History }

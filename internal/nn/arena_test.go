@@ -287,73 +287,6 @@ func TestFitBatchLargerThanTotalBitIdentical(t *testing.T) {
 	checkFitMatchesReference(t, 5, TrainConfig{Epochs: 2, BatchSize: 32, LR: 0.05, Momentum: 0.9, Seed: 9})
 }
 
-// TestFitQATBitIdentical covers the QAT snapshot reuse path against the
-// reference straight-through loop.
-func TestFitQATBitIdentical(t *testing.T) {
-	cfg := TrainConfig{Epochs: 1, BatchSize: 4, LR: 0.05, QATWeightBits: 8, Seed: 13}
-	x, y := edgeBatchData(9)
-
-	ref := buildComputeTestNet()
-	ref.Init(rand.New(rand.NewSource(23)))
-	refQAT(ref, x, y, cfg)
-
-	got := buildComputeTestNet()
-	got.Init(rand.New(rand.NewSource(23)))
-	got.Fit(x, y, cfg)
-
-	refParams, gotParams := ref.Params(), got.Params()
-	for i := range refParams {
-		tensorsBitEqual(t, "param value", refParams[i].Value, gotParams[i].Value)
-	}
-}
-
-// refQAT is fitReference with the straight-through QAT snapshot/restore
-// using the allocating SnapshotParams/RestoreParams pair.
-func refQAT(net *Network, inputs *tensor.Tensor, labels []int, cfg TrainConfig) {
-	if cfg.ClipNorm == 0 {
-		cfg.ClipNorm = 5
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum, Decay: cfg.Decay}
-	params := net.Params()
-	total := inputs.Shape[0]
-	sample := len(inputs.Data) / total
-	order := rng.Perm(total)
-	for ep := 0; ep < cfg.Epochs; ep++ {
-		rng.Shuffle(total, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for start := 0; start < total; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > total {
-				end = total
-			}
-			bs := end - start
-			bshape := append([]int{bs}, net.InShape...)
-			bx := tensor.New(bshape...)
-			by := make([]int, bs)
-			for bi := 0; bi < bs; bi++ {
-				src := order[start+bi]
-				copy(bx.Data[bi*sample:(bi+1)*sample], inputs.Data[src*sample:(src+1)*sample])
-				by[bi] = labels[src]
-			}
-			net.ZeroGrads()
-			freshArena(net)
-			snap := net.SnapshotParams()
-			for _, p := range params {
-				quantizeTensorSym(p.Value, cfg.QATWeightBits)
-			}
-			logits := net.Forward(bx, true)
-			_, grad := CrossEntropy(logits, by)
-			for li := len(net.Layers) - 1; li >= 0; li-- {
-				grad = net.Layers[li].Backward(grad)
-			}
-			net.RestoreParams(snap)
-			var clip gradClipper
-			clip.clip(serialContext, params, cfg.ClipNorm)
-			opt.StepCtx(serialContext, params)
-		}
-	}
-}
-
 // TestArenaBatchShapeChangeBitIdentical runs the same network through batch
 // sizes 8 → 3 → 8 reusing its arena and compares logits, input gradients
 // and parameter gradients against a fresh-allocation twin (a fresh arena

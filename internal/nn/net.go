@@ -20,9 +20,6 @@ type Network struct {
 	ctx   *compute.Context
 	arena Arena
 
-	// qatSnap is the reused QAT shadow-weight snapshot (see trainStep).
-	qatSnap [][]float64
-
 	// loss and clip cache the dispatch closures for the loss head and the
 	// gradient clipper, so steady-state steps allocate nothing (see ReLU).
 	loss lossScratch
@@ -321,14 +318,7 @@ type TrainConfig struct {
 	// varying input sizes at one learning rate; clipping keeps the
 	// large-input ones from diverging. Set negative to disable.
 	ClipNorm float64
-	// QATWeightBits, when positive, enables quantization-aware training:
-	// each minibatch runs forward/backward with the weights snapped to a
-	// symmetric grid of this many bits while the optimizer updates the
-	// full-precision shadow weights (straight-through estimation). The
-	// trained model then survives post-training quantization at the same
-	// width with far less accuracy loss.
-	QATWeightBits int
-	Seed          int64
+	Seed     int64
 	// Verbose, when set, receives one line per epoch.
 	Verbose func(epoch int, loss float64)
 	// Obs, when set, receives one nn.epoch event per epoch (index, mean
@@ -389,19 +379,10 @@ func (c *gradClipper) clip(ctx *compute.Context, params []*Param, limit float64)
 // clipping, and the optimizer update, returning the batch loss. params is
 // the cached n.Params() slice (Params allocates; callers hoist it out of the
 // epoch loop). The step performs no steady-state heap allocations: loss
-// scratch, every layer buffer, and the QAT shadow snapshot are all reused.
+// scratch and every layer buffer are reused.
 func (n *Network) trainStep(bx *tensor.Tensor, by []int, params []*Param, opt *SGD, cfg *TrainConfig) float64 {
 	for _, p := range params {
 		p.zeroGrad()
-	}
-	qat := cfg.QATWeightBits > 0
-	if qat {
-		// Straight-through estimator: compute with quantized weights,
-		// update the full-precision shadows.
-		n.qatSnap = snapshotInto(n.qatSnap, params)
-		for _, p := range params {
-			quantizeTensorSym(p.Value, cfg.QATWeightBits)
-		}
 	}
 	logits := n.Forward(bx, true)
 	probs := n.arena.tensor(n, slotProbs, logits.Shape...)
@@ -410,29 +391,11 @@ func (n *Network) trainStep(bx *tensor.Tensor, by []int, params []*Param, opt *S
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		grad = n.Layers[i].Backward(grad)
 	}
-	if qat {
-		for i, p := range params {
-			copy(p.Value.Data, n.qatSnap[i])
-		}
-	}
 	if cfg.ClipNorm > 0 {
 		n.clip.clip(n.ctx, params, cfg.ClipNorm)
 	}
 	opt.StepCtx(n.ctx, params)
 	return loss
-}
-
-// snapshotInto copies every parameter value into dst, reusing its backing
-// arrays; it is SnapshotParams without the steady-state allocations.
-func snapshotInto(dst [][]float64, params []*Param) [][]float64 {
-	if cap(dst) < len(params) {
-		dst = make([][]float64, len(params))
-	}
-	dst = dst[:len(params)]
-	for i, p := range params {
-		dst[i] = append(dst[i][:0], p.Value.Data...)
-	}
-	return dst
 }
 
 // Fit trains the network on (inputs, labels) with softmax cross-entropy.

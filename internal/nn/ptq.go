@@ -1,11 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-
-	"solarml/internal/tensor"
-)
+import "fmt"
 
 // SnapshotParams copies every trainable parameter value, so callers can
 // restore a network after destructive operations (weight snapping during
@@ -39,30 +34,4 @@ func (n *Network) RestoreParams(snap [][]float64) {
 type PTQConfig struct {
 	WeightBits int
 	ActBits    int
-}
-
-// quantizeTensorSym snaps t to a symmetric b-bit grid (QAT's fake-quant
-// forward weights).
-func quantizeTensorSym(t *tensor.Tensor, bits int) {
-	maxAbs := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		return
-	}
-	levels := float64(int64(1)<<uint(bits-1)) - 1
-	scale := maxAbs / levels
-	for i, v := range t.Data {
-		q := math.Round(v / scale)
-		if q > levels {
-			q = levels
-		}
-		if q < -levels {
-			q = -levels
-		}
-		t.Data[i] = q * scale
-	}
 }

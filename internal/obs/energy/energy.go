@@ -9,19 +9,20 @@
 //   - A nil *Ledger is a valid disabled ledger: every method returns
 //     immediately and allocates nothing, so the producers (harvest steps,
 //     firmware sessions, training loops) carry no conditionals.
-//   - The enabled hot path — Charge, Harvest — is one atomic CAS add per
-//     call, no locks, no allocations; 50 kHz harvest replays stay cheap.
+//   - The enabled hot path — Charge, Harvest — is one obs.Gauge.Add per
+//     call (an atomic CAS add), no locks, no allocations; 50 kHz harvest
+//     replays stay cheap.
 //   - Sync publishes the accumulated totals into an obs.Registry as
 //     monotonic microjoule counters (delta-published so rounding never
 //     accumulates), supercap/harvest-rate gauges, and the per-interaction
 //     joule histogram, which the Prometheus /metrics endpoint and metrics
-//     snapshots then expose without further glue.
+//     snapshots then expose without further glue. Ledger and the striped
+//     ShardedLedger publish through one shared publisher.
 package energy
 
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"solarml/internal/obs"
 )
@@ -101,66 +102,35 @@ var InteractionBucketsUJ = []float64{
 	10, 50, 100, 500, 1e3, 5e3, 1e4, 5e4, 1e5, 1e6,
 }
 
-// atomicF64 is a float64 with atomic add/load/store via CAS on the bits.
-type atomicF64 struct{ bits atomic.Uint64 }
-
-func (a *atomicF64) Add(d float64) {
-	for {
-		old := a.bits.Load()
-		if a.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-func (a *atomicF64) Load() float64   { return math.Float64frombits(a.bits.Load()) }
-func (a *atomicF64) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
-
 // Ledger attributes joules to accounts. Concurrent Charge/Harvest calls are
 // safe and lock-free; Sync serializes publication under a short mutex.
 type Ledger struct {
-	consumed  [numAccounts]atomicF64
-	harvested atomicF64
-	supercapJ atomicF64
-	supercapV atomicF64
-	harvestW  atomicF64
+	consumed  [numAccounts]obs.Gauge
+	harvested obs.Gauge
+	supercapJ obs.Gauge
+	supercapV obs.Gauge
+	harvestW  obs.Gauge
 
-	// Pre-resolved registry instruments (nil with a nil registry; every
+	// Pre-resolved registry level gauges (nil with a nil registry; every
 	// nil instrument is a valid no-op).
-	accountC     [numAccounts]*obs.Counter
-	harvestedC   *obs.Counter
-	consumedC    *obs.Counter
-	gSupercapJ   *obs.Gauge
-	gSupercapV   *obs.Gauge
-	gHarvestW    *obs.Gauge
+	gSupercapJ *obs.Gauge
+	gSupercapV *obs.Gauge
+	gHarvestW  *obs.Gauge
+	// hInteraction receives ObserveInteraction: the registry histogram of
+	// a NewLedger ledger, a private unregistered one on a ShardedLedger
+	// stripe.
 	hInteraction *obs.Histogram
 
-	// onInteraction, when set, receives interaction joules instead of the
-	// registry histogram. ShardedLedger stripes use it to route interaction
-	// observations onto the stripe's lock-free histogram lane.
-	onInteraction func(joules float64)
-
-	// pub tracks the µJ totals already published to the counters, so Sync
-	// adds exact deltas: the counter always equals round(total µJ) and
-	// per-sync rounding never accumulates.
-	pub struct {
-		mu          sync.Mutex
-		accountUJ   [numAccounts]int64
-		harvestedUJ int64
-		consumedUJ  int64
-	}
+	// pub publishes the totals into the registry counters (nil with a nil
+	// registry).
+	pub *publisher
 }
 
 // NewLedger returns a ledger publishing into reg on Sync. reg may be nil:
 // the ledger still accumulates (Snapshot, Summary, and WriteCSV work) but
 // publishes nothing — the shape examples and tests use.
 func NewLedger(reg *obs.Registry) *Ledger {
-	l := &Ledger{}
-	for a := Account(0); a < numAccounts; a++ {
-		l.accountC[a] = reg.Counter(AccountCounter(a))
-	}
-	l.harvestedC = reg.Counter(CounterHarvestedUJ)
-	l.consumedC = reg.Counter(CounterConsumedUJ)
+	l := &Ledger{pub: newPublisher(reg, nil)}
 	l.gSupercapJ = reg.Gauge(GaugeSupercapJ)
 	l.gSupercapV = reg.Gauge(GaugeSupercapV)
 	l.gHarvestW = reg.Gauge(GaugeHarvestRateW)
@@ -209,8 +179,8 @@ func (l *Ledger) SetSupercap(volts, joules float64) {
 	if l == nil {
 		return
 	}
-	l.supercapV.Store(volts)
-	l.supercapJ.Store(joules)
+	l.supercapV.Set(volts)
+	l.supercapJ.Set(joules)
 	l.gSupercapV.Set(volts)
 	l.gSupercapJ.Set(joules)
 }
@@ -221,7 +191,7 @@ func (l *Ledger) SetHarvestRate(watts float64) {
 	if l == nil {
 		return
 	}
-	l.harvestW.Store(watts)
+	l.harvestW.Set(watts)
 	l.gHarvestW.Set(watts)
 }
 
@@ -229,10 +199,6 @@ func (l *Ledger) SetHarvestRate(watts float64) {
 // joules-per-interaction histogram (µJ buckets).
 func (l *Ledger) ObserveInteraction(joules float64) {
 	if l == nil {
-		return
-	}
-	if l.onInteraction != nil {
-		l.onInteraction(joules)
 		return
 	}
 	l.hInteraction.Observe(joules * 1e6)
@@ -243,7 +209,7 @@ func (l *Ledger) Consumed(a Account) float64 {
 	if l == nil || a >= numAccounts {
 		return 0
 	}
-	return l.consumed[a].Load()
+	return l.consumed[a].Value()
 }
 
 // TotalConsumed returns the joules charged across all accounts.
@@ -253,7 +219,7 @@ func (l *Ledger) TotalConsumed() float64 {
 	}
 	var t float64
 	for i := range l.consumed {
-		t += l.consumed[i].Load()
+		t += l.consumed[i].Value()
 	}
 	return t
 }
@@ -263,7 +229,7 @@ func (l *Ledger) TotalHarvested() float64 {
 	if l == nil {
 		return 0
 	}
-	return l.harvested.Load()
+	return l.harvested.Value()
 }
 
 // Sync publishes the accumulated totals into the registry instruments:
@@ -272,32 +238,83 @@ func (l *Ledger) TotalHarvested() float64 {
 // any explicit metrics flush; a nil ledger or one built over a nil registry
 // is a no-op.
 func (l *Ledger) Sync() {
-	if l == nil || l.harvestedC == nil {
+	if l == nil || l.pub == nil {
 		return
 	}
-	l.pub.mu.Lock()
-	var consumedUJ float64
-	for i := range l.consumed {
-		j := l.consumed[i].Load()
+	l.pub.sync(l)
+	l.gSupercapV.Set(l.supercapV.Value())
+	l.gSupercapJ.Set(l.supercapJ.Value())
+	l.gHarvestW.Set(l.harvestW.Value())
+}
+
+// publisher turns ledger totals into the registry's µJ counters. It tracks
+// the µJ already published, so each sync adds exact deltas: a counter
+// always equals round(total µJ) and per-sync rounding never accumulates.
+// Ledger and ShardedLedger share it; the striped lane also gives it the
+// registry interaction histogram as sink, into which every sync drains the
+// stripes' private histograms.
+type publisher struct {
+	accountC   [numAccounts]*obs.Counter
+	harvestedC *obs.Counter
+	consumedC  *obs.Counter
+	sink       *obs.Histogram
+
+	mu          sync.Mutex
+	accountUJ   [numAccounts]int64
+	harvestedUJ int64
+	consumedUJ  int64
+}
+
+// newPublisher resolves the counters in reg; nil with a nil registry.
+func newPublisher(reg *obs.Registry, sink *obs.Histogram) *publisher {
+	if reg == nil {
+		return nil
+	}
+	p := &publisher{
+		harvestedC: reg.Counter(CounterHarvestedUJ),
+		consumedC:  reg.Counter(CounterConsumedUJ),
+		sink:       sink,
+	}
+	for a := Account(0); a < numAccounts; a++ {
+		p.accountC[a] = reg.Counter(AccountCounter(a))
+	}
+	return p
+}
+
+// sync publishes the ledgers' summed totals. Each account is summed across
+// the ledgers, and consumption is the sum of the accounts' µJ, so one
+// ledger publishes exactly what it holds. The totals are read under the
+// mutex, so concurrent syncs never move a counter backwards.
+func (p *publisher) sync(ledgers ...*Ledger) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var consumedUJ, harvestedJ float64
+	for i := range p.accountUJ {
+		var j float64
+		for _, l := range ledgers {
+			j += l.consumed[i].Value()
+		}
 		consumedUJ += j * 1e6
-		tot := int64(math.Round(j * 1e6))
-		if d := tot - l.pub.accountUJ[i]; d != 0 {
-			l.accountC[i].Add(d)
-			l.pub.accountUJ[i] = tot
+		p.accountUJ[i] = publishUJ(p.accountC[i], p.accountUJ[i], j*1e6)
+	}
+	p.consumedUJ = publishUJ(p.consumedC, p.consumedUJ, consumedUJ)
+	for _, l := range ledgers {
+		harvestedJ += l.harvested.Value()
+	}
+	p.harvestedUJ = publishUJ(p.harvestedC, p.harvestedUJ, harvestedJ*1e6)
+	if p.sink != nil {
+		for _, l := range ledgers {
+			p.sink.Merge(l.hInteraction.Drain())
 		}
 	}
-	if tot := int64(math.Round(consumedUJ)); tot != l.pub.consumedUJ {
-		l.consumedC.Add(tot - l.pub.consumedUJ)
-		l.pub.consumedUJ = tot
-	}
-	if tot := int64(math.Round(l.harvested.Load() * 1e6)); tot != l.pub.harvestedUJ {
-		l.harvestedC.Add(tot - l.pub.harvestedUJ)
-		l.pub.harvestedUJ = tot
-	}
-	l.pub.mu.Unlock()
-	l.gSupercapV.Set(l.supercapV.Load())
-	l.gSupercapJ.Set(l.supercapJ.Load())
-	l.gHarvestW.Set(l.harvestW.Load())
+}
+
+// publishUJ adds round(uj) minus the published total to c and returns the
+// new published total.
+func publishUJ(c *obs.Counter, published int64, uj float64) int64 {
+	tot := int64(math.Round(uj))
+	c.Add(tot - published)
+	return tot
 }
 
 // Snapshot is a point-in-time copy of the ledger.
@@ -330,12 +347,12 @@ func (l *Ledger) Snapshot() Snapshot {
 		return s
 	}
 	for i := range l.consumed {
-		s.AccountJ[i] = l.consumed[i].Load()
+		s.AccountJ[i] = l.consumed[i].Value()
 		s.ConsumedJ += s.AccountJ[i]
 	}
-	s.HarvestedJ = l.harvested.Load()
-	s.SupercapJ = l.supercapJ.Load()
-	s.SupercapV = l.supercapV.Load()
-	s.HarvestRateW = l.harvestW.Load()
+	s.HarvestedJ = l.harvested.Value()
+	s.SupercapJ = l.supercapJ.Value()
+	s.SupercapV = l.supercapV.Value()
+	s.HarvestRateW = l.harvestW.Value()
 	return s
 }

@@ -2,41 +2,26 @@ package energy
 
 import (
 	"io"
-	"math"
-	"sync"
 
 	"solarml/internal/obs"
-	"solarml/internal/obs/fleetobs"
 )
 
 // ShardedLedger is the fleet-scale joule ledger: one accumulate-only Ledger
 // stripe per worker, summed on read. The single Ledger is already lock-free,
-// but at fleet scale every worker's Charge lands a CAS on the same account
-// cache line and the interaction histogram serializes on its mutex — the
-// fleet loop spends its time in retries instead of simulation. Stripes give
-// each worker private lines (the fleetobs discipline); a registry hook
-// publishes summed totals as exact µJ counter deltas on every snapshot, so
-// Prometheus scrapes and metrics flushes see the same numbers a single
-// shared ledger would have shown.
+// but at fleet scale every worker's Charge would land a CAS on the same
+// account cache line and every interaction on the same histogram mutex.
+// Each stripe instead owns its accounts and a private unregistered
+// interaction histogram, whose mutex only its own worker takes; a registry
+// hook publishes the summed totals through the publisher Ledger.Sync uses,
+// as exact µJ counter deltas plus the drained stripe histograms, so
+// Prometheus scrapes and metrics flushes see the numbers a single shared
+// ledger would have shown.
 //
 // A nil *ShardedLedger is a valid disabled ledger: Stripe returns a nil
 // *Ledger (itself a valid no-op) and every method returns zero values.
 type ShardedLedger struct {
 	stripes []*Ledger
-	// hist carries the joules-per-interaction histogram on the striped
-	// lane; stripe ledgers route ObserveInteraction here via onInteraction.
-	hist *fleetobs.ShardedHistogram
-
-	accountC   [numAccounts]*obs.Counter
-	harvestedC *obs.Counter
-	consumedC  *obs.Counter
-
-	pub struct {
-		mu          sync.Mutex
-		accountUJ   [numAccounts]int64
-		harvestedUJ int64
-		consumedUJ  int64
-	}
+	pub     *publisher
 }
 
 // NewShardedLedger returns a ledger striped across the given worker count
@@ -51,22 +36,14 @@ func NewShardedLedger(reg *obs.Registry, stripes int) *ShardedLedger {
 	}
 	sl := &ShardedLedger{
 		stripes: make([]*Ledger, stripes),
-		hist:    fleetobs.NewShardedHistogram(reg, HistInteractionUJ, InteractionBucketsUJ, stripes),
+		pub:     newPublisher(reg, reg.Histogram(HistInteractionUJ, InteractionBucketsUJ)),
 	}
 	for w := range sl.stripes {
 		l := NewLedger(nil)
-		w := w
-		l.onInteraction = func(joules float64) { sl.hist.Observe(w, joules*1e6) }
+		l.hInteraction = obs.NewHistogram(InteractionBucketsUJ)
 		sl.stripes[w] = l
 	}
-	if reg != nil {
-		for a := Account(0); a < numAccounts; a++ {
-			sl.accountC[a] = reg.Counter(AccountCounter(a))
-		}
-		sl.harvestedC = reg.Counter(CounterHarvestedUJ)
-		sl.consumedC = reg.Counter(CounterConsumedUJ)
-		reg.OnSnapshot(sl.Sync)
-	}
+	reg.OnSnapshot(sl.Sync)
 	return sl
 }
 
@@ -98,11 +75,11 @@ func (sl *ShardedLedger) Snapshot() Snapshot {
 	}
 	for _, l := range sl.stripes {
 		for i := range l.consumed {
-			j := l.consumed[i].Load()
+			j := l.consumed[i].Value()
 			s.AccountJ[i] += j
 			s.ConsumedJ += j
 		}
-		s.HarvestedJ += l.harvested.Load()
+		s.HarvestedJ += l.harvested.Value()
 	}
 	return s
 }
@@ -127,29 +104,13 @@ func (sl *ShardedLedger) Summary() string { return sl.Snapshot().Summary() }
 func (sl *ShardedLedger) WriteCSV(w io.Writer) error { return sl.Snapshot().WriteCSV(w) }
 
 // Sync publishes the summed stripe totals into the registry counters as
-// exact µJ deltas, mirroring Ledger.Sync. Registered as an OnSnapshot hook,
-// so every registry consumer reads current totals; explicit calls are
-// idempotent. (The interaction histogram syncs through its own hook.)
+// exact µJ deltas, and drains the stripes' interaction histograms into the
+// registry's, through the publisher Ledger.Sync uses. Registered as an
+// OnSnapshot hook, so every registry consumer reads current totals;
+// explicit calls are idempotent.
 func (sl *ShardedLedger) Sync() {
-	if sl == nil || sl.harvestedC == nil {
+	if sl == nil || sl.pub == nil {
 		return
 	}
-	s := sl.Snapshot()
-	sl.pub.mu.Lock()
-	for i := range s.AccountJ {
-		tot := int64(math.Round(s.AccountJ[i] * 1e6))
-		if d := tot - sl.pub.accountUJ[i]; d != 0 {
-			sl.accountC[i].Add(d)
-			sl.pub.accountUJ[i] = tot
-		}
-	}
-	if tot := int64(math.Round(s.ConsumedJ * 1e6)); tot != sl.pub.consumedUJ {
-		sl.consumedC.Add(tot - sl.pub.consumedUJ)
-		sl.pub.consumedUJ = tot
-	}
-	if tot := int64(math.Round(s.HarvestedJ * 1e6)); tot != sl.pub.harvestedUJ {
-		sl.harvestedC.Add(tot - sl.pub.harvestedUJ)
-		sl.pub.harvestedUJ = tot
-	}
-	sl.pub.mu.Unlock()
+	sl.pub.sync(sl.stripes...)
 }

@@ -33,12 +33,13 @@ func TestShardedLedgerEquivalence(t *testing.T) {
 				stripe.Charge(AccountSense, 1e-6)
 				stripe.Charge(AccountInfer, 3e-6)
 				stripe.Harvest(5e-6)
-				stripe.ObserveInteraction(4e-6)
+				interaction := float64((w*perWorker+i)%1500) * 1.3e-6
+				stripe.ObserveInteraction(interaction)
 				plainMu.Lock()
 				pl.Charge(AccountSense, 1e-6)
 				pl.Charge(AccountInfer, 3e-6)
 				pl.Harvest(5e-6)
-				pl.ObserveInteraction(4e-6)
+				pl.ObserveInteraction(interaction)
 				plainMu.Unlock()
 			}
 		}(w)
@@ -73,6 +74,47 @@ func TestShardedLedgerEquivalence(t *testing.T) {
 	for i := range sh.Counts {
 		if sh.Counts[i] != ph.Counts[i] {
 			t.Fatalf("interaction bucket %d: %d vs %d", i, sh.Counts[i], ph.Counts[i])
+		}
+	}
+	// Min and max are exact; the float sum accumulates in a different order
+	// across stripes, so it gets rounding slack.
+	if sh.Min != ph.Min || sh.Max != ph.Max {
+		t.Fatalf("interaction min/max: sharded (%g,%g) plain (%g,%g)", sh.Min, sh.Max, ph.Min, ph.Max)
+	}
+	if math.Abs(sh.Sum-ph.Sum) > 1e-9*math.Abs(ph.Sum) {
+		t.Fatalf("interaction sum: sharded %g plain %g", sh.Sum, ph.Sum)
+	}
+}
+
+// TestShardedLedgerRepeatedSnapshotsIdentical takes two registry snapshots
+// back to back over a striped ledger: the second sync has nothing new to
+// publish, so counters and the interaction histogram must read the same.
+func TestShardedLedgerRepeatedSnapshotsIdentical(t *testing.T) {
+	reg := obs.NewRegistry()
+	sl := NewShardedLedger(reg, 3)
+	for i := 0; i < 300; i++ {
+		stripe := sl.Stripe(i)
+		stripe.Charge(AccountDetect, 1.7e-7)
+		stripe.Charge(AccountInfer, 2.3e-6)
+		stripe.Harvest(3.1e-6)
+		stripe.ObserveInteraction(float64(i) * 1e-6)
+	}
+	first, second := reg.Snapshot(), reg.Snapshot()
+	if len(first.Counters) == 0 || first.Counters[CounterConsumedUJ] == 0 {
+		t.Fatalf("first snapshot published nothing: %v", first.Counters)
+	}
+	for name, v := range first.Counters {
+		if second.Counters[name] != v {
+			t.Fatalf("counter %s: %d then %d", name, v, second.Counters[name])
+		}
+	}
+	a, b := first.Histograms[HistInteractionUJ], second.Histograms[HistInteractionUJ]
+	if a.Count != 300 || b.Count != a.Count || b.Sum != a.Sum || b.Min != a.Min || b.Max != a.Max {
+		t.Fatalf("interaction histogram changed between snapshots: %+v then %+v", a, b)
+	}
+	for i := range a.Counts {
+		if a.Counts[i] != b.Counts[i] {
+			t.Fatalf("interaction bucket %d: %d then %d", i, a.Counts[i], b.Counts[i])
 		}
 	}
 }

@@ -1,3 +1,7 @@
+// Package fleetobs is the live view of a long fleet (or island-search)
+// run: the Inspector behind /debug/fleet and its bounded downsampling
+// time-series ring. Workers report progress on cache-line-padded stripes,
+// so the hot path shares no lines; the read side sums the stripes.
 package fleetobs
 
 import (
@@ -5,7 +9,13 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"solarml/internal/obs"
 )
+
+// cacheLine is the assumed coherence granule. Stripes are padded to it so
+// two workers never share a line.
+const cacheLine = 64
 
 // secondsPerYear converts unit-seconds to unit-years for the headline
 // throughput figure (device-years/sec for fleets).
@@ -25,10 +35,10 @@ type WorkerStatus struct {
 type Status struct {
 	// Units names what is being counted: "devices" for fleet runs,
 	// "cycles" for island searches.
-	Units    string `json:"units"`
-	Total    int64  `json:"total"`
-	Done     int64  `json:"done"`
-	Finished bool   `json:"finished"`
+	Units    string  `json:"units"`
+	Total    int64   `json:"total"`
+	Done     int64   `json:"done"`
+	Finished bool    `json:"finished"`
 	ElapsedS float64 `json:"elapsed_s"`
 	// RatePerSec is completed units per wall-clock second.
 	RatePerSec float64 `json:"rate_per_sec"`
@@ -37,8 +47,8 @@ type Status struct {
 	UnitYearsPerSec float64 `json:"unit_years_per_sec"`
 	// EtaS estimates the remaining wall-clock seconds at the current rate
 	// (0 until the first unit completes, and once finished).
-	EtaS    float64            `json:"eta_s"`
-	Workers []WorkerStatus     `json:"workers"`
+	EtaS    float64        `json:"eta_s"`
+	Workers []WorkerStatus `json:"workers"`
 	// Accounts carries the run's joule-ledger account totals when an
 	// accounts source is attached.
 	Accounts map[string]float64 `json:"accounts,omitempty"`
@@ -49,18 +59,18 @@ type Status struct {
 // inspStripe is one worker's progress stripe, padded to a cache line.
 type inspStripe struct {
 	done        atomic.Int64
-	unitSeconds atomicFloat
+	unitSeconds obs.Gauge
 	lastNano    atomic.Int64
 	_           [cacheLine - 24]byte
 }
 
 // Inspector makes a long fleet (or island-search) run observable while it
-// runs: workers report per-unit completion through striped atomics (the
-// same no-shared-lines discipline as ShardedHistogram), and the read side —
-// the /debug/fleet handler — derives progress, throughput, ETA, per-worker
-// lag, and a bounded downsampled time series from them. A nil *Inspector is
-// a valid disabled inspector: Advance and Finish return immediately, so the
-// fleet loop needs no guards.
+// runs: workers report per-unit completion through striped atomics (one
+// padded stripe per worker, so no two workers share a line), and the read
+// side — the /debug/fleet handler — derives progress, throughput, ETA,
+// per-worker lag, and a bounded downsampled time series from them. A nil
+// *Inspector is a valid disabled inspector: Advance and Finish return
+// immediately, so the fleet loop needs no guards.
 type Inspector struct {
 	units string
 	total int64
@@ -71,8 +81,8 @@ type Inspector struct {
 	lastNano atomic.Int64 // unix-nano of the last ring sample
 	gapNano  atomic.Int64 // current ring gap, mirrored for the hot-path check
 
-	accounts atomic.Pointer[func() map[string]float64]
-	finished atomic.Bool
+	accounts   atomic.Pointer[func() map[string]float64]
+	finished   atomic.Bool
 	finishNano atomic.Int64
 }
 
@@ -119,7 +129,7 @@ func (in *Inspector) Advance(w, n int, unitSeconds float64) {
 	s := &in.stripes[uint(w)%uint(len(in.stripes))]
 	s.done.Add(int64(n))
 	if unitSeconds != 0 {
-		s.unitSeconds.add(unitSeconds)
+		s.unitSeconds.Add(unitSeconds)
 	}
 	now := time.Now().UnixNano()
 	s.lastNano.Store(now)
@@ -149,7 +159,7 @@ func (in *Inspector) maybeSample(now int64) {
 func (in *Inspector) totals() (done int64, unitSeconds float64) {
 	for i := range in.stripes {
 		done += in.stripes[i].done.Load()
-		unitSeconds += in.stripes[i].unitSeconds.load()
+		unitSeconds += in.stripes[i].unitSeconds.Value()
 	}
 	return done, unitSeconds
 }
@@ -192,7 +202,7 @@ func (in *Inspector) Status() Status {
 	for i := range in.stripes {
 		done := in.stripes[i].done.Load()
 		st.Done += done
-		unitSecs += in.stripes[i].unitSeconds.load()
+		unitSecs += in.stripes[i].unitSeconds.Value()
 		lag := 0.0
 		if last := in.stripes[i].lastNano.Load(); last > 0 && !finished {
 			lag = float64(now-last) / 1e9

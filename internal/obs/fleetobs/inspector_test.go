@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"solarml/internal/obs"
+	"solarml/internal/obs/energy"
 )
 
 func TestInspectorStatus(t *testing.T) {
@@ -134,13 +135,13 @@ func TestInspectorSSE(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrapeRace is the race-detector workout from the ISSUE:
-// fleet workers publish into sharded instruments and the inspector while
-// registry snapshots (the Prometheus scrape path and the sampler's sync)
-// run concurrently.
+// TestConcurrentScrapeRace is the race-detector workout of the fleet path:
+// workers charge the striped joule ledger and report to the inspector
+// while registry snapshots (the Prometheus scrape path and the sampler's
+// sync) run concurrently.
 func TestConcurrentScrapeRace(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := NewShardedHistogram(reg, "fleet.energy_uj", obs.TimeBuckets, 4)
+	led := energy.NewShardedLedger(reg, 4)
 	in := NewInspector("devices", 10000, 4)
 
 	var writers, readers sync.WaitGroup
@@ -151,7 +152,8 @@ func TestConcurrentScrapeRace(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
-				h.Observe(w, float64(i%100)*1e-4)
+				led.Stripe(w).Charge(energy.AccountInfer, 1e-6)
+				led.Stripe(w).ObserveInteraction(float64(i%100) * 1e-6)
 				in.Advance(w, 1, 1)
 			}
 		}(w)
@@ -180,8 +182,12 @@ func TestConcurrentScrapeRace(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got := reg.Snapshot().Histograms["fleet.energy_uj"].Count; got != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", got)
+	s := reg.Snapshot()
+	if got := s.Histograms[energy.HistInteractionUJ].Count; got != 8000 {
+		t.Fatalf("interaction histogram count = %d, want 8000", got)
+	}
+	if got := s.Counters[energy.AccountCounter(energy.AccountInfer)]; got != 8000 {
+		t.Fatalf("infer counter = %d µJ, want 8000", got)
 	}
 	if got := in.Status().Done; got != 8000 {
 		t.Fatalf("inspector done = %d, want 8000", got)

@@ -5,7 +5,6 @@ import (
 	"expvar"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -75,18 +74,15 @@ func (g *Registry) Histogram(name string, bounds []float64) *Histogram {
 	defer g.mu.Unlock()
 	h, ok := g.hists[name]
 	if !ok {
-		b := make([]float64, len(bounds))
-		copy(b, bounds)
-		sort.Float64s(b)
-		h = &Histogram{bounds: b, counts: make([]uint64, len(b)+1), min: math.Inf(1), max: math.Inf(-1)}
+		h = NewHistogram(bounds)
 		g.hists[name] = h
 	}
 	return h
 }
 
 // OnSnapshot registers fn to run at the start of every Snapshot call —
-// before any instrument is read. Sharded instruments (fleetobs, the striped
-// energy ledger) register their sum-and-publish step here, so every
+// before any instrument is read. Striped instruments (the fleet's energy
+// ledger) register their sum-and-publish step here, so every
 // consumer of the registry — a Prometheus scrape, the periodic sampler, the
 // final -metrics-out flush, expvar — sees up-to-date totals without the
 // producers ever touching a shared cache line on the hot path. Hooks may
@@ -153,18 +149,31 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed buckets. Bucket i counts values
-// v ≤ bounds[i] that exceed every lower bound (cumulative "le" semantics
-// per bucket edge, like Prometheus); one overflow bucket catches the rest.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []uint64
-	count  uint64
-	sum    float64
-	min    float64
-	max    float64
+// Add adds d to the stored value. It is a compare-and-swap loop on the
+// float bits; with one writer per gauge, as in the striped ledger and the
+// fleet inspector, the first attempt succeeds. The atomicity is what keeps
+// concurrent readers race-free.
+func (g *Gauge) Add(d float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
+		}
+	}
 }
+
+// Histogram is a Dist behind a mutex, safe for concurrent observers.
+type Histogram struct {
+	mu sync.Mutex
+	d  Dist
+}
+
+// NewHistogram returns an unregistered histogram over the given upper
+// bucket bounds (copied and sorted); Registry.Histogram registers one.
+func NewHistogram(bounds []float64) *Histogram { return &Histogram{d: NewDist(bounds)} }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
@@ -172,51 +181,44 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v
-	h.counts[i]++
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
+	h.d.Observe(v)
+	h.mu.Unlock()
 }
 
-// Merge folds a snapshot into the histogram: per-bucket counts, total
-// count, and sum are added, min/max are widened. The snapshot's bounds must
-// match the histogram's (same values, same order); mismatches are dropped
-// rather than corrupting buckets. This is the bulk-publication path for
-// sharded instruments: a striped histogram accumulates lock-free per worker
-// and merges per-stripe deltas here on read, so the merged histogram equals
-// one that observed every value directly.
+// Merge folds a snapshot into the histogram; see Dist.Merge. This is the
+// bulk-publication path for per-device distributions and striped
+// histograms.
 func (h *Histogram) Merge(s HistogramSnapshot) {
-	if h == nil || s.Count == 0 {
+	if h == nil {
 		return
 	}
 	h.mu.Lock()
+	h.d.Merge(s)
+	h.mu.Unlock()
+}
+
+// Snapshot copies the histogram state.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
+	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(s.Bounds) != len(h.bounds) || len(s.Counts) != len(h.counts) {
-		return
+	return h.d.Snapshot()
+}
+
+// Drain returns the histogram state and empties the histogram, so an owner
+// that merges it into a shared histogram on every read publishes each
+// observation exactly once.
+func (h *Histogram) Drain() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
 	}
-	for i, b := range s.Bounds {
-		if b != h.bounds[i] {
-			return
-		}
-	}
-	for i, c := range s.Counts {
-		h.counts[i] += c
-	}
-	h.count += s.Count
-	h.sum += s.Sum
-	if s.Min < h.min {
-		h.min = s.Min
-	}
-	if s.Max > h.max {
-		h.max = s.Max
-	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.d.Snapshot()
+	h.d = NewDist(h.d.bounds)
+	return s
 }
 
 // HistogramSnapshot is the exported state of one histogram. Counts has one
@@ -280,7 +282,7 @@ type Snapshot struct {
 }
 
 // Snapshot copies the registry state. A nil registry yields a zero
-// snapshot. Read-side hooks registered via OnSnapshot run first, so sharded
+// snapshot. Read-side hooks registered via OnSnapshot run first, so striped
 // instruments publish their summed state before it is copied.
 func (g *Registry) Snapshot() Snapshot {
 	var s Snapshot
@@ -318,19 +320,7 @@ func (g *Registry) Snapshot() Snapshot {
 	if len(hists) > 0 {
 		s.Histograms = make(map[string]HistogramSnapshot, len(hists))
 		for k, h := range hists {
-			h.mu.Lock()
-			hs := HistogramSnapshot{
-				Bounds: append([]float64(nil), h.bounds...),
-				Counts: append([]uint64(nil), h.counts...),
-				Count:  h.count,
-				Sum:    h.sum,
-			}
-			if h.count > 0 {
-				hs.Mean = h.sum / float64(h.count)
-				hs.Min, hs.Max = h.min, h.max
-			}
-			h.mu.Unlock()
-			s.Histograms[k] = hs
+			s.Histograms[k] = h.Snapshot()
 		}
 	}
 	return s

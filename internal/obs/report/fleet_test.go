@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"solarml/internal/obs"
-	"solarml/internal/obs/fleetobs"
 	"solarml/internal/obs/report"
 )
 
@@ -20,8 +19,8 @@ func recordFleet(t testing.TB) []byte {
 	reg := obs.NewRegistry()
 	rec.WriteManifest(obs.Manifest{Tool: "lifetime", Seed: 1})
 
-	interactions := fleetobs.NewDist([]float64{10, 100, 1000})
-	finalV := fleetobs.NewDist([]float64{1, 2, 3, 4})
+	interactions := obs.NewDist([]float64{10, 100, 1000})
+	finalV := obs.NewDist([]float64{1, 2, 3, 4})
 	for d := 0; d < 16; d++ {
 		interactions.Observe(float64(40 + d*10))
 		finalV.Observe(2.0 + float64(d)*0.05)

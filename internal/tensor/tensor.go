@@ -120,13 +120,6 @@ func (t *Tensor) RandFill(rng *rand.Rand, scale float64) {
 	}
 }
 
-// RandNormal fills t with Gaussian values of the given standard deviation.
-func (t *Tensor) RandNormal(rng *rand.Rand, stddev float64) {
-	for i := range t.Data {
-		t.Data[i] = rng.NormFloat64() * stddev
-	}
-}
-
 // SameShape reports whether a and b have identical shapes.
 func SameShape(a, b *Tensor) bool {
 	if len(a.Shape) != len(b.Shape) {
