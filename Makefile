@@ -1,18 +1,22 @@
 # SolarML repo checks. `make verify` is the tier-1 gate (build + full test
-# suite); `make check` adds vet and the race detector over the packages with
-# real concurrency (the obs sink, sampler, and report analytics, the
-# parallel eNAS evaluator, and the parallel compute backend).
+# suite); `make check` adds gofmt, vet and the race detector over the
+# packages with real concurrency (the obs sink, sampler, and report
+# analytics, the parallel eNAS evaluator, and the parallel compute backend).
 
 GO ?= go
 # BUILD_DIR collects generated smoke artifacts (transcripts, checkpoints,
 # fleet snapshots) so the repo root stays clean; it is git-ignored wholesale.
 BUILD_DIR ?= build
 
-.PHONY: verify vet race check bench bench-obs bench-energy bench-fleet bench-int8 bench-json bench-smoke bench-diff smoke-report search-resume-smoke fuzz-smoke
+.PHONY: verify fmt vet race check bench bench-obs bench-energy bench-fleet bench-int8 bench-json bench-smoke bench-diff smoke-report search-resume-smoke fuzz-smoke
 
 verify:
 	$(GO) build ./...
 	$(GO) test ./...
+
+# fmt fails when any Go file is not gofmt-formatted, listing the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -20,7 +24,7 @@ vet:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/obs/energy/... ./internal/obs/fleetobs/... ./internal/obs/report/... ./internal/evo/... ./internal/enas/... ./internal/munas/... ./internal/harvnet/... ./internal/nas/... ./internal/compute/... ./internal/nn/... ./internal/serve/... ./internal/sim/... ./internal/firmware/...
 
-check: verify vet race
+check: verify fmt vet race
 
 # bench regenerates every paper table/figure through the benchmark harness.
 bench:

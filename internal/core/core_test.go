@@ -7,7 +7,6 @@ import (
 
 	"solarml/internal/dataset"
 	"solarml/internal/nas"
-	"solarml/internal/nn"
 	"solarml/internal/powertrace"
 	"solarml/internal/quant"
 )
@@ -178,30 +177,6 @@ func TestSimulateSleepMechanismWeakLight(t *testing.T) {
 	p := NewPlatform()
 	if _, err := p.SimulateSleepMechanism(5, false); err == nil {
 		t.Fatal("weak light must prevent the session (N2 guard)")
-	}
-}
-
-func TestCompareEndToEnd(t *testing.T) {
-	p := NewPlatform()
-	// eNAS-style lean sensing vs sensing-unaware baseline.
-	lean := dataset.GestureConfig{Channels: 4, RateHz: 40, Quant: quant.Config{Res: quant.Int, Bits: 6}}
-	leanMACs := nn.KindMACs{}.With(nn.KindConv, 350_000).With(nn.KindDense, 40_000)
-	cmp, err := p.CompareEndToEnd(
-		SolarMLConfig("solarml digits", nas.TaskGesture, lean, defaultAudioFrontEnd(), leanMACs, 5),
-		PSBaselineConfig("ps+munas digits", nas.TaskGesture, defaultGestureSensing(), defaultAudioFrontEnd(), muNASGestureMACs(), 5),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Savings <= 0.1 {
-		t.Fatalf("savings %.2f, expected substantial", cmp.Savings)
-	}
-	t500, ok := cmp.HarvestTimeS[500]
-	if !ok || t500 <= 0 {
-		t.Fatal("missing 500 lux harvest time")
-	}
-	if cmp.HarvestTimeS[1000] >= t500 || t500 >= cmp.HarvestTimeS[250] {
-		t.Fatal("harvest time must decrease with illuminance")
 	}
 }
 

@@ -39,26 +39,3 @@ type EndToEndComparison struct {
 	// one SolarML session.
 	HarvestTimeS map[float64]float64
 }
-
-// CompareEndToEnd simulates both sessions and the harvesting times at the
-// paper's three illuminance levels (250, 500, 1000 lux).
-func (p *Platform) CompareEndToEnd(solarml, baseline SessionConfig) (*EndToEndComparison, error) {
-	sml, err := p.RunSession(solarml)
-	if err != nil {
-		return nil, err
-	}
-	base, err := p.RunSession(baseline)
-	if err != nil {
-		return nil, err
-	}
-	cmp := &EndToEndComparison{
-		SolarML:      sml,
-		Baseline:     base,
-		Savings:      1 - sml.Total/base.Total,
-		HarvestTimeS: make(map[float64]float64),
-	}
-	for _, lux := range []float64{250, 500, 1000} {
-		cmp.HarvestTimeS[lux] = p.HarvestTime(sml.Total, lux)
-	}
-	return cmp, nil
-}

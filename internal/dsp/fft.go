@@ -142,4 +142,3 @@ func Resample(x []float64, outLen int) []float64 {
 	}
 	return out
 }
-

@@ -69,9 +69,9 @@ func TestSearchDeterministicWithTelemetry(t *testing.T) {
 
 	// The trace must decode and carry ≥1 cycle event per cycle with the
 	// documented attributes, plus the phase and search spans.
-	events, err := obs.ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("trace does not decode: %v", err)
+	events, skipped, err := obs.ScanTrace(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("trace does not decode: %v, %d lines skipped", err, skipped)
 	}
 	var cycles, phases, searches int
 	for _, e := range events {

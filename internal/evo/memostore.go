@@ -44,13 +44,13 @@ type MemoStats struct {
 	Duplicates int
 }
 
-// MemoStore is the persistent, mergeable backing of the evaluation memo: an
+// MemoStore is the persistent backing of the evaluation memo: an
 // append-only JSONL file of fingerprint→Result records that island shards
-// share within a run and that separate runs reconcile with MergeMemoFiles.
-// The reader is tolerant in the obs.ScanTrace style — corrupt or truncated
-// lines are skipped and counted, never fatal — because the writer may have
-// been killed mid-line; the scope header is the one hard gate, since a memo
-// is only sound for the evaluator configuration it was computed under.
+// share within a run. The reader is tolerant in the obs.ScanTrace style —
+// corrupt or truncated lines are skipped and counted, never fatal — because
+// the writer may have been killed mid-line; the scope header is the one
+// hard gate, since a memo is only sound for the evaluator configuration it
+// was computed under.
 type MemoStore struct {
 	mu    sync.Mutex
 	path  string
@@ -257,77 +257,4 @@ func indexByte(b []byte, c byte) int {
 		}
 	}
 	return -1
-}
-
-// MergeMemoFiles folds the entries of the src memo files into dst,
-// reconciling across runs: scopes must agree (dst adopts the first src's
-// scope when it does not exist yet), duplicate fingerprints keep dst's
-// existing result, and tolerant reads apply to every input. Returns how
-// many entries were added to dst.
-func MergeMemoFiles(dst string, srcs ...string) (added int, err error) {
-	scope := ""
-	type srcSet struct {
-		scope   string
-		entries map[uint64]nas.Result
-	}
-	var sets []srcSet
-	for _, src := range srcs {
-		data, rerr := os.ReadFile(src)
-		if rerr != nil {
-			return added, rerr
-		}
-		sscope, entries, _, rerr := readMemoData(data)
-		if rerr != nil {
-			return added, fmt.Errorf("evo: memo %s: %w", src, rerr)
-		}
-		if scope == "" {
-			scope = sscope
-		} else if sscope != scope {
-			return added, fmt.Errorf("evo: memo %s has scope %q, want %q", src, sscope, scope)
-		}
-		sets = append(sets, srcSet{scope: sscope, entries: entries})
-	}
-	if data, rerr := os.ReadFile(dst); rerr == nil && len(data) > 0 {
-		dscope, _, _, derr := readMemoData(data)
-		if derr != nil {
-			return added, fmt.Errorf("evo: memo %s: %w", dst, derr)
-		}
-		scope = dscope
-	} else if scope == "" {
-		return 0, fmt.Errorf("evo: merge needs at least one readable input")
-	}
-	store, err := OpenMemoStore(dst, scope)
-	if err != nil {
-		return added, err
-	}
-	defer store.Close()
-	for _, set := range sets {
-		if set.scope != scope {
-			return added, fmt.Errorf("evo: memo scope %q does not match destination %q", set.scope, scope)
-		}
-		// Deterministic append order: sorted fingerprints per source.
-		fps := make([]uint64, 0, len(set.entries))
-		for fp := range set.entries {
-			fps = append(fps, fp)
-		}
-		sortUint64s(fps)
-		for _, fp := range fps {
-			if _, ok := store.known[fp]; ok {
-				continue
-			}
-			if err := store.Append(fp, set.entries[fp]); err != nil {
-				return added, err
-			}
-			added++
-		}
-	}
-	return added, nil
-}
-
-func sortUint64s(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

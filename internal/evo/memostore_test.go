@@ -160,51 +160,3 @@ func TestMemoStoreHardErrors(t *testing.T) {
 		}
 	})
 }
-
-func TestMergeMemoFiles(t *testing.T) {
-	rA := nas.Result{Accuracy: 0.5, EnergyJ: 1e-3}
-	rB := nas.Result{Accuracy: 0.6, EnergyJ: 2e-3}
-	rB2 := nas.Result{Accuracy: 0.99, EnergyJ: 9e-3}
-	rC := nas.Result{Accuracy: 0.7, EnergyJ: 3e-3}
-
-	src1 := writeMemoFile(t, "a.memo", memoHeader, memoEntryLine(1, rA), memoEntryLine(2, rB))
-	// src2 overlaps on fp 2 (with a different result — dst's existing entry
-	// must win) and contributes fp 3 plus a corrupt tail to skip.
-	src2 := writeMemoFile(t, "b.memo", memoHeader, memoEntryLine(2, rB2), memoEntryLine(3, rC), `{"v":1,"fp":"trunc`)
-
-	dst := filepath.Join(t.TempDir(), "merged.memo")
-	added, err := evo.MergeMemoFiles(dst, src1, src2)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if added != 3 {
-		t.Fatalf("merge added %d entries, want 3", added)
-	}
-	s, err := evo.OpenMemoStore(dst, "s")
-	if err != nil {
-		t.Fatalf("open merged: %v", err)
-	}
-	defer s.Close()
-	got := s.Entries()
-	if len(got) != 3 {
-		t.Fatalf("merged store has %d entries, want 3", len(got))
-	}
-	if got[2] != rB {
-		t.Fatalf("merge overwrote fp 2 with the later result; first-wins expected")
-	}
-
-	// Merging again is idempotent.
-	added, err = evo.MergeMemoFiles(dst, src1, src2)
-	if err != nil {
-		t.Fatalf("re-merge: %v", err)
-	}
-	if added != 0 {
-		t.Fatalf("re-merge added %d entries, want 0", added)
-	}
-
-	// Scope conflicts refuse to merge.
-	other := writeMemoFile(t, "c.memo", `{"v":1,"kind":"header","scope":"different"}`, memoEntryLine(9, rA))
-	if _, err := evo.MergeMemoFiles(dst, other); err == nil {
-		t.Fatal("merge across scopes succeeded")
-	}
-}

@@ -68,12 +68,12 @@ func MultiExit(seed int64) (*MultiExitResult, error) {
 	}
 	m.Init(rng)
 	m.SetCompute(computeCtx())
-	m.Fit(trX, trY, nn.FitConfig{Epochs: 10, BatchSize: 16, LR: 0.03, Momentum: 0.9, Seed: seed})
+	m.Fit(trX, trY, nn.TrainConfig{Epochs: 10, BatchSize: 16, LR: 0.03, Momentum: 0.9, Seed: seed})
 
 	coeff := energymodel.DefaultCoefficients()
 	res := &MultiExitResult{}
 	for k := 0; k < m.NumExits(); k++ {
-		res.ExitMACs = append(res.ExitMACs, m.MACsThroughExit(k))
+		res.ExitMACs = append(res.ExitMACs, m.MACsByKindThroughExit(k).Total())
 		res.ExitAccs = append(res.ExitAccs, m.AccuracyAtExit(teX, teY, k))
 	}
 	// Budget sweep from below the cheapest exit to above the deepest.

@@ -270,14 +270,11 @@ func endToEndFor(p *core.Platform, task nas.Task, fig10 *Fig10Result) (*core.End
 		nBase = len(order)
 	}
 
-	session := func(cfg core.SessionConfig) (*core.SessionReport, error) {
-		return p.RunSession(cfg)
-	}
 	// Average the eNAS sessions; keep the λ=0.5 report as representative.
 	var smlTotal float64
 	var smlRep *core.SessionReport
 	for i, e := range fig10.ENASEntries {
-		rep, err := session(core.SolarMLConfig("SolarML "+task.String(), task,
+		rep, err := p.RunSession(core.SolarMLConfig("SolarML "+task.String(), task,
 			e.Cand.Gesture, e.Cand.Audio, e.Res.MACsByKind, waitS))
 		if err != nil {
 			return nil, err
@@ -293,7 +290,7 @@ func endToEndFor(p *core.Platform, task nas.Task, fig10 *Fig10Result) (*core.End
 	var baseRep *core.SessionReport
 	for k := 0; k < nBase; k++ {
 		e := fig10.MuNASEntries[order[k]]
-		rep, err := session(core.PSBaselineConfig("PS+µNAS "+task.String(), task,
+		rep, err := p.RunSession(core.PSBaselineConfig("PS+µNAS "+task.String(), task,
 			e.Cand.Gesture, e.Cand.Audio, e.Res.MACsByKind, waitS))
 		if err != nil {
 			return nil, err

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"solarml/internal/harvest"
+	"solarml/internal/obs/energy"
 )
 
 // The fixed-step integrator below is the pre-event-queue simulator. No
@@ -21,7 +24,7 @@ func (s *Simulator) charge(t0, t1, stepS float64, sensing bool) float64 {
 		dt := math.Min(stepS, t1-t)
 		before := s.harv.Cap.Energy()
 		if sensing {
-			s.harv.ChargeShaded(s.cfg.Lux.Lux(t+dt/2), dt, 0.4, 0.8, true)
+			chargeShaded(s.harv, s.cfg.Lux.Lux(t+dt/2), dt)
 		} else {
 			s.harv.Charge(s.cfg.Lux.Lux(t+dt/2), dt, false)
 		}
@@ -31,6 +34,27 @@ func (s *Simulator) charge(t0, t1, stepS float64, sensing bool) float64 {
 		t += dt
 	}
 	return harvested
+}
+
+// chargeShaded is the harvester's fixed-step charge while the user's hand
+// shadows the array during a session (40% of the cells at 80% depth,
+// sensing cells switched out, as the event-driven Run charges them): the
+// shaded input power is deposited for dt, then the cap leaks, and an
+// attached ledger books the step as harvest.Harvester.Charge does.
+func chargeShaded(h *harvest.Harvester, lux, dt float64) {
+	p := h.Array.HarvestPowerShaded(lux, 0.4, 0.8, true)*h.Efficiency - h.QuiescentW
+	if p < 0 {
+		p = 0
+	}
+	before := h.Cap.Energy()
+	h.Cap.AddEnergy(p * dt)
+	stored := h.Cap.Energy()
+	h.Cap.Leak(dt)
+	after := h.Cap.Energy()
+	h.Energy.Harvest(stored - before)
+	h.Energy.Charge(energy.AccountLeak, stored-after)
+	h.Energy.SetHarvestRate(p)
+	h.Energy.SetSupercap(h.Cap.V, after)
 }
 
 // RunFixedStep simulates `duration` seconds with user interactions at the

@@ -249,8 +249,7 @@ func (h *Harvester) AdvanceTo(t, lux float64) float64 {
 
 // AdvanceToShaded advances the clock to t while a hand hovers over the
 // array (a session in progress), with handCover of the cells shaded to
-// handShade depth on top of the sensing cells being switched out. The
-// analytic equivalent of ChargeShaded.
+// handShade depth on top of the sensing cells being switched out.
 func (h *Harvester) AdvanceToShaded(t, lux, handCover, handShade float64, sensingActive bool) float64 {
 	dt := h.clockTo(t)
 	p := h.shadedPower(lux, handCover, handShade, sensingActive)
@@ -330,8 +329,8 @@ func (h *Harvester) advanceRamp(t, lux0, lux1 float64) float64 {
 // form of the charge+leak ODE (no simulation steps, no state mutation).
 // Returns 0 when already at or above the target and +Inf when the target
 // is unreachable: above the VMax clamp, or beyond the steady-state level
-// p/k where leakage balances the input. SimulateTimeToVoltage is the
-// brute-force oracle this is pinned against.
+// p/k where leakage balances the input. The tests pin it against a
+// fixed-step charging replay.
 func (h *Harvester) TimeToVoltage(targetV, lux float64) float64 {
 	c := h.Cap
 	e0 := c.Energy()

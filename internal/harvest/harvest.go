@@ -30,10 +30,8 @@ type Harvester struct {
 	Efficiency float64
 	// QuiescentW is the harvester chip's own draw.
 	QuiescentW float64
-	// Obs, when set, records charge-replay telemetry: one span per
-	// SimulateTimeToVoltage replay (steps, elapsed time, final voltage)
-	// and one harvest.time event per TimeToHarvest query. The per-step
-	// Charge path stays uninstrumented — replays run millions of steps.
+	// Obs, when set, records one harvest.time event per TimeToHarvest
+	// query. The per-step Charge path stays uninstrumented.
 	Obs *obs.Recorder
 	// Energy, when set, books every charge step into the joule ledger:
 	// the post-clamp deposit as harvested income, leakage to the leak
@@ -116,17 +114,6 @@ func (h *Harvester) deposit(p, dt float64) {
 	h.Energy.SetSupercap(h.Cap.V, after)
 }
 
-// ChargeShaded advances the harvester by dt seconds while a hand hovers
-// over the array (a session in progress): handCover of the cells sit in
-// the hand's shadow at handShade depth, on top of the sensing cells being
-// switched out.
-func (h *Harvester) ChargeShaded(lux, dt, handCover, handShade float64, sensingActive bool) {
-	if dt < 0 {
-		panic(fmt.Sprintf("harvest: negative interval %v", dt))
-	}
-	h.deposit(h.shadedPower(lux, handCover, handShade, sensingActive), dt)
-}
-
 // shadedPower is InputPower's hand-shadow variant, memoized the same way.
 func (h *Harvester) shadedPower(lux, handCover, handShade float64, sensingActive bool) float64 {
 	m := &h.shadedMemo
@@ -159,37 +146,5 @@ func (h *Harvester) TimeToHarvest(energyJ, lux float64) float64 {
 	t := energyJ / net
 	h.Obs.Event("harvest.time", obs.F64("energy_j", energyJ),
 		obs.F64("lux", lux), obs.F64("net_w", net), obs.F64("seconds", t))
-	return t
-}
-
-// SimulateTimeToVoltage charges from the current supercap state until the
-// target voltage is reached, in fixed steps, and returns the elapsed time.
-// Returns +Inf if charging stalls (leak ≥ input).
-//
-// Deprecated-in-spirit: the event-driven core answers the same question in
-// closed form via TimeToVoltage; this replay (millions of sub-second steps
-// for slow charges) is retained as the brute-force oracle the analytic
-// solvers are pinned against in tests.
-func (h *Harvester) SimulateTimeToVoltage(targetV, lux, stepS float64) float64 {
-	if stepS <= 0 {
-		panic("harvest: non-positive step")
-	}
-	sp := h.Obs.StartSpan("harvest.replay",
-		obs.F64("target_v", targetV), obs.F64("lux", lux),
-		obs.F64("step_s", stepS), obs.F64("start_v", h.Cap.V))
-	t := 0.0
-	steps := 0
-	const maxT = 1e6
-	for h.Cap.V < targetV {
-		before := h.Cap.V
-		h.Charge(lux, stepS, false)
-		t += stepS
-		steps++
-		if h.Cap.V <= before || t > maxT {
-			sp.End(obs.Int("steps", steps), obs.Bool("stalled", true))
-			return math.Inf(1)
-		}
-	}
-	sp.End(obs.Int("steps", steps), obs.F64("elapsed_s", t), obs.F64("end_v", h.Cap.V))
 	return t
 }

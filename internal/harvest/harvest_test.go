@@ -1,9 +1,44 @@
 package harvest
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
+
+// ChargeShaded advances the harvester by dt seconds while a hand hovers
+// over the array (a session in progress): handCover of the cells sit in
+// the hand's shadow at handShade depth, on top of the sensing cells being
+// switched out. It is the fixed-step counterpart AdvanceToShaded is
+// checked against.
+func (h *Harvester) ChargeShaded(lux, dt, handCover, handShade float64, sensingActive bool) {
+	if dt < 0 {
+		panic(fmt.Sprintf("harvest: negative interval %v", dt))
+	}
+	h.deposit(h.shadedPower(lux, handCover, handShade, sensingActive), dt)
+}
+
+// SimulateTimeToVoltage charges from the current supercap state until the
+// target voltage is reached, in fixed steps, and returns the elapsed time.
+// Returns +Inf if charging stalls (leak ≥ input). It is the brute-force
+// oracle the closed-form TimeToVoltage and TimeToHarvest are pinned
+// against: millions of sub-second steps for slow charges.
+func (h *Harvester) SimulateTimeToVoltage(targetV, lux, stepS float64) float64 {
+	if stepS <= 0 {
+		panic("harvest: non-positive step")
+	}
+	t := 0.0
+	const maxT = 1e6
+	for h.Cap.V < targetV {
+		before := h.Cap.V
+		h.Charge(lux, stepS, false)
+		t += stepS
+		if h.Cap.V <= before || t > maxT {
+			return math.Inf(1)
+		}
+	}
+	return t
+}
 
 func TestInputPowerAt500Lux(t *testing.T) {
 	h := New()

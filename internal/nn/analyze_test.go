@@ -157,11 +157,11 @@ func perturb(rng *rand.Rand, a *nn.Arch) {
 			s.Pad = small()
 		}
 	case op == 1 && len(a.Body) > 0:
-		a.Body[rng.Intn(len(a.Body))].Kind = nn.LayerKind(rng.Intn(int(nn.KindDropout)+3) - 1)
+		a.Body[rng.Intn(len(a.Body))].Kind = nn.LayerKind(rng.Intn(int(nn.NumLayerKinds)+3) - 1)
 	case op == 2:
 		i := rng.Intn(len(a.Body) + 1)
 		s := nn.LayerSpec{
-			Kind: nn.LayerKind(rng.Intn(int(nn.KindDropout) + 2)),
+			Kind: nn.LayerKind(rng.Intn(int(nn.NumLayerKinds) + 2)),
 			Out:  small(), K: small(), Stride: small(), Pad: small(),
 		}
 		a.Body = append(a.Body[:i], append([]nn.LayerSpec{s}, a.Body[i:]...)...)
@@ -238,7 +238,7 @@ func TestAnalyzeRejectsBadGeometry(t *testing.T) {
 		{"dense-out0", nn.Arch{Input: img, Body: body(nn.LayerSpec{Kind: nn.KindDense, Out: 0}), Classes: 2}},
 		{"norm-on-vector", nn.Arch{Input: []int{16}, Body: body(nn.LayerSpec{Kind: nn.KindNorm}), Classes: 2}},
 		{"conv-after-dense", nn.Arch{Input: img, Body: body(nn.LayerSpec{Kind: nn.KindDense, Out: 8}, nn.LayerSpec{Kind: nn.KindConv, Out: 4, K: 1, Stride: 1}), Classes: 2}},
-		{"dropout-spec", nn.Arch{Input: []int{16}, Body: body(nn.LayerSpec{Kind: nn.KindDropout}), Classes: 2}},
+		{"kind-past-enum", nn.Arch{Input: []int{16}, Body: body(nn.LayerSpec{Kind: nn.NumLayerKinds}), Classes: 2}},
 		{"unknown-kind", nn.Arch{Input: []int{16}, Body: body(nn.LayerSpec{Kind: nn.LayerKind(99)}), Classes: 2}},
 		{"one-class", nn.Arch{Input: img, Classes: 1}},
 		{"no-input", nn.Arch{Classes: 2}},

@@ -7,7 +7,7 @@ import (
 )
 
 // Arena is a shape-keyed cache of per-step working buffers owned by one
-// network: layer outputs, input gradients, ReLU/dropout masks, pooling
+// network: layer outputs, input gradients, ReLU masks, pooling
 // argmax indices, batch-norm statistics, and the Fit/Accuracy staging
 // tensors. Each buffer is addressed by (owner, slot) — the layer pointer
 // plus a small tag distinguishing the buffers one layer holds live at the
@@ -48,7 +48,7 @@ type arenaKey struct {
 const (
 	slotOut    uint8 = iota // layer forward output
 	slotDX                  // layer backward input-gradient
-	slotMask                // ReLU bool mask / dropout float mask
+	slotMask                // ReLU bool mask
 	slotArg                 // MaxPool argmax indices
 	slotXHat                // BatchNorm normalized activations
 	slotStd                 // BatchNorm per-channel std

@@ -134,11 +134,10 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 		}
 		params := net.Params()
 		opt := &SGD{LR: 0.01, Momentum: 0.9}
-		cfg := &TrainConfig{ClipNorm: 5}
-		net.trainStep(x, y, params, opt, cfg) // warm arena and closures
+		net.trainStep(x, y, params, opt) // warm arena and closures
 
 		allocs := testing.AllocsPerRun(10, func() {
-			net.trainStep(x, y, params, opt, cfg)
+			net.trainStep(x, y, params, opt)
 		})
 		// The parallel pool may very occasionally grow a runtime sudog on a
 		// blocked channel send; everything under our control is zero.
@@ -191,11 +190,8 @@ func fitReference(net *Network, inputs *tensor.Tensor, labels []int, cfg TrainCo
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
 	}
-	if cfg.ClipNorm == 0 {
-		cfg.ClipNorm = 5
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum, Decay: cfg.Decay}
+	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum}
 	params := net.Params()
 	total := inputs.Shape[0]
 	sample := len(inputs.Data) / total
@@ -226,7 +222,7 @@ func fitReference(net *Network, inputs *tensor.Tensor, labels []int, cfg TrainCo
 				grad = net.Layers[li].Backward(grad)
 			}
 			var clip gradClipper
-			clip.clip(serialContext, params, cfg.ClipNorm)
+			clip.clip(serialContext, params, clipNorm)
 			opt.StepCtx(serialContext, params)
 			epochLoss += loss
 			batches++

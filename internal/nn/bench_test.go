@@ -107,12 +107,11 @@ func benchTrainStepArena(b *testing.B, workers int) {
 	net.SetCompute(compute.NewContextFor(workers, nil))
 	params := net.Params()
 	opt := &SGD{LR: 0.01, Momentum: 0.9}
-	cfg := &TrainConfig{ClipNorm: 5}
-	net.trainStep(x, y, params, opt, cfg) // warm the arena
+	net.trainStep(x, y, params, opt) // warm the arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.trainStep(x, y, params, opt, cfg)
+		net.trainStep(x, y, params, opt)
 	}
 }
 

@@ -359,8 +359,8 @@ func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) 
 			sCur = sOut
 		case *ReLU:
 			op.kind = opReLU // standalone (not fused): same grid, clamp at 0
-		case *Flatten, *Dropout:
-			// Memory no-ops at inference: no op emitted.
+		case *Flatten:
+			// A memory no-op at inference: no op emitted.
 			shape = outShape
 			li += consumed
 			continue

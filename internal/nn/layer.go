@@ -29,7 +29,6 @@ const (
 	KindNorm
 	KindReLU
 	KindFlatten
-	KindDropout
 	// NumLayerKinds is the number of layer kinds: kinds are the integers
 	// in [0, NumLayerKinds).
 	NumLayerKinds
@@ -54,8 +53,6 @@ func (k LayerKind) String() string {
 		return "ReLU"
 	case KindFlatten:
 		return "Flatten"
-	case KindDropout:
-		return "Dropout"
 	}
 	return "Unknown"
 }

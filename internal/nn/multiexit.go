@@ -7,7 +7,6 @@ import (
 
 	"solarml/internal/compute"
 	"solarml/internal/obs"
-	"solarml/internal/obs/energy"
 	"solarml/internal/tensor"
 )
 
@@ -33,7 +32,8 @@ type MultiExitNetwork struct {
 	loss lossScratch
 	clip gradClipper
 
-	stageOut []([]int) // per-stage output shape (per sample)
+	stageOut  []([]int)        // per-stage output shape (per sample)
+	headGrads []*tensor.Tensor // per-exit head input gradients of a step
 }
 
 // NewMultiExit splits arch.Body after the given body indices (each index
@@ -126,22 +126,9 @@ func (m *MultiExitNetwork) Params() []*Param {
 // NumExits returns the exit count.
 func (m *MultiExitNetwork) NumExits() int { return len(m.Exits) }
 
-// MACsThroughExit returns the per-sample MAC cost of leaving through exit
-// k: all stages up to and including k, plus k's head.
-func (m *MultiExitNetwork) MACsThroughExit(k int) int64 {
-	var macs int64
-	shape := m.InShape
-	for s := 0; s <= k; s++ {
-		for _, l := range m.Stages[s] {
-			macs += l.MACs(shape)
-			shape = l.OutShape(shape)
-		}
-	}
-	macs += m.Exits[k].MACs([]int{shapeVolume(m.stageOut[k])})
-	return macs
-}
-
-// MACsByKindThroughExit returns the per-kind breakdown for energy models.
+// MACsByKindThroughExit returns the per-sample MAC cost of leaving through
+// exit k, by layer kind for the energy models: all stages up to and
+// including k, plus k's head. Its Total is the single-number cost.
 func (m *MultiExitNetwork) MACsByKindThroughExit(k int) KindMACs {
 	var out KindMACs
 	shape := m.InShape
@@ -176,130 +163,59 @@ func (m *MultiExitNetwork) exitLogits(k int, stageOut *tensor.Tensor, train bool
 	return m.Exits[k].Forward(flat, train)
 }
 
-// FitConfig configures joint multi-exit training: the per-exit loss
-// weights default to uniform.
-type FitConfig struct {
-	Epochs      int
-	BatchSize   int
-	LR          float64
-	Momentum    float64
-	ExitWeights []float64
-	ClipNorm    float64
-	Seed        int64
-	// Obs, when set, wraps the run in an nn.fit_multiexit span carrying
-	// one nn.epoch event per epoch, mirroring TrainConfig.Obs.
-	Obs *obs.Recorder
-	// Energy and SampleEnergyJ book per-epoch training energy under the
-	// train account, as in TrainConfig.
-	Energy        *energy.Ledger
-	SampleEnergyJ float64
+// Fit trains backbone and exits jointly with the uniformly weighted sum of
+// per-exit cross-entropies. Returns the final epoch's mean loss. With
+// cfg.Obs set, the run is wrapped in an nn.fit_multiexit span.
+func (m *MultiExitNetwork) Fit(inputs *tensor.Tensor, labels []int, cfg TrainConfig) float64 {
+	return fit(m, &m.arena, m.InShape, inputs, labels, cfg, "nn.fit_multiexit", obs.Int("exits", len(m.Exits)))
 }
 
-// Fit trains backbone and exits jointly with a weighted sum of per-exit
-// cross-entropies. Returns the final epoch's mean loss.
-func (m *MultiExitNetwork) Fit(inputs *tensor.Tensor, labels []int, cfg FitConfig) float64 {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
+// trainStep runs one joint minibatch step (see Network.trainStep): every
+// exit's weighted loss and head backward, then the backbone backward with
+// each junction's exit gradient added in, clipping, and the update.
+func (m *MultiExitNetwork) trainStep(bx *tensor.Tensor, by []int, params []*Param, opt *SGD) float64 {
+	for _, p := range params {
+		p.zeroGrad()
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 1
+	if len(m.headGrads) != len(m.Exits) {
+		m.headGrads = make([]*tensor.Tensor, len(m.Exits))
 	}
-	if cfg.ClipNorm == 0 {
-		cfg.ClipNorm = 5
+	stageOuts := m.forwardStages(bx, true)
+	// Per-exit losses and head gradients. All exits share the (bs, Classes)
+	// loss scratch — each exit's gradient is consumed by its head's Backward
+	// before the next exit reuses the buffers.
+	w := 1.0 / float64(len(m.Exits))
+	loss := 0.0
+	for k := range m.Exits {
+		logits := m.exitLogits(k, stageOuts[k], true)
+		probs := m.arena.tensor(m, slotProbs, logits.Shape...)
+		g := m.arena.tensor(m, slotGrad, logits.Shape...)
+		loss += w * m.loss.crossEntropyInto(m.ctx, logits, by, probs, g)
+		g.Scale(w)
+		m.headGrads[k] = m.Exits[k].Backward(g) // grad wrt flattened stage out
 	}
-	weights := cfg.ExitWeights
-	if weights == nil {
-		weights = make([]float64, len(m.Exits))
-		for i := range weights {
-			weights[i] = 1.0 / float64(len(weights))
+	// Backbone backward, deepest stage first, accumulating the exit
+	// gradient at each junction.
+	var upstream *tensor.Tensor
+	for s := len(m.Stages) - 1; s >= 0; s-- {
+		g := m.arena.view(m, slotView, m.headGrads[s].Data, stageOuts[s].Shape...)
+		if upstream != nil {
+			// Zero-fill + copy + add reproduces Clone+Add bits; the
+			// accumulator is consumed by the stage's last layer before the
+			// next junction reuses it.
+			acc := m.arena.tensor(m, slotAcc, stageOuts[s].Shape...)
+			copy(acc.Data, g.Data)
+			acc.Add(upstream)
+			g = acc
 		}
-	}
-	if len(weights) != len(m.Exits) {
-		panic(fmt.Sprintf("nn: %d exit weights for %d exits", len(weights), len(m.Exits)))
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum}
-	params := m.Params()
-	total := inputs.Shape[0]
-	sample := len(inputs.Data) / total
-	order := rng.Perm(total)
-	bshape := append([]int{0}, m.InShape...)
-	headGrads := make([]*tensor.Tensor, len(m.Exits))
-	fit := cfg.Obs.StartSpan("nn.fit_multiexit",
-		obs.Int("samples", total), obs.Int("epochs", cfg.Epochs),
-		obs.Int("batch_size", cfg.BatchSize), obs.Int("exits", len(m.Exits)),
-		obs.F64("lr", cfg.LR))
-	var lastLoss float64
-	for ep := 0; ep < cfg.Epochs; ep++ {
-		rng.Shuffle(total, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		epochLoss, batches := 0.0, 0
-		for startIdx := 0; startIdx < total; startIdx += cfg.BatchSize {
-			end := startIdx + cfg.BatchSize
-			if end > total {
-				end = total
-			}
-			bs := end - startIdx
-			bshape[0] = bs
-			bx := m.arena.tensor(m, slotBatchX, bshape...)
-			by := m.arena.intsBuf(m, slotBatchY, bs)
-			for bi := 0; bi < bs; bi++ {
-				src := order[startIdx+bi]
-				copy(bx.Data[bi*sample:(bi+1)*sample], inputs.Data[src*sample:(src+1)*sample])
-				by[bi] = labels[src]
-			}
-			for _, p := range params {
-				p.zeroGrad()
-			}
-			stageOuts := m.forwardStages(bx, true)
-			// Per-exit losses and head gradients. All exits share the (bs,
-			// Classes) loss scratch — each exit's gradient is consumed by
-			// its head's Backward before the next exit reuses the buffers.
-			loss := 0.0
-			for k := range m.Exits {
-				logits := m.exitLogits(k, stageOuts[k], true)
-				probs := m.arena.tensor(m, slotProbs, logits.Shape...)
-				g := m.arena.tensor(m, slotGrad, logits.Shape...)
-				l := m.loss.crossEntropyInto(m.ctx, logits, by, probs, g)
-				loss += weights[k] * l
-				g.Scale(weights[k])
-				headGrads[k] = m.Exits[k].Backward(g) // grad wrt flattened stage out
-			}
-			// Backbone backward, deepest stage first, accumulating the
-			// exit gradient at each junction.
-			var upstream *tensor.Tensor
-			for s := len(m.Stages) - 1; s >= 0; s-- {
-				g := m.arena.view(m, slotView, headGrads[s].Data, stageOuts[s].Shape...)
-				if upstream != nil {
-					// Zero-fill + copy + add reproduces Clone+Add bits; the
-					// accumulator is consumed by the stage's last layer
-					// before the next junction reuses it.
-					acc := m.arena.tensor(m, slotAcc, stageOuts[s].Shape...)
-					copy(acc.Data, g.Data)
-					acc.Add(upstream)
-					g = acc
-				}
-				for li := len(m.Stages[s]) - 1; li >= 0; li-- {
-					g = m.Stages[s][li].Backward(g)
-				}
-				upstream = g
-			}
-			if cfg.ClipNorm > 0 {
-				m.clip.clip(m.ctx, params, cfg.ClipNorm)
-			}
-			opt.StepCtx(m.ctx, params)
-			epochLoss += loss
-			batches++
+		for li := len(m.Stages[s]) - 1; li >= 0; li-- {
+			g = m.Stages[s][li].Backward(g)
 		}
-		lastLoss = epochLoss / float64(batches)
-		if cfg.Obs.Enabled() {
-			fit.Event("nn.epoch", obs.Int("epoch", ep), obs.F64("loss", lastLoss))
-		}
-		if cfg.Energy != nil && cfg.SampleEnergyJ > 0 {
-			cfg.Energy.ChargeSpan(&fit, energy.AccountTrain, cfg.SampleEnergyJ*float64(total))
-		}
+		upstream = g
 	}
-	fit.End(obs.F64("loss", lastLoss))
-	return lastLoss
+	m.clip.clip(m.ctx, params, clipNorm)
+	opt.StepCtx(m.ctx, params)
+	return loss
 }
 
 // ExitDecision records where one sample left the network.

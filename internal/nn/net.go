@@ -8,7 +8,6 @@ import (
 
 	"solarml/internal/compute"
 	"solarml/internal/obs"
-	"solarml/internal/obs/energy"
 	"solarml/internal/tensor"
 )
 
@@ -267,11 +266,10 @@ func (s *lossScratch) crossEntropyInto(ctx *compute.Context, logits *tensor.Tens
 	return loss * s.inv
 }
 
-// SGD is a momentum optimizer with optional L2 weight decay.
+// SGD is a momentum optimizer.
 type SGD struct {
 	LR       float64
 	Momentum float64
-	Decay    float64
 
 	// Step dispatch operands + cached range closure (see ReLU).
 	v, g, mom []float64
@@ -282,8 +280,7 @@ type SGD struct {
 func (o *SGD) stepRange(i0, i1 int) {
 	v, g, mom := o.v, o.g, o.mom
 	for i := i0; i < i1; i++ {
-		gi := g[i] + o.Decay*v[i]
-		mom[i] = o.Momentum*mom[i] - o.LR*gi
+		mom[i] = o.Momentum*mom[i] - o.LR*g[i]
 		v[i] += mom[i]
 	}
 }
@@ -306,34 +303,22 @@ func (o *SGD) StepCtx(ctx *compute.Context, params []*Param) {
 	}
 }
 
-// TrainConfig bundles the knobs of Fit.
+// TrainConfig bundles the knobs of Network.Fit and MultiExitNetwork.Fit.
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
 	LR        float64
 	Momentum  float64
-	Decay     float64
-	// ClipNorm bounds the global L2 norm of the gradient per minibatch
-	// (0 selects the default of 5). NAS trains candidates with widely
-	// varying input sizes at one learning rate; clipping keeps the
-	// large-input ones from diverging. Set negative to disable.
-	ClipNorm float64
-	Seed     int64
-	// Verbose, when set, receives one line per epoch.
-	Verbose func(epoch int, loss float64)
+	Seed      int64
 	// Obs, when set, receives one nn.epoch event per epoch (index, mean
-	// loss, wall-clock seconds) and an nn.fit span wrapping the run.
+	// loss, wall-clock seconds) and a span wrapping the run.
 	Obs *obs.Recorder
-	// Energy, when set, books the run's on-device training energy under
-	// the train account (and onto the nn.fit span): SampleEnergyJ joules
-	// per sample per epoch, the linear per-step cost model on-device
-	// personalization budgets against. Charged per epoch, outside the
-	// allocation-free trainStep path.
-	Energy *energy.Ledger
-	// SampleEnergyJ is the joules one training sample costs per epoch
-	// (forward + backward + update); zero books nothing.
-	SampleEnergyJ float64
 }
+
+// clipNorm bounds the global L2 norm of the gradient per minibatch. NAS
+// trains candidates with widely varying input sizes at one learning rate;
+// clipping keeps the large-input ones from diverging.
+const clipNorm = 5
 
 // gradClipper holds the clipper's dispatch operands and cached range
 // closure (see ReLU); each network owns one.
@@ -380,7 +365,7 @@ func (c *gradClipper) clip(ctx *compute.Context, params []*Param, limit float64)
 // the cached n.Params() slice (Params allocates; callers hoist it out of the
 // epoch loop). The step performs no steady-state heap allocations: loss
 // scratch and every layer buffer are reused.
-func (n *Network) trainStep(bx *tensor.Tensor, by []int, params []*Param, opt *SGD, cfg *TrainConfig) float64 {
+func (n *Network) trainStep(bx *tensor.Tensor, by []int, params []*Param, opt *SGD) float64 {
 	for _, p := range params {
 		p.zeroGrad()
 	}
@@ -391,9 +376,7 @@ func (n *Network) trainStep(bx *tensor.Tensor, by []int, params []*Param, opt *S
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		grad = n.Layers[i].Backward(grad)
 	}
-	if cfg.ClipNorm > 0 {
-		n.clip.clip(n.ctx, params, cfg.ClipNorm)
-	}
+	n.clip.clip(n.ctx, params, clipNorm)
 	opt.StepCtx(n.ctx, params)
 	return loss
 }
@@ -401,25 +384,40 @@ func (n *Network) trainStep(bx *tensor.Tensor, by []int, params []*Param, opt *S
 // Fit trains the network on (inputs, labels) with softmax cross-entropy.
 // inputs is (N, ...InShape). It returns the final epoch's mean loss.
 func (n *Network) Fit(inputs *tensor.Tensor, labels []int, cfg TrainConfig) float64 {
+	return fit(n, &n.arena, n.InShape, inputs, labels, cfg, "nn.fit")
+}
+
+// trainer is a network the shared epoch driver can train: trainStep runs
+// one minibatch end to end (forward, loss, backward, clipping, update) and
+// returns its loss.
+type trainer interface {
+	Params() []*Param
+	trainStep(bx *tensor.Tensor, by []int, params []*Param, opt *SGD) float64
+}
+
+// fit is the epoch driver behind Network.Fit and MultiExitNetwork.Fit. It
+// fills cfg's defaults, draws the sample order (rng.Perm once, then one
+// Shuffle per epoch), gathers each minibatch into t's buffers in arena, and
+// runs t.trainStep on it. With cfg.Obs set, the run is wrapped in a span
+// named span carrying one nn.epoch event per epoch; extra attributes go
+// onto the span between batch_size and lr.
+func fit(t trainer, arena *Arena, inShape []int, inputs *tensor.Tensor, labels []int, cfg TrainConfig, span string, extra ...obs.Attr) float64 {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
 	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
 	}
-	if cfg.ClipNorm == 0 {
-		cfg.ClipNorm = 5
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum, Decay: cfg.Decay}
-	params := n.Params()
+	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum}
+	params := t.Params()
 	total := inputs.Shape[0]
 	sample := len(inputs.Data) / total
 	order := rng.Perm(total)
-	bshape := append([]int{0}, n.InShape...)
-	fit := cfg.Obs.StartSpan("nn.fit",
-		obs.Int("samples", total), obs.Int("epochs", cfg.Epochs),
-		obs.Int("batch_size", cfg.BatchSize), obs.F64("lr", cfg.LR))
+	bshape := append([]int{0}, inShape...)
+	attrs := append([]obs.Attr{obs.Int("samples", total), obs.Int("epochs", cfg.Epochs),
+		obs.Int("batch_size", cfg.BatchSize)}, extra...)
+	sp := cfg.Obs.StartSpan(span, append(attrs, obs.F64("lr", cfg.LR))...)
 	var lastLoss float64
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		var epStart time.Time
@@ -429,35 +427,26 @@ func (n *Network) Fit(inputs *tensor.Tensor, labels []int, cfg TrainConfig) floa
 		rng.Shuffle(total, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss, batches := 0.0, 0
 		for start := 0; start < total; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > total {
-				end = total
-			}
+			end := min(start+cfg.BatchSize, total)
 			bs := end - start
 			bshape[0] = bs
-			bx := n.arena.tensor(n, slotBatchX, bshape...)
-			by := n.arena.intsBuf(n, slotBatchY, bs)
+			bx := arena.tensor(t, slotBatchX, bshape...)
+			by := arena.intsBuf(t, slotBatchY, bs)
 			for bi := 0; bi < bs; bi++ {
 				src := order[start+bi]
 				copy(bx.Data[bi*sample:(bi+1)*sample], inputs.Data[src*sample:(src+1)*sample])
 				by[bi] = labels[src]
 			}
-			epochLoss += n.trainStep(bx, by, params, opt, &cfg)
+			epochLoss += t.trainStep(bx, by, params, opt)
 			batches++
 		}
 		lastLoss = epochLoss / float64(batches)
 		if cfg.Obs.Enabled() {
-			fit.Event("nn.epoch", obs.Int("epoch", ep), obs.F64("loss", lastLoss),
+			sp.Event("nn.epoch", obs.Int("epoch", ep), obs.F64("loss", lastLoss),
 				obs.F64("seconds", time.Since(epStart).Seconds()))
 		}
-		if cfg.Verbose != nil {
-			cfg.Verbose(ep, lastLoss)
-		}
-		if cfg.Energy != nil && cfg.SampleEnergyJ > 0 {
-			cfg.Energy.ChargeSpan(&fit, energy.AccountTrain, cfg.SampleEnergyJ*float64(total))
-		}
 	}
-	fit.End(obs.F64("loss", lastLoss))
+	sp.End(obs.F64("loss", lastLoss))
 	return lastLoss
 }
 

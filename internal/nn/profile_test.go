@@ -74,9 +74,9 @@ func TestEmitLayerTimings(t *testing.T) {
 	EmitLayerTimings(rec, timings, 1)
 	EmitLayerTimings(nil, timings, 1) // nil recorder is a no-op
 	rec.Flush()
-	events, err := obs.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	events, skipped, err := obs.ScanTrace(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("trace does not decode: %v, %d lines skipped", err, skipped)
 	}
 	if len(events) != len(net.Layers) {
 		t.Fatalf("%d events for %d layers", len(events), len(net.Layers))
@@ -101,9 +101,9 @@ func TestFitEmitsEpochEvents(t *testing.T) {
 	rec := obs.NewRecorder(&buf)
 	net.Fit(x, y, TrainConfig{Epochs: 3, BatchSize: 4, LR: 0.01, Seed: 1, Obs: rec})
 	rec.Flush()
-	events, err := obs.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	events, skipped, err := obs.ScanTrace(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("trace does not decode: %v, %d lines skipped", err, skipped)
 	}
 	epochs, fits := 0, 0
 	for _, e := range events {

@@ -82,8 +82,8 @@ func TestHistogramObserveExactBounds(t *testing.T) {
 		h.Observe(b)
 		h.Observe(b)
 	}
-	h.Observe(-1)           // below the lowest bound → first bucket
-	h.Observe(math.Inf(1))  // above the highest → overflow bucket
+	h.Observe(-1)          // below the lowest bound → first bucket
+	h.Observe(math.Inf(1)) // above the highest → overflow bucket
 	s := g.Snapshot().Histograms["edge"]
 	want := []uint64{3, 2, 2, 2, 1} // per-bucket (non-cumulative) counts
 	if len(s.Counts) != len(want) {

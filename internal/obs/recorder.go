@@ -316,22 +316,15 @@ func (r *Recorder) Flush() error {
 	return r.err
 }
 
-// ReadTrace decodes a JSONL trace produced by a Recorder. It is tolerant
-// by design — see ScanTrace, which it wraps discarding the skip count —
-// because the primary consumer (obs-report) must make sense of traces left
-// behind by crashed or killed runs.
-func ReadTrace(rd io.Reader) ([]Event, error) {
-	events, _, err := ScanTrace(rd)
-	return events, err
-}
-
 // maxTraceLine bounds one JSONL line (a metrics snapshot with many
 // histograms is the largest realistic event).
 const maxTraceLine = 16 << 20
 
-// ScanTrace decodes a JSONL trace line by line, skipping lines that are not
-// valid JSON objects instead of failing the whole read. The contract the
-// report layer relies on:
+// ScanTrace decodes a JSONL trace produced by a Recorder line by line,
+// skipping lines that are not valid JSON objects instead of failing the
+// whole read: the primary consumer (obs-report) must make sense of traces
+// left behind by crashed or killed runs. The contract the report layer
+// relies on:
 //
 //   - Each line is decoded independently; blank lines are ignored.
 //   - A line that fails to decode — non-JSON garbage, or the partial final

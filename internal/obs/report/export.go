@@ -27,8 +27,8 @@ type chromeEvent struct {
 // chromeTrace is the JSON-object flavour of the format, which both
 // chrome://tracing and ui.perfetto.dev load.
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	TraceEvents     []chromeEvent  `json:"traceEvents"`
+	DisplayTimeUnit string         `json:"displayTimeUnit"`
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 

@@ -19,9 +19,9 @@ func TestSamplerTimeSeries(t *testing.T) {
 	s.Stop()
 	r.Finish("ok")
 
-	events, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	events, skipped, err := ScanTrace(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("trace does not decode: %v, %d lines skipped", err, skipped)
 	}
 	var snaps []Event
 	for _, e := range events {
@@ -83,9 +83,9 @@ func TestSamplerStopIsTerminalSample(t *testing.T) {
 	g := NewRegistry()
 	StartSampler(r, g, time.Hour).Stop()
 	r.Flush()
-	events, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	events, skipped, err := ScanTrace(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("trace does not decode: %v, %d lines skipped", err, skipped)
 	}
 	if len(events) != 1 || events[0].Kind != KindMetrics {
 		t.Fatalf("events = %+v, want exactly one metrics snapshot", events)

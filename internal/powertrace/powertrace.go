@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 
-	"solarml/internal/circuit"
 	"solarml/internal/obs/energy"
 )
 
@@ -206,27 +205,6 @@ func (r *Recorder) PowerAt(t float64) float64 {
 		t -= s.Seconds
 	}
 	return 0
-}
-
-// Replay discharges the trace from the given supercap, segment by
-// segment: each segment's energy integral is drained at once and the cap
-// self-discharges exactly (circuit.LeakExact) for the segment's duration.
-// It answers "would this measured inference have survived on this stored
-// energy?" — the brownout question the firmware's V_θ policy guards. The
-// returned voltages are the post-segment levels; ok reports whether every
-// segment's energy was available (a failed segment leaves the cap's charge
-// untouched apart from leakage, matching Supercap.Drain semantics).
-func (r *Recorder) Replay(cap *circuit.Supercap) (voltages []float64, ok bool) {
-	voltages = make([]float64, 0, len(r.segments))
-	ok = true
-	for _, s := range r.segments {
-		if !cap.Drain(s.Energy()) {
-			ok = false
-		}
-		cap.Leak(s.Seconds)
-		voltages = append(voltages, cap.V)
-	}
-	return voltages, ok
 }
 
 // Samples discretizes the trace at the given sample rate (Hz), emulating

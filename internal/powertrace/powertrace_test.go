@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"solarml/internal/circuit"
 )
 
 func sampleTrace() *Recorder {
@@ -158,48 +156,5 @@ func TestPhaseStrings(t *testing.T) {
 	}
 	if CatEvent.String() != "E_E" || CatSensing.String() != "E_S" || CatModel.String() != "E_M" {
 		t.Fatal("category symbols must match the paper")
-	}
-}
-
-func TestReplayDrainsAndLeaks(t *testing.T) {
-	r := sampleTrace()
-	cap := circuit.NewSupercap()
-	cap.V = 2.5
-	e0 := cap.Energy()
-	vs, ok := r.Replay(cap)
-	if !ok {
-		t.Fatal("a full supercap must survive one inference trace")
-	}
-	if len(vs) != len(r.Segments()) {
-		t.Fatalf("got %d voltages for %d segments", len(vs), len(r.Segments()))
-	}
-	for i := 1; i < len(vs); i++ {
-		if vs[i] > vs[i-1] {
-			t.Fatalf("discharge-only replay rose: V[%d]=%v > V[%d]=%v", i, vs[i], i-1, vs[i-1])
-		}
-	}
-	if vs[len(vs)-1] != cap.V {
-		t.Fatal("final reported voltage must match the cap state")
-	}
-	// Energy balance: what left the cap is the trace integral plus the
-	// leakage of the shrinking store — bounded by leaking the initial
-	// store for the whole duration.
-	drop := e0 - cap.Energy()
-	if drop <= r.TotalEnergy() {
-		t.Fatalf("drop %v must exceed the trace energy %v (leak adds)", drop, r.TotalEnergy())
-	}
-	maxLeak := e0 * (1 - math.Exp(-cap.LeakRate()*r.Duration()))
-	if drop > r.TotalEnergy()+maxLeak+1e-12 {
-		t.Fatalf("drop %v exceeds trace energy plus worst-case leak %v", drop, r.TotalEnergy()+maxLeak)
-	}
-}
-
-func TestReplayReportsBrownout(t *testing.T) {
-	r := sampleTrace()
-	cap := circuit.NewSupercap()
-	cap.Farads = 100e-6 // a tiny buffer cannot fund the sampling phase
-	cap.V = 2.5
-	if _, ok := r.Replay(cap); ok {
-		t.Fatal("undersized supercap must report a brownout")
 	}
 }
