@@ -9,6 +9,7 @@ package evo_test
 // evaluation results.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -164,6 +165,72 @@ func TestGoldenHarvNetGesture(t *testing.T) {
 		}
 		want.check(t, out.Best, out.Evaluations, len(out.History))
 	})
+}
+
+// historyHash is a 64-bit FNV-1a over every history entry's fingerprint,
+// accuracy bits and energy bits, in evaluation order.
+func historyHash(history []evo.Entry) uint64 {
+	h := uint64(14695981039346656037)
+	for _, e := range history {
+		for _, v := range []uint64{e.Cand.Fingerprint(), math.Float64bits(e.Res.Accuracy), math.Float64bits(e.Res.EnergyJ)} {
+			h ^= v
+			h *= 1099511628211
+		}
+	}
+	return h
+}
+
+// TestGoldenENASFittedEnergy pins one seeded eNAS search per task at the
+// paper's population (50), sample (20) and grid period (R = 20) over 30
+// cycles, scored under the energy models CalibrateEnergy fits, as
+// cmd/enas-search and the perfbench workload score them. The values were
+// captured while the fitted models still predicted through
+// regress.Linear; the history hash covers every evaluated entry, so it
+// pins the fitted energy of each one, not only the best.
+func TestGoldenENASFittedEnergy(t *testing.T) {
+	for _, tc := range []struct {
+		space      *nas.Space
+		want       golden
+		eMin, eMax float64
+		hash       uint64
+	}{
+		{nas.GestureSpace(), golden{
+			fp:     0x544079b1bac81fd3,
+			acc:    0.92180482050866153,
+			energy: 0.0045349625496660037,
+			evals:  85, hist: 85,
+		}, 0.00078470157311232925, 0.011922915099407374, 0x35e20b7f8c69558b},
+		{nas.KWSSpace(), golden{
+			fp:     0x0a914e5a3976acfc,
+			acc:    0.82593439814759795,
+			energy: 0.01044699214785327,
+			evals:  85, hist: 85,
+		}, 0.0048669721522571225, 0.021385091678083491, 0x780462c02b4e3657},
+	} {
+		t.Run(tc.space.Task.String(), func(t *testing.T) {
+			fitted, err := nas.CalibrateEnergy(tc.space, 300, true, true, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			variants(t, func(t *testing.T, workers int, cache bool) {
+				cfg := enas.DefaultConfig(tc.space.Task, 0.5)
+				cfg.Cycles, cfg.Seed = 30, 11
+				cfg.Workers, cfg.Cache = workers, cache
+				out, err := enas.Search(tc.space, nas.NewSurrogateEvaluator(fitted), cfg)
+				if err != nil {
+					t.Fatalf("Search: %v", err)
+				}
+				tc.want.check(t, out.Best, out.Evaluations, len(out.History))
+				if out.EMin != tc.eMin || out.EMax != tc.eMax {
+					t.Errorf("bounds = (%.17g, %.17g), want (%.17g, %.17g)",
+						out.EMin, out.EMax, tc.eMin, tc.eMax)
+				}
+				if h := historyHash(out.History); h != tc.hash {
+					t.Errorf("history hash = %#016x, want %#016x", h, tc.hash)
+				}
+			})
+		})
+	}
 }
 
 // TestCacheInvariantOutcome pins the cache's core guarantee: a cached run
