@@ -32,7 +32,7 @@ bench:
 
 # bench-obs measures the telemetry overhead of a full eNAS search:
 # recorder+registry attached (events encoded and discarded) vs the nil
-# no-op sink. The delta is the recording cost; budget <2% of search time.
+# no-op sink. The delta is the recording cost (README states it per cycle).
 bench-obs:
 	$(GO) test -run NONE -bench 'BenchmarkSearchTelemetry' -benchtime 50x -count 3 .
 	$(GO) test -run NONE -bench 'BenchmarkNoopSpan' ./internal/obs/

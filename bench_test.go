@@ -310,8 +310,7 @@ func benchSearchTelemetry(b *testing.B, rec *obs.Recorder, reg *obs.Registry) {
 
 // BenchmarkSearchTelemetryOff is the no-op baseline for the pair: the same
 // search with a nil recorder and registry. Compare against
-// BenchmarkSearchTelemetryOn — the recording overhead budget is <2% of
-// cycle time.
+// BenchmarkSearchTelemetryOn; the difference is the recording overhead.
 func BenchmarkSearchTelemetryOff(b *testing.B) {
 	benchSearchTelemetry(b, nil, nil)
 }
@@ -440,10 +439,26 @@ func BenchmarkSurrogateSearchPerfbenchShape(b *testing.B) {
 }
 
 // BenchmarkSurrogateEvaluation times one evaluation of a bound candidate,
-// as every search candidate is — the inner loop of the NAS benchmarks.
+// as every search candidate is — the inner loop of the NAS benchmarks —
+// scored under the ground-truth energy.
 func BenchmarkSurrogateEvaluation(b *testing.B) {
+	benchSurrogateEvaluation(b, nas.NewTruthEnergy())
+}
+
+// BenchmarkSurrogateEvaluationFitted is BenchmarkSurrogateEvaluation under
+// the frozen linear energy models CalibrateEnergy fits, which
+// cmd/enas-search and the perfbench surrogate-search workload score with.
+func BenchmarkSurrogateEvaluationFitted(b *testing.B) {
+	fitted, err := nas.CalibrateEnergy(nas.GestureSpace(), 300, true, true, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSurrogateEvaluation(b, fitted)
+}
+
+func benchSurrogateEvaluation(b *testing.B, energy nas.EnergyModel) {
 	space := nas.GestureSpace()
-	eval := nas.NewSurrogateEvaluator(nas.NewTruthEnergy())
+	eval := nas.NewSurrogateEvaluator(energy)
 	cands := make([]*nas.Candidate, 64)
 	for i := range cands {
 		cands[i] = space.RandomCandidate(randFor(int64(i)))

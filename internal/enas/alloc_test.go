@@ -13,13 +13,16 @@ import (
 // search at the paper's population (50), sample (20), and grid period
 // (R = 20) over 30 cycles, scored by the surrogate over calibrated energy
 // models. The figures average over eight seeds per task, with λ
-// stratified over [0, 1) as the searches of a sweep are. (Excluded under
-// -race, whose instrumentation changes allocation behaviour.)
+// stratified over [0, 1) as the searches of a sweep are. A gesture search
+// measured 215 allocations (76 KB) and a KWS search 187–188 (84–87 KB,
+// more when a collection empties the engine's scratch pool); the bounds
+// leave about 10% above the larger. (Excluded under -race, whose
+// instrumentation changes allocation behaviour.)
 func TestSurrogateSearchAllocs(t *testing.T) {
 	const (
 		searches  = 8
-		maxAllocs = 470
-		maxBytes  = 150 << 10
+		maxAllocs = 237
+		maxBytes  = 96 << 10
 	)
 	for _, space := range []*nas.Space{nas.GestureSpace(), nas.KWSSpace()} {
 		fitted, err := nas.CalibrateEnergy(space, 300, true, true, 1)

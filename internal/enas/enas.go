@@ -162,7 +162,12 @@ func NewPolicy(space *nas.Space, cfg Config) (evo.Policy, error) {
 
 func (p *policy) Prefix() string { return "enas" }
 
-func (p *policy) Fill(rng *rand.Rand) *nas.Candidate { return p.space.RandomCandidate(rng) }
+// Fill draws a random joint candidate, or nil, a constraint reject, when
+// the draw breaks the static limits: the engine would reject it anyway,
+// and screening it here saves copying it out of the draw's scratch.
+func (p *policy) Fill(rng *rand.Rand) *nas.Candidate {
+	return p.space.RandomCandidateWithin(rng, p.cfg.Constraints)
+}
 
 func (p *policy) SearchAttrs() []obs.Attr {
 	return []obs.Attr{

@@ -162,37 +162,47 @@ func (m *Measurer) MeasureAudioSensing(cfg dsp.FrontEndConfig) float64 {
 
 // --- Feature extractors (the regression proxies of Table I) ---
 
-// LayerwiseFeatures returns per-kind MACs in nn.ComputeKinds order, the
+// numComputeKinds is len(nn.ComputeKinds()), the width of the layer-wise
+// proxy.
+const numComputeKinds = 6
+
+// layerwiseFeatures returns per-kind MACs in nn.ComputeKinds order, the
 // eNAS proxy.
-func LayerwiseFeatures(macs nn.KindMACs) []float64 {
-	kinds := nn.ComputeKinds()
-	out := make([]float64, len(kinds))
-	for i, k := range kinds {
-		out[i] = float64(macs.Of(k))
+func layerwiseFeatures(macs nn.KindMACs) (x [numComputeKinds]float64) {
+	for i, k := range nn.ComputeKinds() {
+		x[i] = float64(macs.Of(k))
 	}
-	return out
+	return x
 }
 
-// TotalMACsFeature returns the single-total proxy used by μNAS/HarvNet.
-func TotalMACsFeature(macs nn.KindMACs) []float64 {
-	return []float64{float64(macs.Total())}
-}
-
-// GestureFeatures returns the (n, r, b, q) proxy of the sensing model.
-func GestureFeatures(cfg dataset.GestureConfig) []float64 {
+// gestureFeatures returns the (n, r, b, q) proxy of the sensing model.
+func gestureFeatures(cfg dataset.GestureConfig) [4]float64 {
 	b := 0.0
 	if cfg.Quant.Res == quant.Float {
 		b = 1
 	}
-	return []float64{float64(cfg.Channels), float64(cfg.RateHz), b, float64(cfg.Quant.Bits)}
+	return [4]float64{float64(cfg.Channels), float64(cfg.RateHz), b, float64(cfg.Quant.Bits)}
 }
 
-// AudioFeatures returns the (s, d, f) proxy of the audio sensing model.
-func AudioFeatures(cfg dsp.FrontEndConfig) []float64 {
-	return []float64{float64(cfg.StripeMS), float64(cfg.DurationMS), float64(cfg.NumFeatures)}
+// audioFeatures returns the (s, d, f) proxy of the audio sensing model.
+func audioFeatures(cfg dsp.FrontEndConfig) [3]float64 {
+	return [3]float64{float64(cfg.StripeMS), float64(cfg.DurationMS), float64(cfg.NumFeatures)}
 }
 
-// --- Fitted estimators ---
+// fitSamples fits reg on one feature row per measured sample.
+func fitSamples[S any](reg regress.Model, samples []S, row func(S) (x []float64, energyJ float64)) error {
+	if len(samples) == 0 {
+		return fmt.Errorf("energymodel: no samples")
+	}
+	X := make([][]float64, len(samples))
+	y := make([]float64, len(samples))
+	for i, s := range samples {
+		X[i], y[i] = row(s)
+	}
+	return reg.Fit(X, y)
+}
+
+// --- Fitted estimators (any regression family, for Table I) ---
 
 // InferenceSample pairs a MAC breakdown with its measured energy.
 type InferenceSample struct {
@@ -211,35 +221,25 @@ type InferenceEstimator struct {
 
 func (e *InferenceEstimator) features(macs nn.KindMACs) []float64 {
 	if e.Layerwise {
-		return LayerwiseFeatures(macs)
+		x := layerwiseFeatures(macs)
+		return x[:]
 	}
-	return TotalMACsFeature(macs)
+	return []float64{float64(macs.Total())}
 }
 
 // Fit trains the estimator on measured samples.
 func (e *InferenceEstimator) Fit(samples []InferenceSample) error {
-	if len(samples) == 0 {
-		return fmt.Errorf("energymodel: no samples")
-	}
 	if e.Reg == nil {
 		e.Reg = &regress.Linear{}
 	}
-	X := make([][]float64, len(samples))
-	y := make([]float64, len(samples))
-	for i, s := range samples {
-		X[i] = e.features(s.MACs)
-		y[i] = s.EnergyJ
-	}
-	return e.Reg.Fit(X, y)
+	return fitSamples(e.Reg, samples, func(s InferenceSample) ([]float64, float64) {
+		return e.features(s.MACs), s.EnergyJ
+	})
 }
 
 // Predict estimates the inference energy of a MAC breakdown.
 func (e *InferenceEstimator) Predict(macs nn.KindMACs) float64 {
-	p := e.Reg.Predict(e.features(macs))
-	if p < 0 {
-		p = 0
-	}
-	return p
+	return clampZero(e.Reg.Predict(e.features(macs)))
 }
 
 // GestureSample pairs a gesture sensing configuration with its measurement.
@@ -255,28 +255,19 @@ type GestureEstimator struct {
 
 // Fit trains the estimator on measured samples.
 func (e *GestureEstimator) Fit(samples []GestureSample) error {
-	if len(samples) == 0 {
-		return fmt.Errorf("energymodel: no samples")
-	}
 	if e.Reg == nil {
 		e.Reg = &regress.Linear{}
 	}
-	X := make([][]float64, len(samples))
-	y := make([]float64, len(samples))
-	for i, s := range samples {
-		X[i] = GestureFeatures(s.Cfg)
-		y[i] = s.EnergyJ
-	}
-	return e.Reg.Fit(X, y)
+	return fitSamples(e.Reg, samples, func(s GestureSample) ([]float64, float64) {
+		x := gestureFeatures(s.Cfg)
+		return x[:], s.EnergyJ
+	})
 }
 
 // Predict estimates the sensing energy of a configuration.
 func (e *GestureEstimator) Predict(cfg dataset.GestureConfig) float64 {
-	p := e.Reg.Predict(GestureFeatures(cfg))
-	if p < 0 {
-		p = 0
-	}
-	return p
+	x := gestureFeatures(cfg)
+	return clampZero(e.Reg.Predict(x[:]))
 }
 
 // AudioSample pairs an audio front-end configuration with its measurement.
@@ -285,31 +276,110 @@ type AudioSample struct {
 	EnergyJ float64
 }
 
-// AudioEstimator is a fitted audio sensing energy model over (s,d,f).
-type AudioEstimator struct {
-	Reg regress.Model
+// --- Frozen linear models (what the searches score with) ---
+//
+// CalibrateEnergy fits regress.Linear and freezes each fit into a
+// coefficient value. Predict adds the intercept, then each coefficient
+// times its feature in feature order, then clamps at 0 — Linear.Predict's
+// arithmetic and the estimators' clamp — so a frozen model predicts bit
+// for bit what its fit does, without a feature slice or an interface call.
+
+// InferenceLinear is a frozen linear inference model.
+type InferenceLinear struct {
+	// Coef holds the layer-wise proxy's J/MAC weight of each kind in
+	// nn.ComputeKinds order; the total-MACs proxy uses Coef[0] alone.
+	Coef      [numComputeKinds]float64
+	Intercept float64
+	// Layerwise selects the eNAS per-kind proxy; false selects the
+	// μNAS/HarvNet total-MACs proxy.
+	Layerwise bool
 }
 
-// Fit trains the estimator on measured samples.
-func (e *AudioEstimator) Fit(samples []AudioSample) error {
-	if len(samples) == 0 {
-		return fmt.Errorf("energymodel: no samples")
+// FitInferenceLinear fits the linear inference model on measured samples
+// and freezes it.
+func FitInferenceLinear(samples []InferenceSample, layerwise bool) (InferenceLinear, error) {
+	var lin regress.Linear
+	if err := (&InferenceEstimator{Reg: &lin, Layerwise: layerwise}).Fit(samples); err != nil {
+		return InferenceLinear{}, err
 	}
-	if e.Reg == nil {
-		e.Reg = &regress.Linear{}
+	m := InferenceLinear{Intercept: lin.Intercept, Layerwise: layerwise}
+	copy(m.Coef[:], lin.Coef)
+	return m, nil
+}
+
+// Predict estimates the inference energy of a MAC breakdown.
+func (m *InferenceLinear) Predict(macs nn.KindMACs) float64 {
+	if !m.Layerwise {
+		x := [1]float64{float64(macs.Total())}
+		return predictLinear(m.Intercept, m.Coef[:1], x[:])
 	}
-	X := make([][]float64, len(samples))
-	y := make([]float64, len(samples))
-	for i, s := range samples {
-		X[i] = AudioFeatures(s.Cfg)
-		y[i] = s.EnergyJ
+	x := layerwiseFeatures(macs)
+	return predictLinear(m.Intercept, m.Coef[:], x[:])
+}
+
+// GestureLinear is a frozen linear gesture sensing model over (n, r, b, q).
+type GestureLinear struct {
+	Coef      [4]float64
+	Intercept float64
+}
+
+// FitGestureLinear fits the linear gesture sensing model on measured
+// samples and freezes it.
+func FitGestureLinear(samples []GestureSample) (GestureLinear, error) {
+	var lin regress.Linear
+	if err := (&GestureEstimator{Reg: &lin}).Fit(samples); err != nil {
+		return GestureLinear{}, err
 	}
-	return e.Reg.Fit(X, y)
+	m := GestureLinear{Intercept: lin.Intercept}
+	copy(m.Coef[:], lin.Coef)
+	return m, nil
+}
+
+// Predict estimates the sensing energy of a configuration.
+func (m *GestureLinear) Predict(cfg dataset.GestureConfig) float64 {
+	x := gestureFeatures(cfg)
+	return predictLinear(m.Intercept, m.Coef[:], x[:])
+}
+
+// AudioLinear is a frozen linear audio sensing model over (s, d, f).
+type AudioLinear struct {
+	Coef      [3]float64
+	Intercept float64
+}
+
+// FitAudioLinear fits the linear audio sensing model on measured samples
+// and freezes it.
+func FitAudioLinear(samples []AudioSample) (AudioLinear, error) {
+	var lin regress.Linear
+	err := fitSamples(&lin, samples, func(s AudioSample) ([]float64, float64) {
+		x := audioFeatures(s.Cfg)
+		return x[:], s.EnergyJ
+	})
+	if err != nil {
+		return AudioLinear{}, err
+	}
+	m := AudioLinear{Intercept: lin.Intercept}
+	copy(m.Coef[:], lin.Coef)
+	return m, nil
 }
 
 // Predict estimates the sensing energy of a front-end configuration.
-func (e *AudioEstimator) Predict(cfg dsp.FrontEndConfig) float64 {
-	p := e.Reg.Predict(AudioFeatures(cfg))
+func (m *AudioLinear) Predict(cfg dsp.FrontEndConfig) float64 {
+	x := audioFeatures(cfg)
+	return predictLinear(m.Intercept, m.Coef[:], x[:])
+}
+
+// predictLinear is regress.Linear.Predict over coef and x, clamped at 0.
+func predictLinear(intercept float64, coef, x []float64) float64 {
+	s := intercept
+	for i, c := range coef {
+		s += c * x[i]
+	}
+	return clampZero(s)
+}
+
+// clampZero clamps a predicted energy at 0 (a NaN passes through).
+func clampZero(p float64) float64 {
 	if p < 0 {
 		p = 0
 	}

@@ -200,8 +200,8 @@ func TestAudioSensingModelFit(t *testing.T) {
 		cfg := randomAudioCfg(rng)
 		train = append(train, AudioSample{Cfg: cfg, EnergyJ: m.MeasureAudioSensing(cfg)})
 	}
-	est := &AudioEstimator{Reg: &regress.Linear{}}
-	if err := est.Fit(train); err != nil {
+	est, err := FitAudioLinear(train)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var yTrue, yPred []float64
@@ -275,7 +275,7 @@ func TestFitRejectsEmpty(t *testing.T) {
 	if err := (&GestureEstimator{}).Fit(nil); err == nil {
 		t.Fatal("empty gesture fit must fail")
 	}
-	if err := (&AudioEstimator{}).Fit(nil); err == nil {
+	if _, err := FitAudioLinear(nil); err == nil {
 		t.Fatal("empty audio fit must fail")
 	}
 }

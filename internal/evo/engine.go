@@ -3,6 +3,7 @@ package evo
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"solarml/internal/nas"
@@ -23,18 +24,15 @@ type engine struct {
 	pre    string
 	island int // island index, or -1 for single-shard runs
 
-	rng *RNG
-	out *Outcome
+	*scratch // the rng and the reused buffers
+	out      *Outcome
 	// population is the aging window: the oldest entry first. It slides
-	// down popBuf, a backing array of twice the population size, and is
-	// copied back to popBuf's start only when it reaches the end, so
-	// aging allocates nothing.
+	// down popBuf, a backing array of at least twice the population size,
+	// and is copied back to popBuf's start only when it reaches the end,
+	// so aging allocates nothing.
 	population []Entry
-	popBuf     []Entry
 	accepted   int
-	cycle      int     // completed phase-2 cycles
-	perm       []int   // tournament sampling buffer, reused every cycle
-	got        []Entry // evaluateAll's successes, reused every batch
+	cycle      int // completed phase-2 cycles
 
 	memo  *memoCache
 	warm  nas.WarmStartEvaluator
@@ -56,8 +54,7 @@ func newEngine(pol Policy, eval nas.Evaluator, cfg Config, shared *memoCache, pa
 	}
 	e := &engine{
 		pol: pol, eval: eval, cfg: cfg, pre: pol.Prefix(), island: island,
-		rng: NewRNG(cfg.Seed), out: &Outcome{History: make([]Entry, 0, historyCap(cfg))}, rec: cfg.Obs,
-		popBuf: make([]Entry, 2*cfg.Population), got: make([]Entry, 0, cfg.Population),
+		scratch: borrowScratch(cfg), out: &Outcome{History: make([]Entry, 0, historyCap(cfg))}, rec: cfg.Obs,
 	}
 	if m := cfg.Metrics; m != nil {
 		e.mEvals = m.Counter(e.pre + ".evaluations")
@@ -95,6 +92,52 @@ func newEngine(pol Policy, eval nas.Evaluator, cfg Config, shared *memoCache, pa
 		e.search = e.rec.StartSpan(e.pre+".search", attrs...)
 	}
 	return e, nil
+}
+
+// scratch is what an engine borrows for a search and hands back when the
+// search ends, so back-to-back searches reuse it: the rng, whose 4.9 KB
+// source is re-seeded rather than rebuilt, and the engine's buffers. It
+// holds no candidate between searches.
+type scratch struct {
+	rng    *RNG
+	popBuf []Entry          // backs the population window
+	perm   []int            // tournament sampling buffer, reused every cycle
+	got    []Entry          // evaluateAll's successes, reused every batch
+	batch  []*nas.Candidate // fill's draws, reused every round
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// borrowScratch takes a scratch from the pool and sizes it for cfg. Its
+// rng produces exactly NewRNG(cfg.Seed)'s stream.
+func borrowScratch(cfg Config) *scratch {
+	s := scratchPool.Get().(*scratch)
+	if s.rng == nil {
+		s.rng = NewRNG(cfg.Seed)
+	} else {
+		s.rng.reseed(cfg.Seed)
+	}
+	if len(s.popBuf) < 2*cfg.Population {
+		s.popBuf = make([]Entry, 2*cfg.Population)
+	}
+	if cap(s.got) < cfg.Population {
+		s.got = make([]Entry, 0, cfg.Population)
+	}
+	if cap(s.batch) < cfg.Population {
+		s.batch = make([]*nas.Candidate, 0, cfg.Population)
+	}
+	return s
+}
+
+// release hands the engine's scratch back to the pool, cleared of every
+// candidate. The engine must not step again.
+func (e *engine) release() {
+	s := e.scratch
+	e.scratch, e.population = nil, nil
+	clear(s.popBuf)
+	clear(s.got[:cap(s.got)])
+	clear(s.batch[:cap(s.batch)])
+	scratchPool.Put(s)
 }
 
 // historyCap is the History capacity a run starts with: the filled
@@ -136,7 +179,7 @@ func (e *engine) evalOne(c, parent *nas.Candidate, timeIt bool, dst *Entry) bool
 			return true
 		}
 	}
-	if err := e.cfg.Constraints.CheckStatic(c); err != nil {
+	if !e.cfg.Constraints.Admits(c) {
 		e.mRejects.Inc()
 		return false
 	}
@@ -256,7 +299,7 @@ func (e *engine) evaluateAll(span *obs.Span, cands []*nas.Candidate, from *nas.C
 func (e *engine) fill() error {
 	phase1 := e.child("phase1")
 	e.population = e.popBuf[:0]
-	batch := make([]*nas.Candidate, 0, e.cfg.Population)
+	batch := e.batch[:0]
 	for rounds := 0; len(e.population) < e.cfg.Population; rounds++ {
 		if rounds > fillRounds {
 			phase1.End(obs.Str("error", "cannot fill population"))

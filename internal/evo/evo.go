@@ -127,6 +127,7 @@ func Run(pol Policy, eval nas.Evaluator, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.release()
 	if err := e.fill(); err != nil {
 		return nil, err
 	}

@@ -240,6 +240,9 @@ func RunIslands(newPol func() Policy, newEval func() nas.Evaluator, cfg IslandCo
 			obs.Int("migrations", migrations),
 		}, attrs...)...)
 	}
+	for _, e := range engines {
+		e.release()
+	}
 	return out, nil
 }
 

@@ -48,6 +48,14 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{Rand: rand.New(cs), src: cs, seed: seed}
 }
 
+// reseed restarts r in the state NewRNG(seed) builds, keeping the
+// source's storage: rand.Rand.Seed re-seeds the counting source, which
+// zeroes its draw count, and drops any buffered Read bytes.
+func (r *RNG) reseed(seed int64) {
+	r.Rand.Seed(seed)
+	r.seed = seed
+}
+
 // Snapshot captures the full generator state.
 func (r *RNG) Snapshot() RNGState { return RNGState{Seed: r.seed, Draws: r.src.n} }
 

@@ -188,10 +188,10 @@ func Fig9(seed int64) Fig9Result {
 		c := space.RandomCandidate(rng)
 		senseTrain = append(senseTrain, energymodel.GestureSample{Cfg: c.Gesture, EnergyJ: m.MeasureGestureSensing(c.Gesture)})
 	}
-	ours := &energymodel.InferenceEstimator{Layerwise: true}
-	munas := &energymodel.InferenceEstimator{Layerwise: false}
-	sense := &energymodel.GestureEstimator{}
-	for _, err := range []error{ours.Fit(inferTrain), munas.Fit(inferTrain), sense.Fit(senseTrain)} {
+	ours, err1 := energymodel.FitInferenceLinear(inferTrain, true)
+	munas, err2 := energymodel.FitInferenceLinear(inferTrain, false)
+	sense, err3 := energymodel.FitGestureLinear(senseTrain)
+	for _, err := range []error{err1, err2, err3} {
 		if err != nil {
 			panic(err)
 		}

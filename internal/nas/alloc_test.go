@@ -31,21 +31,40 @@ func TestStaticScreenZeroAllocs(t *testing.T) {
 
 // TestSurrogateEvaluateAllocs pins the surrogate search's per-candidate
 // cost: with fitted energy models, an evaluation of a bound candidate
-// allocates at most the two feature vectors handed to the regressions —
-// the analysis and fingerprint are reused, and the MAC breakdown is a
-// value.
+// allocates nothing — the analysis and fingerprint are reused, the MAC
+// breakdown is a value, and the frozen linear models read their features
+// from the candidate.
 func TestSurrogateEvaluateAllocs(t *testing.T) {
-	space := GestureSpace()
-	fe, err := CalibrateEnergy(space, 60, true, true, 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, space := range []*Space{GestureSpace(), KWSSpace()} {
+		fe, err := CalibrateEnergy(space, 60, true, true, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := NewSurrogateEvaluator(fe)
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 8; i++ {
+			c := space.RandomCandidate(rng)
+			if allocs := testing.AllocsPerRun(50, func() { _, _ = ev.Evaluate(c) }); allocs != 0 {
+				t.Errorf("%s candidate %d: %.0f allocs/op, want 0", space.Task, i, allocs)
+			}
+		}
 	}
-	ev := NewSurrogateEvaluator(fe)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 8; i++ {
-		c := space.RandomCandidate(rng)
-		if allocs := testing.AllocsPerRun(50, func() { _, _ = ev.Evaluate(c) }); allocs > 2 {
-			t.Errorf("candidate %d: %.0f allocs/op, want ≤ 2", i, allocs)
+}
+
+// TestStaticVerdictRejectZeroAllocs pins the search's static screen on a
+// candidate that breaks a limit: the verdict allocates nothing, where
+// CheckStatic allocates the error it returns.
+func TestStaticVerdictRejectZeroAllocs(t *testing.T) {
+	c := staticRejectCandidate(t)
+	for _, ct := range []Constraints{
+		{MemoryBytes: 1 << 30, MaxMACs: 1000},
+		{MemoryBytes: 1000, MaxMACs: 1 << 30},
+	} {
+		if ct.Admits(c) {
+			t.Fatalf("%+v admits the candidate", ct)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = ct.Admits(c) }); allocs != 0 {
+			t.Errorf("%+v Admits reject: %.0f allocs/op, want 0", ct, allocs)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package nas
 
 import (
 	"fmt"
+
+	"solarml/internal/nn"
 )
 
 // Constraints are the hard limits every candidate must satisfy (§V-D: 100 KB
@@ -40,27 +42,45 @@ func weightBits(c *Candidate) int {
 // be checked without training. It runs on the architecture analysis alone,
 // so no tensor is ever allocated to screen a candidate: the candidate's
 // bound analysis, or a fresh walk of its architecture when it is unbound.
+// Admits is the same check as a verdict.
 func (ct Constraints) CheckStatic(c *Candidate) error {
 	an, err := c.archAnalysis()
 	if err != nil {
 		return err
 	}
+	if lim := ct.staticLimit(c, &an); lim.what != "" {
+		broken := lim // only a rejection moves to the heap
+		return &broken
+	}
+	return nil
+}
+
+// Admits reports whether CheckStatic would return nil: the allocation-free
+// verdict the search screens every candidate with, since about a quarter
+// of its random draws break a limit and it reads only that they do.
+func (ct Constraints) Admits(c *Candidate) bool {
+	an, err := c.archAnalysis()
+	return err == nil && ct.staticLimit(c, &an).what == ""
+}
+
+// staticLimit returns the first static limit a candidate with analysis an
+// breaks, or the zero limitError when it breaks none.
+func (ct Constraints) staticLimit(c *Candidate, an *nn.Analysis) limitError {
 	if macs := an.MACs.Total(); macs > ct.MaxMACs {
-		return &limitError{what: "MACs", have: macs, limit: ct.MaxMACs}
+		return limitError{what: "MACs", have: macs, limit: ct.MaxMACs}
 	}
 	wb := weightBits(c)
 	if wb < 8 {
 		wb = 8 // sub-byte weights are stored byte-packed on the MCU
 	}
 	if mem := an.MemoryBytes(wb, 8); mem > ct.MemoryBytes {
-		return &limitError{what: "B memory", have: mem, limit: ct.MemoryBytes}
+		return limitError{what: "B memory", have: mem, limit: ct.MemoryBytes}
 	}
-	return nil
+	return limitError{}
 }
 
 // limitError is a static constraint a candidate breaks. It formats only
-// when Error is called: the search rejects about a quarter of its random
-// draws here and reads only that the error is non-nil.
+// when Error is called.
 type limitError struct {
 	what        string // "MACs" or "B memory"
 	have, limit int64

@@ -75,11 +75,13 @@ func (t *TruthEnergy) InferenceEnergy(macs nn.KindMACs) float64 {
 	return t.Coeff.TrueEnergy(macs)
 }
 
-// FittedEnergy wraps regression estimators fitted on measurement campaigns.
+// FittedEnergy holds the linear energy models fitted on a measurement
+// campaign, each frozen into its coefficients. Gesture and Audio are nil
+// when the campaign fitted no sensing model.
 type FittedEnergy struct {
-	Infer   *energymodel.InferenceEstimator
-	Gesture *energymodel.GestureEstimator
-	Audio   *energymodel.AudioEstimator
+	Infer   energymodel.InferenceLinear
+	Gesture *energymodel.GestureLinear
+	Audio   *energymodel.AudioLinear
 }
 
 // SensingEnergy implements EnergyModel.
@@ -102,61 +104,78 @@ func (f *FittedEnergy) InferenceEnergy(macs nn.KindMACs) float64 {
 }
 
 // CalibrateEnergy runs the §IV-A measurement campaign: nMeasure random
-// candidates are "measured" on the simulator and the estimators are fitted.
-// layerwise selects the eNAS per-kind inference proxy; sensing estimators
-// are fitted only when withSensing is set (μNAS does not model sensing).
+// candidates are "measured" on the simulator and the linear models are
+// fitted and frozen. layerwise selects the eNAS per-kind inference proxy;
+// sensing models are fitted only when withSensing is set (μNAS does not
+// model sensing).
 func CalibrateEnergy(space *Space, nMeasure int, layerwise, withSensing bool, seed int64) (*FittedEnergy, error) {
+	camp, err := measureCampaign(space, nMeasure, withSensing, seed)
+	if err != nil {
+		return nil, err
+	}
+	out := &FittedEnergy{}
+	if out.Infer, err = energymodel.FitInferenceLinear(camp.infer, layerwise); err != nil {
+		return nil, err
+	}
+	if len(camp.gesture) > 0 {
+		m, err := energymodel.FitGestureLinear(camp.gesture)
+		if err != nil {
+			return nil, err
+		}
+		out.Gesture = &m
+	}
+	if len(camp.audio) > 0 {
+		m, err := energymodel.FitAudioLinear(camp.audio)
+		if err != nil {
+			return nil, err
+		}
+		out.Audio = &m
+	}
+	return out, nil
+}
+
+// campaign is the measured samples of one calibration campaign.
+type campaign struct {
+	infer   []energymodel.InferenceSample
+	gesture []energymodel.GestureSample
+	audio   []energymodel.AudioSample
+}
+
+// measureCampaign draws and measures CalibrateEnergy's campaign.
+func measureCampaign(space *Space, nMeasure int, withSensing bool, seed int64) (campaign, error) {
 	rng := rand.New(rand.NewSource(seed))
 	m := energymodel.NewMeasurer(seed + 1)
-	out := &FittedEnergy{Infer: &energymodel.InferenceEstimator{Layerwise: layerwise}}
 	n := max(nMeasure, 0)
-	inferSamples := make([]energymodel.InferenceSample, 0, n)
-	var gestureSamples []energymodel.GestureSample
-	var audioSamples []energymodel.AudioSample
+	camp := campaign{infer: make([]energymodel.InferenceSample, 0, n)}
 	if withSensing && space.Task == TaskGesture {
-		gestureSamples = make([]energymodel.GestureSample, 0, n)
+		camp.gesture = make([]energymodel.GestureSample, 0, n)
 	} else if withSensing {
-		audioSamples = make([]energymodel.AudioSample, 0, n)
+		camp.audio = make([]energymodel.AudioSample, 0, n)
 	}
 	for i := 0; i < nMeasure; i++ {
 		c := space.RandomCandidate(rng)
 		an, err := c.archAnalysis()
 		if err != nil {
-			return nil, err
+			return campaign{}, err
 		}
 		macs := an.MACs
-		inferSamples = append(inferSamples, energymodel.InferenceSample{
+		camp.infer = append(camp.infer, energymodel.InferenceSample{
 			MACs: macs, EnergyJ: m.MeasureInference(macs),
 		})
 		if !withSensing {
 			continue
 		}
 		if space.Task == TaskGesture {
-			gestureSamples = append(gestureSamples, energymodel.GestureSample{
+			camp.gesture = append(camp.gesture, energymodel.GestureSample{
 				Cfg: c.Gesture, EnergyJ: m.MeasureGestureSensing(c.Gesture),
 			})
 		} else {
-			audioSamples = append(audioSamples, energymodel.AudioSample{
+			camp.audio = append(camp.audio, energymodel.AudioSample{
 				Cfg: c.Audio, EnergyJ: m.MeasureAudioSensing(c.Audio),
 			})
 		}
 	}
-	if err := out.Infer.Fit(inferSamples); err != nil {
-		return nil, err
-	}
-	if len(gestureSamples) > 0 {
-		out.Gesture = &energymodel.GestureEstimator{}
-		if err := out.Gesture.Fit(gestureSamples); err != nil {
-			return nil, err
-		}
-	}
-	if len(audioSamples) > 0 {
-		out.Audio = &energymodel.AudioEstimator{}
-		if err := out.Audio.Fit(audioSamples); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return camp, nil
 }
 
 // TrainEvaluator trains every candidate for real on the synthetic datasets

@@ -134,7 +134,15 @@ func (s *Space) randomArchBody(rng *rand.Rand, buf []nn.LayerSpec) []nn.LayerSpe
 // until the pair materializes (pooling fits, shapes stay positive). It
 // returns the accepted draw bound, in storage of its own (see Candidate).
 func (s *Space) RandomCandidate(rng *rand.Rand) *Candidate {
-	return s.randomCandidate(rng, nil)
+	return s.randomCandidate(rng, nil, nil)
+}
+
+// RandomCandidateWithin draws exactly as RandomCandidate does, but returns
+// nil when the accepted draw breaks ct's static limits (see
+// Constraints.Admits). A screened draw is never copied out of its scratch,
+// so it costs no storage.
+func (s *Space) RandomCandidateWithin(rng *rand.Rand, ct Constraints) *Candidate {
+	return s.randomCandidate(rng, nil, &ct)
 }
 
 // RandomArch draws exactly as RandomCandidate does, then puts the accepted
@@ -143,17 +151,18 @@ func (s *Space) RandomCandidate(rng *rand.Rand) *Candidate {
 // returns the candidate bound, or nil when the architecture does not
 // materialize under that configuration. sensing is read, not modified.
 func (s *Space) RandomArch(rng *rand.Rand, sensing *Candidate) *Candidate {
-	return s.randomCandidate(rng, sensing)
+	return s.randomCandidate(rng, sensing, nil)
 }
 
 // scratchBody is the body capacity RandomCandidate draws into on its stack;
 // a space whose largest body is longer draws on the heap instead.
 const scratchBody = 32
 
-// randomCandidate is RandomCandidate, or RandomArch when sensing is
-// non-nil. Every draw lands in stack scratch, so a rejected draw costs no
-// storage; only the accepted one is copied out.
-func (s *Space) randomCandidate(rng *rand.Rand, sensing *Candidate) *Candidate {
+// randomCandidate is RandomCandidate, RandomArch when sensing is non-nil,
+// or RandomCandidateWithin when ct is. Every draw lands in stack scratch,
+// so a rejected draw costs no storage; only the accepted one is copied
+// out.
+func (s *Space) randomCandidate(rng *rand.Rand, sensing *Candidate, ct *Constraints) *Candidate {
 	var body [scratchBody]nn.LayerSpec
 	arch := nn.Arch{Classes: s.Task.Classes()}
 	draw := Candidate{Task: s.Task, Arch: &arch}
@@ -166,6 +175,9 @@ func (s *Space) randomCandidate(rng *rand.Rand, sensing *Candidate) *Candidate {
 		if draw.Rebind() == nil {
 			break
 		}
+	}
+	if ct != nil && !ct.Admits(&draw) {
+		return nil
 	}
 	if sensing == nil {
 		c := draw.withBody(arch.Body)

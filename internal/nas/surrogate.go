@@ -4,8 +4,10 @@ import (
 	"math"
 
 	"solarml/internal/dataset"
+	"solarml/internal/dsp"
 	"solarml/internal/nn"
 	"solarml/internal/obs"
+	"solarml/internal/quant"
 )
 
 // SurrogateEvaluator scores candidates with a calibrated analytic accuracy
@@ -51,22 +53,99 @@ func hashNoise(fp uint64) float64 {
 // saturate returns 1-exp(-x/scale): a rising information curve.
 func saturate(x, scale float64) float64 { return 1 - math.Exp(-x/scale) }
 
+// The accuracy model's terms over discrete parameters: the sensing axes of
+// Table II, the frame count they imply, and the body's compute depth.
+func channelInfo(n int) float64  { return saturate(float64(n)+0.5, 3.0) }
+func rateInfo(r int) float64     { return saturate(float64(r), 35) }
+func frameInfo(n int) float64    { return saturate(float64(n), 30) }
+func featureInfo(f int) float64  { return saturate(float64(f), 11) }
+func durationInfo(d int) float64 { return 0.88 + 0.12*float64(d-18)/12.0 }
+func depthFactor(d int) float64  { return 0.92 + 0.08*saturate(float64(d), 1.5) }
+
+func intQuantInfo(bits int) float64 {
+	return saturate(quant.Config{Res: quant.Int, Bits: bits}.EffectiveBits(), 3.0)
+}
+
+func floatQuantInfo(bits int) float64 {
+	return saturate(quant.Config{Res: quant.Float, Bits: bits}.EffectiveBits(), 3.0)
+}
+
+// intTable holds f(i) for the integers i in [lo, lo+len(v)), computed once
+// with f itself, so a lookup returns f's bits.
+type intTable struct {
+	lo int
+	v  []float64
+	f  func(int) float64
+}
+
+// tabulate tabulates f over the range bounds returns.
+func tabulate(bounds func() (int, int), f func(int) float64) *intTable {
+	lo, hi := bounds()
+	t := &intTable{lo: lo, v: make([]float64, hi-lo+1), f: f}
+	for i := range t.v {
+		t.v[i] = f(lo + i)
+	}
+	return t
+}
+
+// at returns f(i): from the table inside its range, from f outside it.
+func (t *intTable) at(i int) float64 {
+	if j := uint(i - t.lo); j < uint(len(t.v)) {
+		return t.v[j]
+	}
+	return t.f(i)
+}
+
+// clipSamples is the length of one KWS clip in samples.
+const clipSamples = int(dataset.AudioRateHz * dataset.AudioDurationS)
+
+// The ceiling tables span Table II's ranges, and bodies of up to 16
+// compute layers. They are built at package initialization, so neither
+// CalibrateEnergy nor NewSurrogateEvaluator pays for them.
+var (
+	channelInfos    = tabulate(dataset.ChannelBounds, channelInfo)
+	rateInfos       = tabulate(dataset.RateBounds, rateInfo)
+	intQuantInfos   = tabulate(quant.Int.Bounds, intQuantInfo)
+	floatQuantInfos = tabulate(quant.Float.Bounds, floatQuantInfo)
+	frameInfos      = tabulate(frameBounds, frameInfo)
+	featureInfos    = tabulate(dsp.FeatureBounds, featureInfo)
+	durationInfos   = tabulate(dsp.DurationBounds, durationInfo)
+	depthFactors    = tabulate(func() (int, int) { return 0, 16 }, depthFactor)
+)
+
+// frameBounds is the range of frame counts Table II's front ends cut from
+// one clip: the fewest at the longest stripe and window, the most at the
+// shortest.
+func frameBounds() (lo, hi int) {
+	sLo, sHi := dsp.StripeBounds()
+	dLo, dHi := dsp.DurationBounds()
+	frames := func(stripe, dur int) int {
+		fe := dsp.FrontEndConfig{SampleRate: dataset.AudioRateHz, StripeMS: stripe, DurationMS: dur}
+		return fe.NumFrames(clipSamples)
+	}
+	return frames(sHi, dHi), frames(sLo, dLo)
+}
+
 // gestureCeiling is the accuracy achievable with unlimited model capacity
 // under the given sensing fidelity.
 func gestureCeiling(cfg dataset.GestureConfig) float64 {
-	infoN := saturate(float64(cfg.Channels)+0.5, 3.0)
-	infoR := saturate(float64(cfg.RateHz), 35)
-	infoQ := saturate(cfg.Quant.EffectiveBits(), 3.0)
+	infoN := channelInfos.at(cfg.Channels)
+	infoR := rateInfos.at(cfg.RateHz)
+	var infoQ float64
+	if cfg.Quant.Res == quant.Int {
+		infoQ = intQuantInfos.at(cfg.Quant.Bits)
+	} else {
+		infoQ = floatQuantInfos.at(cfg.Quant.Bits) // EffectiveBits' non-Int branch
+	}
 	info := math.Pow(infoN*infoR*infoQ, 0.5)
 	return 0.40 + 0.57*info
 }
 
 // kwsCeiling is the KWS analogue over the front-end parameters.
-func (s *SurrogateEvaluator) kwsCeiling(c *Candidate) float64 {
-	frames := float64(c.Audio.NumFrames(int(dataset.AudioRateHz * dataset.AudioDurationS)))
-	infoFrames := saturate(frames, 30)
-	infoF := saturate(float64(c.Audio.NumFeatures), 11)
-	infoD := 0.88 + 0.12*float64(c.Audio.DurationMS-18)/12.0
+func kwsCeiling(cfg dsp.FrontEndConfig) float64 {
+	infoFrames := frameInfos.at(cfg.NumFrames(clipSamples))
+	infoF := featureInfos.at(cfg.NumFeatures)
+	infoD := durationInfos.at(cfg.DurationMS)
 	info := math.Pow(infoFrames*infoF, 0.6) * infoD
 	return 0.40 + 0.56*info
 }
@@ -94,7 +173,7 @@ func (s *SurrogateEvaluator) Evaluate(c *Candidate) (Result, error) {
 		ceil = gestureCeiling(c.Gesture)
 		capScale = 120_000
 	} else {
-		ceil = s.kwsCeiling(c)
+		ceil = kwsCeiling(c.Audio)
 		capScale = 350_000
 	}
 	capacity := saturate(float64(res.TotalMACs), capScale)
@@ -115,8 +194,7 @@ func (s *SurrogateEvaluator) Evaluate(c *Candidate) (Result, error) {
 			depth++
 		}
 	}
-	depthFactor := 0.92 + 0.08*saturate(float64(depth), 1.5)
-	acc := 0.10 + (ceil-0.10)*capacity*depthFactor
+	acc := 0.10 + (ceil-0.10)*capacity*depthFactors.at(depth)
 	fp := c.Fingerprint()
 	acc += hashNoise(fp) * s.NoiseSD
 	if acc < 0.05 {

@@ -152,6 +152,25 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestMultiExitTrainStepSteadyStateAllocs is the multi-exit counterpart
+// of TestTrainStepSteadyStateAllocs: once the arena is warm, a joint step
+// of a 2-exit network allocates nothing, its stage outputs included.
+func TestMultiExitTrainStepSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	x, y := barDataset(rng, 16, 8)
+	m, err := NewMultiExit(barArch(8), []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Init(rng)
+	params := m.Params()
+	opt := &SGD{LR: 0.05, Momentum: 0.9}
+	m.trainStep(x, y, params, opt) // warm arena and closures
+	if allocs := testing.AllocsPerRun(10, func() { m.trainStep(x, y, params, opt) }); allocs != 0 {
+		t.Errorf("steady-state multi-exit train step allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestAccuracyChunkAllocs checks evaluation stays allocation-free once the
 // arena's staging view and layer buffers are warm.
 func TestAccuracyChunkAllocs(t *testing.T) {

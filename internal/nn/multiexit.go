@@ -34,6 +34,7 @@ type MultiExitNetwork struct {
 
 	stageOut  []([]int)        // per-stage output shape (per sample)
 	headGrads []*tensor.Tensor // per-exit head input gradients of a step
+	stageOuts []*tensor.Tensor // forwardStages' outputs, reused every pass
 }
 
 // NewMultiExit splits arch.Body after the given body indices (each index
@@ -142,9 +143,13 @@ func (m *MultiExitNetwork) MACsByKindThroughExit(k int) KindMACs {
 	return out
 }
 
-// forwardStages runs the backbone, returning each stage's output (batched).
+// forwardStages runs the backbone, returning each stage's output (batched)
+// in the network's own slice, which the next pass overwrites.
 func (m *MultiExitNetwork) forwardStages(x *tensor.Tensor, train bool) []*tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(m.Stages))
+	if len(m.stageOuts) != len(m.Stages) {
+		m.stageOuts = make([]*tensor.Tensor, len(m.Stages))
+	}
+	outs := m.stageOuts
 	for s, stage := range m.Stages {
 		for _, l := range stage {
 			x = l.Forward(x, train)
