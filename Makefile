@@ -81,8 +81,10 @@ bench-json:
 # the evolution engine, in the subset beside the evaluator alone;
 # BenchmarkSurrogateSearchPerfbenchShape adds the short searches of
 # perfbench's surrogate-search workload, whose allocs/op bench-diff guards.
+# BenchmarkDecodeInstances times the /classify decode stage alone on
+# perfbench's serve body.
 bench-smoke:
-	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_PATTERN='BenchmarkTrainStepArena|BenchmarkSurrogateEvaluation|BenchmarkSurrogateSearchPerfbenchShape|BenchmarkFig10aDigits|BenchmarkTrainStepCNNBackend|BenchmarkMatMulBackend|BenchmarkNoopSpan|BenchmarkSearchTelemetry|BenchmarkLedgerCharge|BenchmarkNoopLedgerCharge|BenchmarkFleetDeviceYears|BenchmarkIslandSearch|BenchmarkInt8Forward|BenchmarkFloatForward|BenchmarkServeLatency'
+	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_PATTERN='BenchmarkTrainStepArena|BenchmarkSurrogateEvaluation|BenchmarkSurrogateSearchPerfbenchShape|BenchmarkFig10aDigits|BenchmarkTrainStepCNNBackend|BenchmarkMatMulBackend|BenchmarkNoopSpan|BenchmarkSearchTelemetry|BenchmarkLedgerCharge|BenchmarkNoopLedgerCharge|BenchmarkFleetDeviceYears|BenchmarkIslandSearch|BenchmarkInt8Forward|BenchmarkFloatForward|BenchmarkServeLatency|BenchmarkDecodeInstances'
 
 # bench-diff turns the BENCH_solarml.json trajectory into a perf gate:
 # compare the working tree's trajectory point against the last committed

@@ -159,6 +159,48 @@ func TestDecodeLengthErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusedNumbers pins the JSON number grammar: each value is
+// refused with the offset and message given, in a one-value instance whose
+// value starts at byte 15. A number that stops early (01, 0x10, 1_0) is
+// refused at the byte after it, where a separator was due.
+func TestDecodeRefusedNumbers(t *testing.T) {
+	const prefix = `{"instances":[[`
+	row := func(int) []float64 { return make([]float64, 1) }
+	for _, tc := range []struct {
+		value string
+		off   int
+		want  string
+	}{
+		{"01", 16, "',' or ']' in an instance"},
+		{"1.", 17, "a digit after '.'"},
+		{".5", 15, "a number"},
+		{"1e", 17, "a digit in the exponent"},
+		{"1e+", 18, "a digit in the exponent"},
+		{"+1", 15, "a number"},
+		{"-", 15, "a number"},
+		{"--1", 15, "a number"},
+		{"1.e5", 17, "a digit after '.'"},
+		{"0x10", 16, "',' or ']' in an instance"},
+		{"1_0", 16, "',' or ']' in an instance"},
+		{"NaN", 15, "a number"},
+		{"Infinity", 15, "a number"},
+		{"-Infinity", 15, "a number"},
+		{"1e999", 15, "a number within float64 range"},
+		{"-1e999", 15, "a number within float64 range"},
+		{"1" + strings.Repeat("0", 309), 15, "a number within float64 range"},
+	} {
+		body := prefix + tc.value + "]]}"
+		want := (&syntaxError{tc.off, tc.want}).Error()
+		if _, err := decodeInstances([]byte(body), 1, row); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", tc.value, err, want)
+		}
+		var ref classifyRequest
+		if err := json.Unmarshal([]byte(body), &ref); err == nil {
+			t.Errorf("%s: encoding/json accepted the body", tc.value)
+		}
+	}
+}
+
 // endlessBody is a request body that never ends: an instances array whose
 // first instance goes on forever.
 type endlessBody struct{ n int }
