@@ -129,14 +129,6 @@ func (d *decoder) expect(c byte, want string) error {
 	return nil
 }
 
-// skipDigits returns the offset of the first non-digit at or after i.
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
 // empty consumes the ']' of an array just opened, if the array is empty.
 func (d *decoder) empty() bool {
 	if d.peek() != ']' {
@@ -160,46 +152,13 @@ func (d *decoder) next(where string) (bool, error) {
 	return false, &syntaxError{d.off, "',' or ']' " + where}
 }
 
-// number scans one JSON number and parses it exactly as encoding/json does
-// for a float64.
+// number scans one JSON number and parses it to the float64
+// encoding/json decodes it to.
 func (d *decoder) number() (float64, error) {
 	d.ws()
-	b, start, i := d.b, d.off, d.off
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case skipDigits(b, i) == i:
-		return 0, &syntaxError{start, "a number"}
-	default:
-		i = skipDigits(b, i)
-	}
-	if i < len(b) && b[i] == '.' {
-		if i++; skipDigits(b, i) == i {
-			return 0, &syntaxError{i, "a digit after '.'"}
-		}
-		i = skipDigits(b, i)
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if skipDigits(b, i) == i {
-			return 0, &syntaxError{i, "a digit in the exponent"}
-		}
-		i = skipDigits(b, i)
-	}
-	v, err := strconv.ParseFloat(string(b[start:i]), 64)
-	if err != nil {
-		// The grammar held, so only overflow is left; encoding/json
-		// refuses it too.
-		return 0, &syntaxError{start, "a number within float64 range"}
-	}
-	d.off = i
-	return v, nil
+	v, end, err := parseNumber(d.b, d.off)
+	d.off = end
+	return v, err
 }
 
 // decodeInstances scans a /classify body. For each instance it calls row
