@@ -97,9 +97,9 @@ func parseNumber(b []byte, start int) (float64, int, error) {
 		}
 		digits, e := i, 0
 		for ; i < len(b) && b[i]-'0' < 10; i++ {
-			if e < 1e8 {
+			if e < 1e4 { // and e ≤ 99999, so exp10 cannot overflow
 				e = e*10 + int(b[i]-'0')
-			} else {
+			} else { // far outside the table unless the mantissa is as long
 				slow = true
 			}
 		}

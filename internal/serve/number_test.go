@@ -144,6 +144,9 @@ func TestParseNumberMatchesStrconv(t *testing.T) {
 		"1e-400", "-1e-400", "1e-99999999999", "1e23", "8.98846567431158e307", "1e22", "1e-22",
 		"123456789012345678901234567890e-30", "0.1", "0.3", "1E5", "1e+5", "1.5e-2",
 		"1" + strings.Repeat("0", 308), "0." + strings.Repeat("0", 400) + "1e400",
+		// Exponents too long to hold, against as many leading zeros: these
+		// go to strconv, which stops reading an exponent at 10000 as well.
+		"0." + strings.Repeat("0", 20000) + "1e20004", "0." + strings.Repeat("0", 10000) + "1e100005",
 	} {
 		checkParse(t, s)
 	}
