@@ -135,8 +135,8 @@ search-resume-smoke:
 # this and uploads the artifacts. The final leg exercises the serving path:
 # deploy exports an int8 model and a C header of the same program (which
 # must compile as warning-free C99), serve hosts the model, and one HTTP
-# classify must land in the live serve.* metrics, its decode and encode
-# stage histograms included.
+# classify must land in the live serve.* metrics, its decode, queue and
+# encode stage histograms included.
 smoke-report:
 	mkdir -p $(BUILD_DIR)
 	$(GO) run ./cmd/enas-search -pop 10 -sample 4 -cycles 20 -seed 1 -cache \
@@ -215,6 +215,7 @@ smoke-report:
 	grep -q '^serve_requests 1' $(BUILD_DIR)/serve_metrics.txt
 	grep -q '^serve_batches' $(BUILD_DIR)/serve_metrics.txt
 	grep -q '^serve_decode_seconds_count 1' $(BUILD_DIR)/serve_metrics.txt
+	grep -q '^serve_queue_seconds_count 1' $(BUILD_DIR)/serve_metrics.txt
 	grep -q '^serve_encode_seconds_count 1' $(BUILD_DIR)/serve_metrics.txt
 	@echo "smoke-report: serve leg classified one request over HTTP with live serve.* metrics"
 

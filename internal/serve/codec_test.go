@@ -267,10 +267,9 @@ func TestBodyCap(t *testing.T) {
 	}
 }
 
-// TestStageHistograms checks that a request lands in the decode and encode
-// stage histograms beside the end-to-end latency one. (serve.batch_seconds
-// is observed after the batch's callers are released, so a reply can race
-// ahead of it.)
+// TestStageHistograms checks that a request lands in every stage histogram
+// (decode, queue, batch and encode) beside the end-to-end latency one, and
+// that its queue time lies within its end-to-end latency.
 func TestStageHistograms(t *testing.T) {
 	m, calib := testModel(t)
 	reg := obs.NewRegistry()
@@ -289,10 +288,13 @@ func TestStageHistograms(t *testing.T) {
 		t.Fatalf("status %d", rec.Code)
 	}
 	snap := reg.Snapshot()
-	for _, name := range []string{"serve.decode_seconds", "serve.encode_seconds", "serve.latency_seconds"} {
+	for _, name := range []string{"serve.decode_seconds", "serve.queue_seconds", "serve.batch_seconds", "serve.encode_seconds", "serve.latency_seconds"} {
 		if h := snap.Histograms[name]; h.Count != 1 {
 			t.Errorf("%s count = %d, want 1", name, h.Count)
 		}
+	}
+	if q, l := snap.Histograms["serve.queue_seconds"].Sum, snap.Histograms["serve.latency_seconds"].Sum; q < 0 || q > l {
+		t.Errorf("queue time %gs outside the request's %gs", q, l)
 	}
 }
 

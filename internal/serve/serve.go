@@ -18,8 +18,8 @@
 // its JSON. Bodies are capped at QueueDepth instances' worth of bytes.
 //
 // Every stage is observable through the shared obs plumbing: serve.*
-// counters and histograms (end-to-end latency, batch execution, and the
-// decode and encode stages) land in the registry the -pprof /metrics
+// counters and histograms (end-to-end latency, and the decode, queue, batch
+// and encode stages) land in the registry the -pprof /metrics
 // endpoint exposes, and serve.request / serve.batch spans land in the trace.
 package serve
 
@@ -76,6 +76,7 @@ type request struct {
 type job struct {
 	reqs  []*request // reqs[:n] are this call's samples; the rest are spares
 	n     int
+	start time.Time      // when run queued the samples
 	done  sync.WaitGroup // one count per sample in flight
 	body  []byte
 	reply []byte
@@ -119,6 +120,7 @@ type Server struct {
 	batchSize     *obs.Histogram
 	latency       *obs.Histogram
 	batchSeconds  *obs.Histogram
+	queueSeconds  *obs.Histogram
 	decodeSeconds *obs.Histogram
 	encodeSeconds *obs.Histogram
 }
@@ -155,6 +157,7 @@ func New(cfg Config) (*Server, error) {
 		batchSize:     cfg.Reg.Histogram("serve.batch_size", []float64{1, 2, 4, 8, 16, 32, 64}),
 		latency:       cfg.Reg.Histogram("serve.latency_seconds", obs.TimeBuckets),
 		batchSeconds:  cfg.Reg.Histogram("serve.batch_seconds", obs.TimeBuckets),
+		queueSeconds:  cfg.Reg.Histogram("serve.queue_seconds", obs.TimeBuckets),
 		decodeSeconds: cfg.Reg.Histogram("serve.decode_seconds", obs.TimeBuckets),
 		encodeSeconds: cfg.Reg.Histogram("serve.encode_seconds", obs.TimeBuckets),
 	}
@@ -228,14 +231,14 @@ func (s *Server) run(j *job) error {
 	s.mu.Unlock()
 	defer s.inflight.Done()
 
-	start := time.Now()
+	j.start = time.Now()
 	reqs := j.reqs[:j.n]
 	j.done.Add(len(reqs))
 	for _, r := range reqs {
 		s.queue <- r
 	}
 	j.done.Wait()
-	sec := time.Since(start).Seconds()
+	sec := time.Since(j.start).Seconds()
 	for range reqs {
 		s.samples.Inc()
 		s.latency.Observe(sec)
@@ -306,12 +309,14 @@ func (s *Server) worker(ex *nn.Int8Executor, staging []float64) {
 }
 
 // runBatch copies the samples into the contiguous staging buffer, runs the
-// executor once, and scatters logits back to the waiting requests.
+// executor once, and scatters logits back to the waiting requests. Each
+// sample's wait from its job's start to here is its queue time.
 func (s *Server) runBatch(ex *nn.Int8Executor, staging []float64, batch []*request) {
 	n := len(batch)
 	sp := s.cfg.Rec.StartSpan("serve.batch", obs.Int("batch", n))
 	start := time.Now()
 	for i, r := range batch {
+		s.queueSeconds.Observe(start.Sub(r.job.start).Seconds())
 		copy(staging[i*s.inVol:(i+1)*s.inVol], r.x)
 	}
 	logits := ex.Forward(staging[:n*s.inVol], n)
