@@ -10,8 +10,9 @@
 // Concurrent requests coalesce into executor batches (up to -batch samples
 // or -batch-deadline of waiting, whichever first); -workers executors run
 // batches in parallel. The shared obs flags apply: -pprof serves live
-// /metrics (serve.* counters and latency, decode and encode histograms) next
-// to /debug/pprof, -trace-out records serve.request/serve.batch spans.
+// /metrics (serve.* counters and latency, decode, queue, batch and encode
+// histograms) next to /debug/pprof, -trace-out records
+// serve.request/serve.batch spans.
 //
 // A /classify body may hold up to the queue depth (4 × -batch) instances at
 // 32 bytes per value; a longer body is refused with 413. The HTTP server

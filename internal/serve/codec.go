@@ -17,8 +17,11 @@ import (
 // encoding/json cost several times the int8 forward pass it fed.
 //
 // The decoder accepts a subset of what encoding/json accepts, with
-// bit-identical values: every number goes through strconv.ParseFloat(…, 64)
-// as encoding/json's does. It rejects body shapes encoding/json tolerated:
+// bit-identical values: parseNumber reads each number in one pass and
+// converts it by Clinger's fast path or Eisel–Lemire, both correctly
+// rounded, and by strconv.ParseFloat(…, 64), which encoding/json calls,
+// only where neither decides (number.go says when). It rejects body
+// shapes encoding/json tolerated:
 // unknown keys, case-folded or escaped spellings of "instances", a repeated
 // "instances" key, null rows or values, and anything but whitespace after
 // the object. The encoder writes the bytes json.NewEncoder writes for the

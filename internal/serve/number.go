@@ -204,9 +204,9 @@ func eiselLemire(mant uint64, exp10 int) (f float64, ok bool) {
 	// set; one less when it is not.
 	exp2 := uint64(log2Pow10(exp10)+64+1023) - uint64(lz)
 
-	// w × the high word, then the low word only when the truncated part
+	// w × the high word, then the low word only when what it leaves out
 	// could carry into the bits that decide the rounding: bits 8…0 of hi
-	// all ones, with room for the carry in lo.
+	// all ones and lo within w of overflowing.
 	hi, lo := bits.Mul64(w, pow[0])
 	if hi&0x1ff == 0x1ff && lo+w < w {
 		yHi, yLo := bits.Mul64(w, pow[1])
