@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -185,44 +186,67 @@ func allOpsArch() *Arch {
 	}
 }
 
+// allOpsFixture is the trained all-ops model, built once per process and
+// shared read-only like the gesture fixture.
+var allOpsFixture struct {
+	once     sync.Once
+	m        *Int8Model
+	x        *tensor.Tensor
+	y        []int
+	floatAcc float64
+	err      error
+}
+
+// trainedAllOps trains allOpsArch on a seeded three-class task and lowers
+// it to int8.
+func trainedAllOps(t testing.TB) (*Int8Model, *tensor.Tensor, []int, float64) {
+	t.Helper()
+	f := &allOpsFixture
+	f.once.Do(func() {
+		rng := rand.New(rand.NewSource(61))
+		arch := allOpsArch()
+		const n = 90
+		x := tensor.New(n, 2, 8, 16)
+		y := make([]int, n)
+		for i := 0; i < n; i++ {
+			cls := i % 3
+			y[i] = cls
+			for c := 0; c < 2; c++ {
+				for r := 0; r < 8; r++ {
+					for s := 0; s < 16; s++ {
+						v := rng.NormFloat64() * 0.2
+						if r%3 == cls {
+							v += 1.0
+						}
+						x.Set(v, i, c, r, s)
+					}
+				}
+			}
+		}
+		net, err := arch.Build()
+		if err != nil {
+			f.err = err
+			return
+		}
+		net.Init(rng)
+		net.Fit(x, y, TrainConfig{Epochs: 20, BatchSize: 16, LR: 0.05, Momentum: 0.9, Seed: 4})
+		f.x, f.y, f.floatAcc = x, y, net.Accuracy(x, y)
+		f.m, f.err = ConvertInt8(arch, net, x, PTQConfig{WeightBits: 8, ActBits: 8})
+	})
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	if f.floatAcc < 0.8 {
+		t.Fatalf("float model failed to train: %.2f", f.floatAcc)
+	}
+	return f.m, f.x, f.y, f.floatAcc
+}
+
 // TestInt8CoversAllOps lowers an architecture exercising every op kind
 // (dwconv, norm, avgpool, standalone relu included) and checks the int8
 // accuracy stays near float.
 func TestInt8CoversAllOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	arch := allOpsArch()
-	const n = 90
-	x := tensor.New(n, 2, 8, 16)
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		cls := i % 3
-		y[i] = cls
-		for c := 0; c < 2; c++ {
-			for r := 0; r < 8; r++ {
-				for s := 0; s < 16; s++ {
-					v := rng.NormFloat64() * 0.2
-					if r%3 == cls {
-						v += 1.0
-					}
-					x.Set(v, i, c, r, s)
-				}
-			}
-		}
-	}
-	net, err := arch.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Init(rng)
-	net.Fit(x, y, TrainConfig{Epochs: 20, BatchSize: 16, LR: 0.05, Momentum: 0.9, Seed: 4})
-	floatAcc := net.Accuracy(x, y)
-	if floatAcc < 0.8 {
-		t.Fatalf("float model failed to train: %.2f", floatAcc)
-	}
-	m, err := ConvertInt8(arch, net, x, PTQConfig{WeightBits: 8, ActBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, x, y, floatAcc := trainedAllOps(t)
 	kinds := map[int8OpKind]bool{}
 	for i := range m.ops {
 		kinds[m.ops[i].kind] = true
@@ -234,6 +258,93 @@ func TestInt8CoversAllOps(t *testing.T) {
 	}
 	if qAcc := m.Accuracy(nil, x, y); qAcc < floatAcc-0.1 {
 		t.Fatalf("int8 accuracy %.3f vs float %.3f", qAcc, floatAcc)
+	}
+}
+
+// signedDenseModel lowers a small untrained network with no ReLU anywhere,
+// so both dense ops read signed activations (the trained fixtures feed
+// theirs from a ReLU).
+func signedDenseModel(t testing.TB) (*Int8Model, *tensor.Tensor) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(62))
+	arch := &Arch{
+		Input: []int{1, 4, 16},
+		Body: []LayerSpec{
+			{Kind: KindConv, Out: 3, K: 3, Stride: 1, Pad: 1},
+			{Kind: KindMaxPool, K: 2},
+			{Kind: KindDense, Out: 7},
+		},
+		Classes: 4,
+	}
+	net, err := arch.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Init(rng)
+	x := tensor.New(40, 1, 4, 16)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	m, err := ConvertInt8(arch, net, x, PTQConfig{WeightBits: 8, ActBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, x
+}
+
+// logitsHash runs every sample of x through ex in chunks of batch and
+// hashes the float64 bits of all logits (FNV-1a, little-endian words).
+func logitsHash(ex *Int8Executor, x *tensor.Tensor, batch int) uint64 {
+	n := x.Shape[0]
+	sample := len(x.Data) / n
+	h := fnv.New64a()
+	var word [8]byte
+	for start := 0; start < n; start += batch {
+		bs := min(batch, n-start)
+		for _, v := range ex.Forward(x.Data[start*sample:(start+bs)*sample], bs) {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestInt8LogitsGolden pins the int8 logits bit for bit: the gesture
+// fixture and the all-ops model, every sample, at batch 1 and 16, serial
+// and on a pooled context. The hashes were recorded against the plain
+// scalar kernels (int8Dot4 dense, four-row conv GEMM passes), so any kernel
+// rewrite must reproduce their integer sums exactly; cross-executor checks
+// alone cannot see an error every executor shares.
+func TestInt8LogitsGolden(t *testing.T) {
+	gesture, _, gx, _ := convertGesture(t)
+	allOps, ax, _, _ := trainedAllOps(t)
+	signed, sx := signedDenseModel(t)
+	cases := []struct {
+		name string
+		m    *Int8Model
+		x    *tensor.Tensor
+		want uint64
+	}{
+		{"gesture", gesture, gx, 0x9459df691a15f3ec},
+		{"allops", allOps, ax, 0xc8cf2e2177af7350},
+		{"signed", signed, sx, 0xc4f2872117a6d583},
+	}
+	ctxs := []struct {
+		name string
+		ctx  *compute.Context
+	}{
+		{"serial", nil},
+		{"pooled", compute.NewContextFor(4, nil)},
+	}
+	for _, c := range cases {
+		for _, cx := range ctxs {
+			for _, batch := range []int{1, 16} {
+				got := logitsHash(c.m.NewExecutor(cx.ctx, batch), c.x, batch)
+				if got != c.want {
+					t.Errorf("%s %s batch %d: logits hash %#x, want %#x", c.name, cx.name, batch, got, c.want)
+				}
+			}
+		}
 	}
 }
 
