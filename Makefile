@@ -57,11 +57,13 @@ bench-fleet:
 
 # bench-int8 records the quantized serving-path trajectory: the int8
 # forward pass against its float baseline (0 allocs/op and ≥2× the float
-# ns/op at batch 1 are the gates) plus end-to-end serve latency across
+# ns/op at batch 1 are the gates), the same pass split per op
+# (BenchmarkInt8Ops: quant, conv, pool, dense, logits), the model load
+# that packs the dense weights, plus end-to-end serve latency across
 # batch sizes. Multi-iteration benchtime: the 2× gate is a ratio of two
 # microsecond-scale numbers, far too noisy at one iteration.
 bench-int8:
-	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_TIME=200x BENCH_PATTERN='BenchmarkInt8Forward|BenchmarkFloatForward|BenchmarkServeLatency'
+	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_TIME=200x BENCH_PATTERN='BenchmarkInt8Forward|BenchmarkInt8Ops|BenchmarkLoadInt8Model|BenchmarkFloatForward|BenchmarkServeLatency'
 
 # bench-json runs the benchmarks and parses the output into the
 # BENCH_solarml.json perf trajectory (benchmark → ns/op, B/op, allocs/op).
@@ -82,9 +84,10 @@ bench-json:
 # BenchmarkSurrogateSearchPerfbenchShape adds the short searches of
 # perfbench's surrogate-search workload, whose allocs/op bench-diff guards.
 # BenchmarkDecodeInstances times the /classify decode stage alone on
-# perfbench's serve body.
+# perfbench's serve body; BenchmarkInt8Ops splits the int8 forward pass per
+# op and BenchmarkLoadInt8Model times the model load.
 bench-smoke:
-	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_PATTERN='BenchmarkTrainStepArena|BenchmarkSurrogateEvaluation|BenchmarkSurrogateSearchPerfbenchShape|BenchmarkFig10aDigits|BenchmarkTrainStepCNNBackend|BenchmarkMatMulBackend|BenchmarkNoopSpan|BenchmarkSearchTelemetry|BenchmarkLedgerCharge|BenchmarkNoopLedgerCharge|BenchmarkFleetDeviceYears|BenchmarkIslandSearch|BenchmarkInt8Forward|BenchmarkFloatForward|BenchmarkServeLatency|BenchmarkDecodeInstances'
+	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_PATTERN='BenchmarkTrainStepArena|BenchmarkSurrogateEvaluation|BenchmarkSurrogateSearchPerfbenchShape|BenchmarkFig10aDigits|BenchmarkTrainStepCNNBackend|BenchmarkMatMulBackend|BenchmarkNoopSpan|BenchmarkSearchTelemetry|BenchmarkLedgerCharge|BenchmarkNoopLedgerCharge|BenchmarkFleetDeviceYears|BenchmarkIslandSearch|BenchmarkInt8Forward|BenchmarkInt8Ops|BenchmarkLoadInt8Model|BenchmarkFloatForward|BenchmarkServeLatency|BenchmarkDecodeInstances'
 
 # bench-diff turns the BENCH_solarml.json trajectory into a perf gate:
 # compare the working tree's trajectory point against the last committed

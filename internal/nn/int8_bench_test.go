@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -54,5 +55,69 @@ func BenchmarkInt8Forward(b *testing.B) {
 				ex.Forward(in, batch)
 			}
 		})
+	}
+}
+
+// BenchmarkInt8Ops times each stage of the batch-1 forward pass on the
+// deploy-shaped gesture model by itself: the input quantizer and every op
+// of the lowered program (conv with its fused ReLU, max-pool, the hidden
+// dense layer, the logits head), each fed the activations the real forward
+// pass hands it. The sub-benchmarks sum to about BenchmarkInt8Forward
+// batch=1 and show which kernel a change moved.
+func BenchmarkInt8Ops(b *testing.B) {
+	m, _, data := benchGestureInt8(b)
+	in := data[:m.InVol()]
+	ex := m.NewExecutor(nil, 1)
+	ex.Forward(in, 1) // warm the cached closures
+	b.Run("quant", func(b *testing.B) {
+		b.ReportAllocs()
+		runtime.GC()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ex.quant.Run(ex.ctx, ex.arena.actA[:len(in)], in, m.inScale, ex.hi)
+		}
+	})
+	names := map[int8OpKind]string{opConv: "conv", opMaxPool: "pool", opDense: "dense", opDenseLogits: "logits"}
+	for i := range m.ops {
+		op := &m.ops[i]
+		name, ok := names[op.kind]
+		if !ok {
+			b.Fatalf("op %d: kind %d outside the deploy shape", i, op.kind)
+		}
+		// Replay the prefix so src holds op i's real input (the zero
+		// skipping of the kernels depends on it).
+		cur, nxt := ex.arena.actA, ex.arena.actB
+		ex.quant.Run(ex.ctx, cur[:len(in)], in, m.inScale, ex.hi)
+		for j := 0; j < i; j++ {
+			ex.step(&m.ops[j], 1, cur[:m.ops[j].in], nxt[:m.ops[j].out])
+			cur, nxt = nxt, cur
+		}
+		src, dst := cur[:op.in], nxt[:op.out]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			runtime.GC()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ex.step(op, 1, src, dst)
+			}
+		})
+	}
+}
+
+// BenchmarkLoadInt8Model times decoding the gesture model's container, the
+// one-time set-up cmd/serve pays before its first request.
+func BenchmarkLoadInt8Model(b *testing.B) {
+	m, _, _ := benchGestureInt8(b)
+	var buf bytes.Buffer
+	if err := SaveInt8Model(&buf, m); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadInt8Model(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -112,55 +112,62 @@ func (e *Int8Executor) Forward(x []float64, n int) []float64 {
 	e.quant.Run(e.ctx, cur[:n*inVol], x[:n*inVol], m.inScale, e.hi)
 	for i := range m.ops {
 		op := &m.ops[i]
-		src := cur[:n*op.in]
-		switch op.kind {
-		case opConv:
-			e.conv.Run(e.ctx, nxt[:n*op.out], src, op.w, op.bias, op.mult, op.shift,
-				e.arena.cols, e.arena.acc,
-				n, op.inC, op.inH, op.inW, op.outC, op.k, op.stride, op.pad,
-				e.lowClamp(op), e.hi)
-		case opDWConv:
-			e.dw.Run(e.ctx, nxt[:n*op.out], src, op.w, op.bias, op.mult, op.shift,
-				n, op.inC, op.inH, op.inW, op.k, op.stride, op.pad,
-				e.lowClamp(op), e.hi)
-		case opDense:
-			e.dense.Run(e.ctx, nxt[:n*op.out], src, op.w, op.bias, op.mult, op.shift,
-				n, op.inC, op.outC, e.lowClamp(op), e.hi)
-		case opDenseLogits:
-			e.dense.RunLogits(e.ctx, e.arena.logits[:n*m.classes], src, op.w,
-				op.biasF, op.deq, n, op.inC, op.outC)
+		e.step(op, n, cur[:n*op.in], nxt[:n*op.out])
+		if op.kind == opDenseLogits {
 			return e.arena.logits[:n*m.classes]
-		case opMaxPool:
-			// Method values are taken inside the nil check only: binding
-			// e.maxPoolBlocks at a call site would allocate the closure on
-			// every Forward.
-			e.curOp, e.curSrc, e.curDst = op, src, nxt[:n*op.out]
-			if e.poolFn == nil {
-				e.poolFn = e.maxPoolBlocks
-			}
-			e.ctx.ParallelFor(n*op.inC, 2*op.outH*op.outW*op.k*op.k, e.poolFn)
-		case opAvgPool:
-			e.curOp, e.curSrc, e.curDst = op, src, nxt[:n*op.out]
-			if e.avgFn == nil {
-				e.avgFn = e.avgPoolBlocks
-			}
-			e.ctx.ParallelFor(n*op.inC, 2*op.outH*op.outW*op.k*op.k, e.avgFn)
-		case opReLU:
-			e.curOp, e.curSrc, e.curDst = op, src, nxt[:n*op.out]
-			if e.reluFn == nil {
-				e.reluFn = e.reluRange
-			}
-			e.ctx.ParallelFor(n*op.in, 1, e.reluFn)
-		case opNorm:
-			e.curOp, e.curSrc, e.curDst = op, src, nxt[:n*op.out]
-			if e.normFn == nil {
-				e.normFn = e.normBlocks
-			}
-			e.ctx.ParallelFor(n*op.inC, 4*op.inH*op.inW, e.normFn)
 		}
 		cur, nxt = nxt, cur
 	}
 	panic("nn: int8 program did not end in a logits head") // finalize forbids this
+}
+
+// step runs one op over n samples, reading src and writing dst (the logits
+// head writes the arena's logits instead).
+func (e *Int8Executor) step(op *int8Op, n int, src, dst []int8) {
+	switch op.kind {
+	case opConv:
+		e.conv.Run(e.ctx, dst, src, op.w, op.bias, op.mult, op.shift,
+			e.arena.cols, e.arena.acc,
+			n, op.inC, op.inH, op.inW, op.outC, op.k, op.stride, op.pad,
+			e.lowClamp(op), e.hi)
+	case opDWConv:
+		e.dw.Run(e.ctx, dst, src, op.w, op.bias, op.mult, op.shift,
+			n, op.inC, op.inH, op.inW, op.k, op.stride, op.pad,
+			e.lowClamp(op), e.hi)
+	case opDense:
+		e.dense.Run(e.ctx, dst, src, op.w, op.bias, op.mult, op.shift,
+			n, op.inC, op.outC, e.lowClamp(op), e.hi)
+	case opDenseLogits:
+		e.dense.RunLogits(e.ctx, e.arena.logits[:n*e.m.classes], src, op.w,
+			op.biasF, op.deq, n, op.inC, op.outC)
+	case opMaxPool:
+		// Method values are taken inside the nil check only: binding
+		// e.maxPoolBlocks at a call site would allocate the closure on
+		// every Forward.
+		e.curOp, e.curSrc, e.curDst = op, src, dst
+		if e.poolFn == nil {
+			e.poolFn = e.maxPoolBlocks
+		}
+		e.ctx.ParallelFor(n*op.inC, 2*op.outH*op.outW*op.k*op.k, e.poolFn)
+	case opAvgPool:
+		e.curOp, e.curSrc, e.curDst = op, src, dst
+		if e.avgFn == nil {
+			e.avgFn = e.avgPoolBlocks
+		}
+		e.ctx.ParallelFor(n*op.inC, 2*op.outH*op.outW*op.k*op.k, e.avgFn)
+	case opReLU:
+		e.curOp, e.curSrc, e.curDst = op, src, dst
+		if e.reluFn == nil {
+			e.reluFn = e.reluRange
+		}
+		e.ctx.ParallelFor(n*op.in, 1, e.reluFn)
+	case opNorm:
+		e.curOp, e.curSrc, e.curDst = op, src, dst
+		if e.normFn == nil {
+			e.normFn = e.normBlocks
+		}
+		e.ctx.ParallelFor(n*op.inC, 4*op.inH*op.inW, e.normFn)
+	}
 }
 
 func (e *Int8Executor) maxPoolBlocks(b0, b1 int) {
