@@ -225,7 +225,8 @@ smoke-report:
 # fuzz-smoke runs every Fuzz* target in the repository, one at a time, for
 # FUZZ_TIME each: the decoders of untrusted bytes (model containers,
 # checkpoints, memo lines, candidate and result codecs, power traces, HTTP
-# bodies) and the event-queue ordering. New inputs the fuzzer finds stay in
+# bodies), the event-queue ordering, and the packed int8 dense kernels
+# against a naive loop (FuzzInt8Dense). New inputs the fuzzer finds stay in
 # the Go build cache; a failing input is written to the package's
 # testdata/fuzz and fails the target.
 FUZZ_TIME = 10s

@@ -128,10 +128,53 @@ func RequantizeAffineRNE(acc, mult int32, shift int, bias, lo, hi int32) int8 {
 func int8MatMulRows(dst []int32, a, b []int8, k, n, i0, i1 int) {
 	i := i0
 	for ; i+1 < i1; i += 2 {
-		int8MatMulRowPair(dst[i*n:(i+2)*n], a[i*k:(i+2)*k], b, k, n)
+		if k > 4 && k <= shortK {
+			int8MatMulRowPairShort(dst[i*n:(i+2)*n], a[i*k:(i+2)*k], b, k, n)
+		} else {
+			int8MatMulRowPair(dst[i*n:(i+2)*n], a[i*k:(i+2)*k], b, k, n)
+		}
 	}
 	if i < i1 {
 		int8MatMulRow(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], b, k, n)
+	}
+}
+
+// shortK is the largest inner dimension int8MatMulRowPairShort takes: the
+// nine taps of a 3×3 kernel over one input channel.
+const shortK = 9
+
+// int8MatMulRowPairShort is int8MatMulRowPair for 4 < k ≤ shortK, where
+// the four-row passes would store each destination element two or three
+// times: one pass over all k rows of b per output pair writes it once. Rows
+// past k alias b's first row behind a zero coefficient. (At k ≤ 4 the
+// four-row kernel already makes a single pass with fewer multiplies.)
+//
+// Both rows share each multiply: coefficient kk is the int64
+// c0 + c1·2³², so Σ v·(c0 + c1·2³²) = A + B·2³² with A, B the two rows'
+// dot products. |A|, |B| ≤ 9·128² < 2³¹, so int32(S) is A exactly and
+// (S − A)/2³² is B — nine 64-bit multiplies instead of eighteen.
+func int8MatMulRowPairShort(dst []int32, a, b []int8, k, n int) {
+	var c [shortK]int64
+	var rows [shortK][]int8
+	for kk := range rows {
+		rows[kk] = b[:n]
+		if kk < k {
+			c[kk] = int64(a[kk]) + int64(a[k+kk])<<32
+			rows[kk] = b[kk*n : kk*n+n]
+		}
+	}
+	b0 := rows[0]
+	b1, b2, b3 := rows[1][:len(b0)], rows[2][:len(b0)], rows[3][:len(b0)]
+	b4, b5, b6 := rows[4][:len(b0)], rows[5][:len(b0)], rows[6][:len(b0)]
+	b7, b8 := rows[7][:len(b0)], rows[8][:len(b0)]
+	d0, d1 := dst[:len(b0)], dst[n:n+len(b0)]
+	for j := range b0 {
+		s := int64(b0[j])*c[0] + int64(b1[j])*c[1] + int64(b2[j])*c[2] +
+			int64(b3[j])*c[3] + int64(b4[j])*c[4] + int64(b5[j])*c[5] +
+			int64(b6[j])*c[6] + int64(b7[j])*c[7] + int64(b8[j])*c[8]
+		lo := int32(s)
+		d0[j] = lo
+		d1[j] = int32((s - int64(lo)) >> 32)
 	}
 }
 
@@ -157,14 +200,15 @@ func int8MatMulRowPair(dst []int32, a, b []int8, k, n int) {
 			continue
 		}
 		b0 := b[kk*n : kk*n+n]
-		b1 := b[(kk+1)*n : (kk+1)*n+n]
-		b2 := b[(kk+2)*n : (kk+2)*n+n]
-		b3 := b[(kk+3)*n : (kk+3)*n+n]
+		b1 := b[(kk+1)*n : (kk+1)*n+n][:len(b0)]
+		b2 := b[(kk+2)*n : (kk+2)*n+n][:len(b0)]
+		b3 := b[(kk+3)*n : (kk+3)*n+n][:len(b0)]
+		e0, e1 := d0[:len(b0)], d1[:len(b0)]
 		for j := range b0 {
 			bv0, bv1 := int32(b0[j]), int32(b1[j])
 			bv2, bv3 := int32(b2[j]), int32(b3[j])
-			d0[j] += a00*bv0 + a01*bv1 + a02*bv2 + a03*bv3
-			d1[j] += a10*bv0 + a11*bv1 + a12*bv2 + a13*bv3
+			e0[j] += a00*bv0 + a01*bv1 + a02*bv2 + a03*bv3
+			e1[j] += a10*bv0 + a11*bv1 + a12*bv2 + a13*bv3
 		}
 	}
 	for ; kk+1 < k; kk += 2 {
@@ -174,21 +218,23 @@ func int8MatMulRowPair(dst []int32, a, b []int8, k, n int) {
 			continue
 		}
 		b0 := b[kk*n : kk*n+n]
-		b1 := b[(kk+1)*n : (kk+1)*n+n]
+		b1 := b[(kk+1)*n : (kk+1)*n+n][:len(b0)]
+		e0, e1 := d0[:len(b0)], d1[:len(b0)]
 		for j := range b0 {
 			bv0, bv1 := int32(b0[j]), int32(b1[j])
-			d0[j] += a00*bv0 + a01*bv1
-			d1[j] += a10*bv0 + a11*bv1
+			e0[j] += a00*bv0 + a01*bv1
+			e1[j] += a10*bv0 + a11*bv1
 		}
 	}
 	if kk < k {
 		a0, a1 := int32(r0[kk]), int32(r1[kk])
 		if a0|a1 != 0 {
 			bseg := b[kk*n : kk*n+n]
+			e0, e1 := d0[:len(bseg)], d1[:len(bseg)]
 			for j := range bseg {
 				bv := int32(bseg[j])
-				d0[j] += a0 * bv
-				d1[j] += a1 * bv
+				e0[j] += a0 * bv
+				e1[j] += a1 * bv
 			}
 		}
 	}
@@ -231,26 +277,6 @@ func int8MatMulRow(drow []int32, arow, b []int8, k, n int) {
 	}
 }
 
-// int8Dot returns the int32 dot product of two equal-length int8 vectors,
-// four-way unrolled so the integer adds pipeline instead of serializing on
-// one accumulator.
-func int8Dot(a, b []int8) int32 {
-	var s0, s1, s2, s3 int32
-	n := len(a)
-	b = b[:n]
-	i := 0
-	for ; i+3 < n; i += 4 {
-		s0 += int32(a[i]) * int32(b[i])
-		s1 += int32(a[i+1]) * int32(b[i+1])
-		s2 += int32(a[i+2]) * int32(b[i+2])
-		s3 += int32(a[i+3]) * int32(b[i+3])
-	}
-	for ; i < n; i++ {
-		s0 += int32(a[i]) * int32(b[i])
-	}
-	return s0 + s1 + s2 + s3
-}
-
 // requantRNERange applies one channel's requantization to a run of
 // accumulators: dst[j] = clamp(rne((src[j]+bias)·mult·2⁻ˢʰⁱᶠᵗ)). The
 // fixed-point constants hoist out of the element loop; degenerate
@@ -275,60 +301,48 @@ func requantRNERange(dst []int8, src []int32, bias, mult int32, shift int, lo, h
 	}
 }
 
-// int8Dot2 computes the dot products of x against two weight rows in one
-// pass, so every x element loaded from cache feeds two MACs — the dense
-// layers' row-pairing lever (out is almost always even).
-func int8Dot2(x, w0, w1 []int8) (int32, int32) {
-	var a0, a1, b0, b1 int32
-	n := len(x)
-	w0 = w0[:n]
-	w1 = w1[:n]
-	i := 0
-	for ; i+1 < n; i += 2 {
-		x0, x1 := int32(x[i]), int32(x[i+1])
-		a0 += x0 * int32(w0[i])
-		b0 += x1 * int32(w0[i+1])
-		a1 += x0 * int32(w1[i])
-		b1 += x1 * int32(w1[i+1])
+// requantMaxPool is requantRNERange fused with a p×p max-pool: src is one
+// (oh, ow) accumulator plane, dst its (oh/p, ow/p) pooled int8 plane, and
+// only each window's largest src[j]+bias is requantized. That is exact
+// when mult ≥ 0: the requantizer (multiply, round, saturate) is then
+// monotone non-decreasing, so the max of the requantized window is the
+// requantized max — and a quarter of the values (at p = 2) get requantized.
+func requantMaxPool(dst []int8, src []int32, ow, p int, bias, mult int32, shift int, lo, hi int32) {
+	pw := ow / p
+	ph := len(src) / ow / p
+	m64, lo64, hi64 := int64(mult), int64(lo), int64(hi)
+	fast := mult != 0 && shift > 0 && shift <= 62
+	var s uint
+	var half int64
+	if fast {
+		s = uint(shift)
+		half = int64(1)<<(s-1) - 1
 	}
-	if i < n {
-		x0 := int32(x[i])
-		a0 += x0 * int32(w0[i])
-		a1 += x0 * int32(w1[i])
+	for py := 0; py < ph; py++ {
+		win := src[py*p*ow:]
+		drow := dst[py*pw : py*pw+pw]
+		for px := range drow {
+			var best int32
+			if p == 2 {
+				r0, r1 := win[2*px:2*px+2], win[ow+2*px:ow+2*px+2]
+				best = max(r0[0]+bias, r0[1]+bias, r1[0]+bias, r1[1]+bias)
+			} else {
+				best = win[px*p] + bias
+				for ky := 0; ky < p; ky++ {
+					for _, v := range win[ky*ow+px*p : ky*ow+px*p+p] {
+						best = max(best, v+bias)
+					}
+				}
+			}
+			if !fast {
+				drow[px] = RequantizeRNE(best, mult, shift, lo, hi)
+				continue
+			}
+			t := int64(best) * m64
+			q := (t + half + (t>>s)&1) >> s
+			drow[px] = int8(min(max(q, lo64), hi64))
+		}
 	}
-	return a0 + b0, a1 + b1
-}
-
-// int8Dot4 extends the pairing to four weight rows: each x element loaded
-// feeds four MACs, and the eight accumulators keep the multiply chains
-// independent.
-func int8Dot4(x, w0, w1, w2, w3 []int8) (int32, int32, int32, int32) {
-	var a0, a1, a2, a3, b0, b1, b2, b3 int32
-	n := len(x)
-	w0 = w0[:n]
-	w1 = w1[:n]
-	w2 = w2[:n]
-	w3 = w3[:n]
-	i := 0
-	for ; i+1 < n; i += 2 {
-		x0, x1 := int32(x[i]), int32(x[i+1])
-		a0 += x0 * int32(w0[i])
-		b0 += x1 * int32(w0[i+1])
-		a1 += x0 * int32(w1[i])
-		b1 += x1 * int32(w1[i+1])
-		a2 += x0 * int32(w2[i])
-		b2 += x1 * int32(w2[i+1])
-		a3 += x0 * int32(w3[i])
-		b3 += x1 * int32(w3[i+1])
-	}
-	if i < n {
-		x0 := int32(x[i])
-		a0 += x0 * int32(w0[i])
-		a1 += x0 * int32(w1[i])
-		a2 += x0 * int32(w2[i])
-		a3 += x0 * int32(w3[i])
-	}
-	return a0 + b0, a1 + b1, a2 + b2, a3 + b3
 }
 
 // requantIndex returns the channel index into a requant parameter slice:
@@ -366,63 +380,183 @@ func (g *Int8GEMM) rowRange(i0, i1 int) {
 	int8MatMulRows(g.dst, g.a, g.b, g.k, g.n, i0, i1)
 }
 
-// Int8Dense is the quantized fully-connected kernel: one pass computes
-// dst(int8) = requant(x·wᵀ + bias) row by row with the bias/requant/ReLU
-// epilogue fused, or float logits for the classifier head. Like Int8GEMM it
-// caches its dispatch closures and must not be shared across goroutines.
+// The dense kernels multiply one activation by a uint64 word that holds
+// three weights, each biased by +128 into [0, 255] and parked in its own
+// 21-bit lane, so one integer multiply performs three MACs (SWAR: SIMD
+// within a register). A lane is only exact while its running sum stays
+// below 2²¹, so the lanes flush into int64 totals at a fixed input count:
+//
+//   - x ∈ [0, 127] (every activation behind a ReLU): x stays unbiased, a
+//     lane grows by at most 127·255 per input, and 64·127·255 = 2,072,640
+//     < 2²¹. Zero activations are skipped outright.
+//   - signed x: x is biased by +128 too, a lane grows by at most 255² per
+//     input, and 32·255² = 2,080,800 < 2²¹.
+//
+// The biases come back out exactly: Σ x·(w+128) = Σ x·w + 128·Σx, and
+// Σ (x+128)(w+128) = Σ x·w + 128·Σx + 128·Σw + n·128². The totals are exact
+// integers for any int8 weights (−128 included), so their low 32 bits equal
+// the wrapping int32 sum of the scalar dot product.
+const (
+	laneBits  = 21
+	laneMask  = 1<<laneBits - 1
+	tileWords = 12 // words per output tile: 36 outputs, totals sized on the stack
+	tileOut   = 3 * tileWords
+	flushPos  = 64 // inputs per flush for x ∈ [0, 127]
+	flushBias = 32 // inputs per flush for biased x ∈ [0, 255]
+)
+
+// Int8DensePack is a dense layer's (out, in) int8 weight matrix in the
+// SWAR layout: outputs split into tiles of 36, and within a tile, input i
+// owns ⌈cnt/3⌉ consecutive words whose lane l of word g holds
+// w[t·36+3g+l][i]+128 (an absent output's lane holds 0). Input-major order
+// makes a sweep over x read the weights sequentially. A pack is immutable
+// once built, and shared by every executor of its model.
+type Int8DensePack struct {
+	in, out int
+	words   []uint64
+	wsum    []int64 // Σᵢ w[j][i] per output, for the biased correction
+}
+
+// PackInt8Dense lays out w (out, in) for the SWAR dense kernels: one pass of
+// sequential writes into a single word buffer.
+func PackInt8Dense(w []int8, in, out int) *Int8DensePack {
+	p := &Int8DensePack{
+		in:    in,
+		out:   out,
+		words: make([]uint64, in*((out+2)/3)),
+		wsum:  make([]int64, out),
+	}
+	w = w[:in*out]
+	k := 0
+	for j0 := 0; j0 < out; j0 += tileOut {
+		cnt := min(tileOut, out-j0)
+		for i := 0; i < in; i++ {
+			for j := j0; j < j0+cnt; j += 3 {
+				word := uint64(int32(w[j*in+i]) + 128)
+				if j+1 < out {
+					word |= uint64(int32(w[(j+1)*in+i])+128) << laneBits
+				}
+				if j+2 < out {
+					word |= uint64(int32(w[(j+2)*in+i])+128) << (2 * laneBits)
+				}
+				p.words[k] = word
+				k++
+			}
+		}
+	}
+	for j := 0; j < out; j++ {
+		var s int64
+		for _, v := range w[j*in : (j+1)*in] {
+			s += int64(v)
+		}
+		p.wsum[j] = s
+	}
+	return p
+}
+
+// In and Out return the packed layer's input and output widths.
+func (p *Int8DensePack) In() int  { return p.in }
+func (p *Int8DensePack) Out() int { return p.out }
+
+// dotTile sets acc[:cnt] to the dot products of x against outputs
+// [j0, j0+cnt) of the packed layer (j0 a multiple of tileOut), wrapped to
+// int32 exactly as a scalar int32 accumulation would be, and returns cnt.
+func (p *Int8DensePack) dotTile(acc *[tileOut]int32, x []int8, j0 int) int {
+	in := p.in
+	x = x[:in]
+	cnt := min(tileOut, p.out-j0)
+	nw := (cnt + 2) / 3
+	block := p.words[in*j0/3 : in*j0/3+in*nw]
+	var lanes [tileWords]uint64
+	var tot [tileOut]int64
+	ls := lanes[:nw]
+	var neg int8
+	var xsum int64
+	for _, v := range x {
+		neg |= v
+		xsum += int64(v)
+	}
+	signed := neg < 0
+	flush, bias := flushPos, uint64(0)
+	if signed {
+		flush, bias = flushBias, 128
+	}
+	for i0 := 0; i0 < in; i0 += flush {
+		i1 := min(i0+flush, in)
+		for i := i0; i < i1; i++ {
+			xv := uint64(int64(x[i])) + bias
+			if xv == 0 {
+				continue
+			}
+			row := block[i*nw : i*nw+nw]
+			row = row[:len(ls)]
+			for g := range ls {
+				ls[g] += xv * row[g]
+			}
+		}
+		for g, l := range ls {
+			tot[3*g] += int64(l & laneMask)
+			tot[3*g+1] += int64(l >> laneBits & laneMask)
+			tot[3*g+2] += int64(l >> (2 * laneBits))
+			ls[g] = 0
+		}
+	}
+	corr := 128 * xsum
+	for jj := 0; jj < cnt; jj++ {
+		t := tot[jj] - corr
+		if signed {
+			t -= 128*p.wsum[j0+jj] + int64(in)*128*128
+		}
+		acc[jj] = int32(t)
+	}
+	return cnt
+}
+
+// Int8Dense is the quantized fully-connected kernel over a packed weight
+// matrix: one pass computes dst(int8) = requant(x·wᵀ + bias) row by row
+// with the bias/requant/ReLU epilogue fused, or float logits for the
+// classifier head. It caches its dispatch closures and must not be shared
+// across goroutines.
 type Int8Dense struct {
-	x, w, dst         []int8
+	x, dst            []int8
+	p                 *Int8DensePack
 	bias, mult, shift []int32
 	dstF              []float64
 	deq, biasF        []float64
-	in, out           int
 	lo, hi            int32
 	fn, logitsFn      func(i0, i1 int)
 }
 
-// Run computes the int8 dense layer for x (n, in) against w (out, in):
-// dst[i][j] = requant(Σₖ x[i][k]·w[j][k] + bias[j]). mult/shift hold one
-// entry per output unit or a single broadcast entry; [lo, hi] is the
-// saturation range (lo = 0 fuses a ReLU). Rows partition by sample.
-func (d *Int8Dense) Run(ctx *Context, dst, x, w []int8, bias, mult, shift []int32, n, in, out int, lo, hi int32) {
-	d.dst, d.x, d.w = dst, x, w
+// Run computes the int8 dense layer for x (n, p.In()) against the packed
+// weights: dst[i][j] = requant(Σₖ x[i][k]·w[j][k] + bias[j]). mult/shift
+// hold one entry per output unit or a single broadcast entry; [lo, hi] is
+// the saturation range (lo = 0 fuses a ReLU). Rows partition by sample.
+func (d *Int8Dense) Run(ctx *Context, dst, x []int8, p *Int8DensePack, bias, mult, shift []int32, n int, lo, hi int32) {
+	d.dst, d.x, d.p = dst, x, p
 	d.bias, d.mult, d.shift = bias, mult, shift
-	d.in, d.out, d.lo, d.hi = in, out, lo, hi
+	d.lo, d.hi = lo, hi
 	if d.fn == nil {
 		d.fn = d.rowRange
 	}
-	ctx.ParallelFor(n, 2*in*out, d.fn)
+	ctx.ParallelFor(n, 2*p.in*p.out, d.fn)
 }
 
 func (d *Int8Dense) rowRange(i0, i1 int) {
-	in, out := d.in, d.out
+	in, out := d.p.in, d.p.out
+	var acc [tileOut]int32
 	for i := i0; i < i1; i++ {
 		xrow := d.x[i*in : (i+1)*in]
 		drow := d.dst[i*out : (i+1)*out]
-		finish := func(j int, acc int32) {
-			if d.bias != nil {
-				acc += d.bias[j]
+		for j0 := 0; j0 < out; j0 += tileOut {
+			cnt := d.p.dotTile(&acc, xrow, j0)
+			for jj, a := range acc[:cnt] {
+				j := j0 + jj
+				if d.bias != nil {
+					a += d.bias[j]
+				}
+				ci := requantIndex(d.mult, j)
+				drow[j] = RequantizeRNE(a, d.mult[ci], int(d.shift[ci]), d.lo, d.hi)
 			}
-			ci := requantIndex(d.mult, j)
-			drow[j] = RequantizeRNE(acc, d.mult[ci], int(d.shift[ci]), d.lo, d.hi)
-		}
-		j := 0
-		for ; j+3 < out; j += 4 {
-			acc0, acc1, acc2, acc3 := int8Dot4(xrow,
-				d.w[j*in:(j+1)*in], d.w[(j+1)*in:(j+2)*in],
-				d.w[(j+2)*in:(j+3)*in], d.w[(j+3)*in:(j+4)*in])
-			finish(j, acc0)
-			finish(j+1, acc1)
-			finish(j+2, acc2)
-			finish(j+3, acc3)
-		}
-		for ; j+1 < out; j += 2 {
-			acc0, acc1 := int8Dot2(xrow, d.w[j*in:(j+1)*in], d.w[(j+1)*in:(j+2)*in])
-			finish(j, acc0)
-			finish(j+1, acc1)
-		}
-		if j < out {
-			finish(j, int8Dot(xrow, d.w[j*in:(j+1)*in]))
 		}
 	}
 }
@@ -431,38 +565,27 @@ func (d *Int8Dense) rowRange(i0, i1 int) {
 // acc[i][j]·deq[j] + biasF[j], where deq[j] is the per-class dequantization
 // scale (input scale × per-row weight scale). Keeping the head in float
 // costs one multiply per class and spares the logits a final quantization.
-func (d *Int8Dense) RunLogits(ctx *Context, dst []float64, x, w []int8, biasF, deq []float64, n, in, out int) {
-	d.dstF, d.x, d.w = dst, x, w
+func (d *Int8Dense) RunLogits(ctx *Context, dst []float64, x []int8, p *Int8DensePack, biasF, deq []float64, n int) {
+	d.dstF, d.x, d.p = dst, x, p
 	d.biasF, d.deq = biasF, deq
-	d.in, d.out = in, out
 	if d.logitsFn == nil {
 		d.logitsFn = d.logitsRange
 	}
-	ctx.ParallelFor(n, 2*in*out, d.logitsFn)
+	ctx.ParallelFor(n, 2*p.in*p.out, d.logitsFn)
 }
 
 func (d *Int8Dense) logitsRange(i0, i1 int) {
-	in, out := d.in, d.out
+	in, out := d.p.in, d.p.out
+	var acc [tileOut]int32
 	for i := i0; i < i1; i++ {
 		xrow := d.x[i*in : (i+1)*in]
 		drow := d.dstF[i*out : (i+1)*out]
-		j := 0
-		for ; j+3 < out; j += 4 {
-			acc0, acc1, acc2, acc3 := int8Dot4(xrow,
-				d.w[j*in:(j+1)*in], d.w[(j+1)*in:(j+2)*in],
-				d.w[(j+2)*in:(j+3)*in], d.w[(j+3)*in:(j+4)*in])
-			drow[j] = float64(acc0)*d.deq[j] + d.biasF[j]
-			drow[j+1] = float64(acc1)*d.deq[j+1] + d.biasF[j+1]
-			drow[j+2] = float64(acc2)*d.deq[j+2] + d.biasF[j+2]
-			drow[j+3] = float64(acc3)*d.deq[j+3] + d.biasF[j+3]
-		}
-		for ; j+1 < out; j += 2 {
-			acc0, acc1 := int8Dot2(xrow, d.w[j*in:(j+1)*in], d.w[(j+1)*in:(j+2)*in])
-			drow[j] = float64(acc0)*d.deq[j] + d.biasF[j]
-			drow[j+1] = float64(acc1)*d.deq[j+1] + d.biasF[j+1]
-		}
-		if j < out {
-			drow[j] = float64(int8Dot(xrow, d.w[j*in:(j+1)*in]))*d.deq[j] + d.biasF[j]
+		for j0 := 0; j0 < out; j0 += tileOut {
+			cnt := d.p.dotTile(&acc, xrow, j0)
+			for jj, a := range acc[:cnt] {
+				j := j0 + jj
+				drow[j] = float64(a)*d.deq[j] + d.biasF[j]
+			}
 		}
 	}
 }
@@ -523,13 +646,13 @@ func int8Im2col(dst []int8, stride, colOff int, x []int8, cc, h, w, k, cstride, 
 // caller owns the cols/acc scratch (sized rows·width and outC·width), so a
 // steady-state call allocates nothing. Not safe for concurrent use.
 type Int8Conv2D struct {
-	x, w, dst, cols                             []int8
-	acc                                         []int32
-	bias, mult, shift                           []int32
-	n, inC, h, wd, outC, k, stride, pad, oh, ow int
-	lo, hi                                      int32
-	imFn, reqFn                                 func(i0, i1 int)
-	gemm                                        Int8GEMM
+	x, w, dst, cols                                   []int8
+	acc                                               []int32
+	bias, mult, shift                                 []int32
+	n, inC, h, wd, outC, k, stride, pad, oh, ow, pool int
+	lo, hi                                            int32
+	imFn, reqFn                                       func(i0, i1 int)
+	gemm                                              Int8GEMM
 }
 
 // Run convolves x (n, inC, h, wd) with w (outC, inC·k·k) into dst NCHW
@@ -537,6 +660,14 @@ type Int8Conv2D struct {
 // broadcast) mult/shift form the epilogue; [lo, hi] is the saturation
 // range with lo = 0 fusing a ReLU.
 func (c *Int8Conv2D) Run(ctx *Context, dst, x, w []int8, bias, mult, shift []int32, cols []int8, acc []int32, n, inC, h, wd, outC, k, stride, pad int, lo, hi int32) {
+	c.RunMaxPool(ctx, dst, x, w, bias, mult, shift, cols, acc, n, inC, h, wd, outC, k, stride, pad, 1, lo, hi)
+}
+
+// RunMaxPool is Run followed by a pool×pool max-pool (stride pool, trailing
+// rows and columns dropped), fused into the epilogue: dst is the pooled
+// (n, outC, oh/pool, ow/pool) output. Every mult must be ≥ 0 (see
+// requantMaxPool); pool = 1 is Run.
+func (c *Int8Conv2D) RunMaxPool(ctx *Context, dst, x, w []int8, bias, mult, shift []int32, cols []int8, acc []int32, n, inC, h, wd, outC, k, stride, pad, pool int, lo, hi int32) {
 	oh := (h+2*pad-k)/stride + 1
 	ow := (wd+2*pad-k)/stride + 1
 	rows := inC * k * k
@@ -547,7 +678,7 @@ func (c *Int8Conv2D) Run(ctx *Context, dst, x, w []int8, bias, mult, shift []int
 	c.bias, c.mult, c.shift = bias, mult, shift
 	c.n, c.inC, c.h, c.wd = n, inC, h, wd
 	c.outC, c.k, c.stride, c.pad, c.oh, c.ow = outC, k, stride, pad, oh, ow
-	c.lo, c.hi = lo, hi
+	c.pool, c.lo, c.hi = pool, lo, hi
 	if c.imFn == nil {
 		c.imFn = c.im2colRange
 		c.reqFn = c.requantRange
@@ -585,6 +716,12 @@ func (c *Int8Conv2D) requantRange(c0, c1 int) {
 		}
 		for i := 0; i < c.n; i++ {
 			src := c.acc[oc*width+i*span : oc*width+(i+1)*span]
+			if c.pool > 1 {
+				pooled := (c.oh / c.pool) * (c.ow / c.pool)
+				dst := c.dst[(i*c.outC+oc)*pooled : (i*c.outC+oc+1)*pooled]
+				requantMaxPool(dst, src, c.ow, c.pool, bias, mult, shift, c.lo, c.hi)
+				continue
+			}
 			dst := c.dst[(i*c.outC+oc)*span : (i*c.outC+oc+1)*span]
 			requantRNERange(dst, src, bias, mult, shift, c.lo, c.hi)
 		}

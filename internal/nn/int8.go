@@ -65,6 +65,14 @@ type int8Op struct {
 	// deq/biasF are the float head of opDenseLogits: per-class
 	// dequantization scale and float bias.
 	deq, biasF []float64
+
+	// Derived by finalize, never serialized:
+	// pack is w in the dense kernels' SWAR layout (opDense, opDenseLogits);
+	pack *compute.Int8DensePack
+	// pool is the window of the max-pool op that follows this conv when
+	// its pool folds into the conv's epilogue (0: none); the executor then
+	// skips that op.
+	pool int
 }
 
 // Int8Model is a lowered, immutable quantized network: safe for concurrent
@@ -77,9 +85,12 @@ type Int8Model struct {
 	abits   int
 	arch    string // human-readable provenance (Arch.String())
 	ops     []int8Op
+	arenaMarks
+}
 
-	// Per-sample scratch high-water marks, computed by finalize: the
-	// executor sizes its inference arena once from these.
+// arenaMarks are a program's per-sample scratch high-water marks, computed
+// by validate: the executor sizes its inference arena once from these.
+type arenaMarks struct {
 	maxAct  int // largest activation volume (incl. the input)
 	maxAcc  int // largest conv accumulator volume
 	maxCols int // largest conv im2col volume
@@ -381,11 +392,46 @@ func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) 
 	return m, nil
 }
 
-// finalize validates the op program (geometry chain, slice lengths, requant
-// ranges) and computes the executor's per-sample arena high-water marks. It
-// runs after conversion and after decode, doubling as the screening pass
-// for untrusted model files.
+// finalize validates the op program, records its arena marks, and derives
+// the executor's view of it: each dense op's weights packed once for the
+// SWAR kernel, and each conv→max-pool pair whose pool can fold into the
+// conv's epilogue. It runs once per model, after conversion and after
+// decode, so validate doubles as the screening pass for untrusted model
+// files.
 func (m *Int8Model) finalize() error {
+	if err := m.validate(&m.arenaMarks); err != nil {
+		return err
+	}
+	for i := range m.ops {
+		op := &m.ops[i]
+		switch op.kind {
+		case opDense, opDenseLogits:
+			op.pack = compute.PackInt8Dense(op.w, op.inC, op.outC)
+		case opConv:
+			if next := i + 1; next < len(m.ops) && m.ops[next].kind == opMaxPool && monotone(op.mult) {
+				op.pool = m.ops[next].k
+			}
+		}
+	}
+	return nil
+}
+
+// monotone reports whether every requant multiplier is non-negative, which
+// makes the requantizer order-preserving: the max of requantized values is
+// then the requantized max, so a max-pool may run on the accumulators.
+func monotone(mult []int32) bool {
+	for _, m := range mult {
+		if m < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// validate checks the op program (geometry chain, slice lengths, requant
+// ranges) and computes its per-sample arena high-water marks into marks;
+// it does not modify the model.
+func (m *Int8Model) validate(marks *arenaMarks) error {
 	if len(m.inShape) == 0 || len(m.inShape) > 8 {
 		return fmt.Errorf("nn: int8 model: implausible input rank %d", len(m.inShape))
 	}
@@ -411,7 +457,7 @@ func (m *Int8Model) finalize() error {
 	if !(m.inScale >= 0) || math.IsInf(m.inScale, 0) {
 		return fmt.Errorf("nn: int8 model: invalid input scale %v", m.inScale)
 	}
-	m.maxAct, m.maxAcc, m.maxCols = vol, 0, 0
+	marks.maxAct, marks.maxAcc, marks.maxCols = vol, 0, 0
 	cur := vol
 	checkRequant := func(op *int8Op, wantLen int) error {
 		if len(op.mult) != wantLen && len(op.mult) != 1 {
@@ -460,11 +506,11 @@ func (m *Int8Model) finalize() error {
 				return err
 			}
 			cols := op.inC * op.k * op.k * op.outH * op.outW
-			if cols > m.maxCols {
-				m.maxCols = cols
+			if cols > marks.maxCols {
+				marks.maxCols = cols
 			}
-			if op.out > m.maxAcc {
-				m.maxAcc = op.out
+			if op.out > marks.maxAcc {
+				marks.maxAcc = op.out
 			}
 		case opDWConv:
 			if op.inC != op.outC || op.in != op.inC*op.inH*op.inW || op.out != op.outC*op.outH*op.outW {
@@ -527,11 +573,11 @@ func (m *Int8Model) finalize() error {
 				return err
 			}
 		}
-		if op.in > m.maxAct {
-			m.maxAct = op.in
+		if op.in > marks.maxAct {
+			marks.maxAct = op.in
 		}
-		if op.out > m.maxAct {
-			m.maxAct = op.out
+		if op.out > marks.maxAct {
+			marks.maxAct = op.out
 		}
 		cur = op.out
 	}
@@ -651,7 +697,8 @@ func readI8s(r *bytecodec.Reader) []int8 {
 // appendInt8Model serializes the model (bytecodec varint layout; the
 // container adds magic/version/CRC around it).
 func appendInt8Model(b []byte, m *Int8Model) ([]byte, error) {
-	if err := m.finalize(); err != nil {
+	var marks arenaMarks
+	if err := m.validate(&marks); err != nil {
 		return nil, fmt.Errorf("nn: refusing to serialize invalid int8 model: %w", err)
 	}
 	b = bytecodec.AppendUvarint(b, int8ModelVersion)

@@ -78,21 +78,23 @@ func BenchmarkInt8Ops(b *testing.B) {
 		}
 	})
 	names := map[int8OpKind]string{opConv: "conv", opMaxPool: "pool", opDense: "dense", opDenseLogits: "logits"}
-	for i := range m.ops {
+	// Replay the program step by step so each op times on its real input
+	// (the kernels skip zero activations).
+	cur, nxt := ex.arena.actA, ex.arena.actB
+	ex.quant.Run(ex.ctx, cur[:len(in)], in, m.inScale, ex.hi)
+	for i := 0; i < len(m.ops); i++ {
 		op := &m.ops[i]
 		name, ok := names[op.kind]
 		if !ok {
 			b.Fatalf("op %d: kind %d outside the deploy shape", i, op.kind)
 		}
-		// Replay the prefix so src holds op i's real input (the zero
-		// skipping of the kernels depends on it).
-		cur, nxt := ex.arena.actA, ex.arena.actB
-		ex.quant.Run(ex.ctx, cur[:len(in)], in, m.inScale, ex.hi)
-		for j := 0; j < i; j++ {
-			ex.step(&m.ops[j], 1, cur[:m.ops[j].in], nxt[:m.ops[j].out])
-			cur, nxt = nxt, cur
+		out := op.out
+		if op.pool > 0 {
+			i++
+			out = m.ops[i].out
+			name += "+pool"
 		}
-		src, dst := cur[:op.in], nxt[:op.out]
+		src, dst := cur[:op.in], nxt[:out]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			runtime.GC()
@@ -101,6 +103,7 @@ func BenchmarkInt8Ops(b *testing.B) {
 				ex.step(op, 1, src, dst)
 			}
 		})
+		cur, nxt = nxt, cur
 	}
 }
 

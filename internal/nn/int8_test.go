@@ -348,6 +348,51 @@ func TestInt8LogitsGolden(t *testing.T) {
 	}
 }
 
+// unfolded returns a copy of m whose executor runs every max-pool as its
+// own op.
+func unfolded(m *Int8Model) *Int8Model {
+	u := *m
+	u.ops = append([]int8Op(nil), m.ops...)
+	for i := range u.ops {
+		u.ops[i].pool = 0
+	}
+	return &u
+}
+
+// TestInt8MaxPoolFold checks the conv→max-pool fold: the gesture and
+// signed-input programs fold their pool into the conv epilogue, their
+// logits match the unfolded program bit for bit at batch 1 and 16, and a
+// conv with a negative requant multiplier (an order-reversing requantizer)
+// keeps its pool as a separate op.
+func TestInt8MaxPoolFold(t *testing.T) {
+	gesture, _, gx, _ := convertGesture(t)
+	signed, sx := signedDenseModel(t)
+	for _, c := range []struct {
+		name string
+		m    *Int8Model
+		x    *tensor.Tensor
+	}{{"gesture", gesture, gx}, {"signed", signed, sx}} {
+		if c.m.ops[0].kind != opConv || c.m.ops[0].pool != 2 {
+			t.Fatalf("%s: conv→max-pool not folded (pool %d)", c.name, c.m.ops[0].pool)
+		}
+		u := unfolded(c.m)
+		for _, batch := range []int{1, 16} {
+			if got, want := logitsHash(c.m.NewExecutor(nil, batch), c.x, batch), logitsHash(u.NewExecutor(nil, batch), c.x, batch); got != want {
+				t.Fatalf("%s batch %d: folded logits hash %#x, unfolded %#x", c.name, batch, got, want)
+			}
+		}
+	}
+	neg := unfolded(signed)
+	neg.ops[0].mult = append([]int32(nil), neg.ops[0].mult...)
+	neg.ops[0].mult[len(neg.ops[0].mult)-1] *= -1
+	if err := neg.finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if neg.ops[0].pool != 0 {
+		t.Fatalf("conv with a negative multiplier folded its max-pool (pool %d)", neg.ops[0].pool)
+	}
+}
+
 // TestConvertInt8PreservesFloatModel pins the snapshot/restore contract:
 // lowering must not perturb the float network it reads.
 func TestConvertInt8PreservesFloatModel(t *testing.T) {

@@ -110,9 +110,14 @@ func (e *Int8Executor) Forward(x []float64, n int) []float64 {
 	}
 	cur, nxt := e.arena.actA, e.arena.actB
 	e.quant.Run(e.ctx, cur[:n*inVol], x[:n*inVol], m.inScale, e.hi)
-	for i := range m.ops {
+	for i := 0; i < len(m.ops); i++ {
 		op := &m.ops[i]
-		e.step(op, n, cur[:n*op.in], nxt[:n*op.out])
+		out := op.out
+		if op.pool > 0 {
+			i++ // the folded max-pool: the conv writes its output
+			out = m.ops[i].out
+		}
+		e.step(op, n, cur[:n*op.in], nxt[:n*out])
 		if op.kind == opDenseLogits {
 			return e.arena.logits[:n*m.classes]
 		}
@@ -122,24 +127,25 @@ func (e *Int8Executor) Forward(x []float64, n int) []float64 {
 }
 
 // step runs one op over n samples, reading src and writing dst (the logits
-// head writes the arena's logits instead).
+// head writes the arena's logits instead; a conv with a folded max-pool
+// writes the pooled output).
 func (e *Int8Executor) step(op *int8Op, n int, src, dst []int8) {
 	switch op.kind {
 	case opConv:
-		e.conv.Run(e.ctx, dst, src, op.w, op.bias, op.mult, op.shift,
+		e.conv.RunMaxPool(e.ctx, dst, src, op.w, op.bias, op.mult, op.shift,
 			e.arena.cols, e.arena.acc,
-			n, op.inC, op.inH, op.inW, op.outC, op.k, op.stride, op.pad,
+			n, op.inC, op.inH, op.inW, op.outC, op.k, op.stride, op.pad, max(op.pool, 1),
 			e.lowClamp(op), e.hi)
 	case opDWConv:
 		e.dw.Run(e.ctx, dst, src, op.w, op.bias, op.mult, op.shift,
 			n, op.inC, op.inH, op.inW, op.k, op.stride, op.pad,
 			e.lowClamp(op), e.hi)
 	case opDense:
-		e.dense.Run(e.ctx, dst, src, op.w, op.bias, op.mult, op.shift,
-			n, op.inC, op.outC, e.lowClamp(op), e.hi)
+		e.dense.Run(e.ctx, dst, src, op.pack, op.bias, op.mult, op.shift,
+			n, e.lowClamp(op), e.hi)
 	case opDenseLogits:
-		e.dense.RunLogits(e.ctx, e.arena.logits[:n*e.m.classes], src, op.w,
-			op.biasF, op.deq, n, op.inC, op.outC)
+		e.dense.RunLogits(e.ctx, e.arena.logits[:n*e.m.classes], src, op.pack,
+			op.biasF, op.deq, n)
 	case opMaxPool:
 		// Method values are taken inside the nil check only: binding
 		// e.maxPoolBlocks at a call site would allocate the closure on
