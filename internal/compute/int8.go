@@ -403,6 +403,7 @@ const (
 	tileOut   = 3 * tileWords
 	flushPos  = 64 // inputs per flush for x ∈ [0, 127]
 	flushBias = 32 // inputs per flush for biased x ∈ [0, 255]
+	packBlock = 64 // inputs per packing block; its lane sums stay below 64·255
 )
 
 // Int8DensePack is a dense layer's (out, in) int8 weight matrix in the
@@ -417,40 +418,60 @@ type Int8DensePack struct {
 	wsum    []int64 // Σᵢ w[j][i] per output, for the biased correction
 }
 
-// PackInt8Dense lays out w (out, in) for the SWAR dense kernels: one pass of
-// sequential writes into a single word buffer.
+// PackInt8Dense lays out w (out, in) for the SWAR dense kernels. It walks
+// blocks of packBlock inputs so the words a block writes (strided by the
+// tile width) stay in L1 while each word column reads its three weight
+// rows sequentially, and it sums the rows for the biased correction by
+// adding up the packed words themselves: one add per word.
 func PackInt8Dense(w []int8, in, out int) *Int8DensePack {
-	p := &Int8DensePack{
-		in:    in,
-		out:   out,
-		words: make([]uint64, in*((out+2)/3)),
-		wsum:  make([]int64, out),
-	}
+	words := (out + 2) / 3
+	p := &Int8DensePack{in: in, out: out, words: make([]uint64, in*words)}
 	w = w[:in*out]
-	k := 0
+	// A tile's absent outputs read a row of −128, which biases to 0.
+	var absent []int8
+	if out%3 != 0 {
+		absent = make([]int8, in)
+		for i := range absent {
+			absent[i] = -128
+		}
+	}
+	row := func(j int) []int8 {
+		if j >= out {
+			return absent
+		}
+		return w[j*in : (j+1)*in]
+	}
+	wsum := make([]int64, 3*words) // lane sums of w+128, absent lanes included
 	for j0 := 0; j0 < out; j0 += tileOut {
-		cnt := min(tileOut, out-j0)
-		for i := 0; i < in; i++ {
-			for j := j0; j < j0+cnt; j += 3 {
-				word := uint64(int32(w[j*in+i]) + 128)
-				if j+1 < out {
-					word |= uint64(int32(w[(j+1)*in+i])+128) << laneBits
+		nw := (min(tileOut, out-j0) + 2) / 3
+		block := p.words[in*j0/3 : in*j0/3+in*nw]
+		for i0 := 0; i0 < in; i0 += packBlock {
+			i1 := min(i0+packBlock, in)
+			for g := 0; g < nw; g++ {
+				j := j0 + 3*g
+				r0, r1, r2 := row(j)[i0:i1], row(j + 1)[i0:i1], row(j + 2)[i0:i1]
+				r1, r2 = r1[:len(r0)], r2[:len(r0)]
+				var sum uint64
+				k := i0*nw + g
+				for i, v := range r0 {
+					// uint8(v)^0x80 is v+128.
+					word := uint64(uint8(v)^0x80) |
+						uint64(uint8(r1[i])^0x80)<<laneBits |
+						uint64(uint8(r2[i])^0x80)<<(2*laneBits)
+					block[k] = word
+					sum += word
+					k += nw
 				}
-				if j+2 < out {
-					word |= uint64(int32(w[(j+2)*in+i])+128) << (2 * laneBits)
-				}
-				p.words[k] = word
-				k++
+				wsum[j] += int64(sum & laneMask)
+				wsum[j+1] += int64(sum >> laneBits & laneMask)
+				wsum[j+2] += int64(sum >> (2 * laneBits))
 			}
 		}
 	}
-	for j := 0; j < out; j++ {
-		var s int64
-		for _, v := range w[j*in : (j+1)*in] {
-			s += int64(v)
-		}
-		p.wsum[j] = s
+	for j := range wsum {
+		wsum[j] -= 128 * int64(in)
 	}
+	p.wsum = wsum[:out]
 	return p
 }
 
@@ -641,10 +662,12 @@ func int8Im2col(dst []int8, stride, colOff int, x []int8, cc, h, w, k, cstride, 
 }
 
 // Int8Conv2D is the batched quantized convolution: int8 im2col lowering of
-// the whole batch, one int8 GEMM into int32 accumulators, and a fused
+// a chunk of samples, one int8 GEMM into int32 accumulators, and a fused
 // bias/requant/ReLU epilogue that scatters straight back to NCHW. The
-// caller owns the cols/acc scratch (sized rows·width and outC·width), so a
-// steady-state call allocates nothing. Not safe for concurrent use.
+// caller owns the cols/acc scratch, sized for at least one sample
+// (rows·oh·ow and outC·oh·ow); the batch runs in chunks of as many samples
+// as it holds, so a steady-state call allocates nothing. Not safe for
+// concurrent use.
 type Int8Conv2D struct {
 	x, w, dst, cols                                   []int8
 	acc                                               []int32
@@ -672,26 +695,33 @@ func (c *Int8Conv2D) RunMaxPool(ctx *Context, dst, x, w []int8, bias, mult, shif
 	ow := (wd+2*pad-k)/stride + 1
 	rows := inC * k * k
 	span := oh * ow
-	width := n * span
-	c.x, c.w, c.dst = x, w, dst
-	c.cols, c.acc = cols[:rows*width], acc[:outC*width]
+	c.w = w
 	c.bias, c.mult, c.shift = bias, mult, shift
-	c.n, c.inC, c.h, c.wd = n, inC, h, wd
+	c.inC, c.h, c.wd = inC, h, wd
 	c.outC, c.k, c.stride, c.pad, c.oh, c.ow = outC, k, stride, pad, oh, ow
 	c.pool, c.lo, c.hi = pool, lo, hi
 	if c.imFn == nil {
 		c.imFn = c.im2colRange
 		c.reqFn = c.requantRange
 	}
-	// Batched im2col: sample i owns column block [i·span, (i+1)·span).
-	clear(c.cols)
-	ctx.For(n, 1, c.imFn)
-	// One GEMM for the whole batch; bias joins in the epilogue (the
-	// accumulator domain, unlike the float path's row-start fusion).
-	c.gemm.MatMul(ctx, c.acc, w, c.cols, outC, rows, width)
-	// Requant + NCHW scatter, partitioned by output channel: channel oc
-	// writes the disjoint planes (i·outC+oc)·span for every sample i.
-	ctx.ParallelFor(outC, 8*width, c.reqFn)
+	outSample := outC * (oh / pool) * (ow / pool)
+	// The batch runs in chunks of as many samples as the scratch holds.
+	chunk := max(1, min(len(cols)/(rows*span), len(acc)/(outC*span)))
+	for s0 := 0; s0 < n; s0 += chunk {
+		c.n = min(chunk, n-s0)
+		width := c.n * span
+		c.x, c.dst = x[s0*inC*h*wd:], dst[s0*outSample:]
+		c.cols, c.acc = cols[:rows*width], acc[:outC*width]
+		// Batched im2col: sample i owns column block [i·span, (i+1)·span).
+		clear(c.cols)
+		ctx.For(c.n, 1, c.imFn)
+		// One GEMM for the chunk; bias joins in the epilogue (the
+		// accumulator domain, unlike the float path's row-start fusion).
+		c.gemm.MatMul(ctx, c.acc, w, c.cols, outC, rows, width)
+		// Requant + NCHW scatter, partitioned by output channel: channel oc
+		// writes the disjoint planes (i·outC+oc)·span for every sample i.
+		ctx.ParallelFor(outC, 8*width, c.reqFn)
+	}
 }
 
 func (c *Int8Conv2D) im2colRange(i0, i1 int) {

@@ -517,7 +517,8 @@ func TestInt8GEMMShortK(t *testing.T) {
 }
 
 // TestInt8ConvMaxPoolMatchesUnfused checks the fused conv→max-pool
-// epilogue against Run followed by a naive max-pool: pool windows of 2 and
+// epilogue, run on one sample's scratch, against a whole-batch Run followed
+// by a naive max-pool: pool windows of 2 and
 // 3 over planes that leave trailing rows and columns, per-layer and
 // per-channel multipliers including a dead channel (mult 0) and left
 // shifts, with and without a fused ReLU.
@@ -552,9 +553,11 @@ func TestInt8ConvMaxPoolMatchesUnfused(t *testing.T) {
 				acc := make([]int32, outC*width)
 				full := make([]int8, n*outC*oh*ow)
 				c.Run(ctx, full, x, w, bias, mult, shift, cols, acc, n, inC, h, wd, outC, k, stride, pad, lo, 127)
+				// The fused run gets one sample's scratch, so it also
+				// walks the batch in chunks.
 				ph, pw := oh/pool, ow/pool
 				got := make([]int8, n*outC*ph*pw)
-				c.RunMaxPool(ctx, got, x, w, bias, mult, shift, cols, acc, n, inC, h, wd, outC, k, stride, pad, pool, lo, 127)
+				c.RunMaxPool(ctx, got, x, w, bias, mult, shift, cols[:rows*oh*ow], acc[:outC*oh*ow], n, inC, h, wd, outC, k, stride, pad, pool, lo, 127)
 				for p := 0; p < n*outC; p++ {
 					for py := 0; py < ph; py++ {
 						for px := 0; px < pw; px++ {

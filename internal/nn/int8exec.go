@@ -10,7 +10,9 @@ import (
 // Int8Executor owns every buffer a forward pass touches — two int8
 // activation ping-pong planes, the conv im2col and int32 accumulator
 // scratch, and the float logits — all sized ONCE from the model's
-// per-sample high-water marks times the executor's batch capacity. The
+// per-sample high-water marks: times the executor's batch capacity, except
+// the conv scratch, which holds one sample (the conv kernel walks the batch
+// through it sample by sample). The
 // compute dispatchers (Int8Conv2D etc.) cache their range closures after
 // the first call, so the steady-state Forward performs zero heap
 // allocations at any batch size up to the capacity. One executor serves one
@@ -23,8 +25,8 @@ import (
 // (im2col padding) is cleared by the conv kernel itself.
 type inferArena struct {
 	actA, actB []int8    // activation ping-pong planes (maxBatch × maxAct)
-	cols       []int8    // conv im2col scratch (maxBatch × maxCols)
-	acc        []int32   // conv GEMM accumulators (maxBatch × maxAcc)
+	cols       []int8    // conv im2col scratch (one sample: maxCols)
+	acc        []int32   // conv GEMM accumulators (one sample: maxAcc)
 	logits     []float64 // classifier output (maxBatch × classes)
 }
 
@@ -74,8 +76,10 @@ func (m *Int8Model) NewExecutor(ctx *compute.Context, maxBatch int) *Int8Executo
 	e.arena.actA = make([]int8, maxBatch*m.maxAct)
 	e.arena.actB = make([]int8, maxBatch*m.maxAct)
 	if m.maxCols > 0 {
-		e.arena.cols = make([]int8, maxBatch*m.maxCols)
-		e.arena.acc = make([]int32, maxBatch*m.maxAcc)
+		// One sample's worth: the conv kernel walks a batch sample by
+		// sample through this scratch.
+		e.arena.cols = make([]int8, m.maxCols)
+		e.arena.acc = make([]int32, m.maxAcc)
 	}
 	e.arena.logits = make([]float64, maxBatch*m.classes)
 	return e
