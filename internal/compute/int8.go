@@ -307,40 +307,38 @@ func requantRNERange(dst []int8, src []int32, bias, mult int32, shift int, lo, h
 // when mult ≥ 0: the requantizer (multiply, round, saturate) is then
 // monotone non-decreasing, so the max of the requantized window is the
 // requantized max — and a quarter of the values (at p = 2) get requantized.
+// The 2×2 window with the hoisted fixed-point constants is the fast path;
+// other windows and degenerate parameters take the scalar epilogue.
 func requantMaxPool(dst []int8, src []int32, ow, p int, bias, mult int32, shift int, lo, hi int32) {
 	pw := ow / p
 	ph := len(src) / ow / p
-	m64, lo64, hi64 := int64(mult), int64(lo), int64(hi)
-	fast := mult != 0 && shift > 0 && shift <= 62
-	var s uint
-	var half int64
-	if fast {
-		s = uint(shift)
-		half = int64(1)<<(s-1) - 1
-	}
-	for py := 0; py < ph; py++ {
-		win := src[py*p*ow:]
-		drow := dst[py*pw : py*pw+pw]
-		for px := range drow {
-			var best int32
-			if p == 2 {
-				r0, r1 := win[2*px:2*px+2], win[ow+2*px:ow+2*px+2]
-				best = max(r0[0]+bias, r0[1]+bias, r1[0]+bias, r1[1]+bias)
-			} else {
-				best = win[px*p] + bias
+	if p != 2 || mult == 0 || shift <= 0 || shift > 62 {
+		for py := 0; py < ph; py++ {
+			for px := 0; px < pw; px++ {
+				best := src[py*p*ow+px*p] + bias
 				for ky := 0; ky < p; ky++ {
-					for _, v := range win[ky*ow+px*p : ky*ow+px*p+p] {
+					for _, v := range src[(py*p+ky)*ow+px*p : (py*p+ky)*ow+px*p+p] {
 						best = max(best, v+bias)
 					}
 				}
+				dst[py*pw+px] = RequantizeRNE(best, mult, shift, lo, hi)
 			}
-			if !fast {
-				drow[px] = RequantizeRNE(best, mult, shift, lo, hi)
-				continue
-			}
+		}
+		return
+	}
+	m64, lo64, hi64 := int64(mult), int64(lo), int64(hi)
+	s := uint(shift)
+	half := int64(1)<<(s-1) - 1
+	for py := 0; py < ph; py++ {
+		r0 := src[2*py*ow : 2*py*ow+2*pw]
+		r1 := src[(2*py+1)*ow : (2*py+1)*ow+2*pw]
+		r1 = r1[:len(r0)]
+		drow := dst[py*pw : py*pw+pw]
+		for j := 0; j+1 < len(r0); j += 2 {
+			best := max(r0[j]+bias, r0[j+1]+bias, r1[j]+bias, r1[j+1]+bias)
 			t := int64(best) * m64
 			q := (t + half + (t>>s)&1) >> s
-			drow[px] = int8(min(max(q, lo64), hi64))
+			drow[j>>1] = int8(min(max(q, lo64), hi64))
 		}
 	}
 }
