@@ -473,10 +473,6 @@ func PackInt8Dense(w []int8, in, out int) *Int8DensePack {
 	return p
 }
 
-// In and Out return the packed layer's input and output widths.
-func (p *Int8DensePack) In() int  { return p.in }
-func (p *Int8DensePack) Out() int { return p.out }
-
 // dotTile sets acc[:cnt] to the dot products of x against outputs
 // [j0, j0+cnt) of the packed layer (j0 a multiple of tileOut), wrapped to
 // int32 exactly as a scalar int32 accumulation would be, and returns cnt.
@@ -546,7 +542,7 @@ type Int8Dense struct {
 	fn, logitsFn      func(i0, i1 int)
 }
 
-// Run computes the int8 dense layer for x (n, p.In()) against the packed
+// Run computes the int8 dense layer for x (n, in) against the packed
 // weights: dst[i][j] = requant(Σₖ x[i][k]·w[j][k] + bias[j]). mult/shift
 // hold one entry per output unit or a single broadcast entry; [lo, hi] is
 // the saturation range (lo = 0 fuses a ReLU). Rows partition by sample.

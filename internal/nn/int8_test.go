@@ -311,10 +311,10 @@ func logitsHash(ex *Int8Executor, x *tensor.Tensor, batch int) uint64 {
 
 // TestInt8LogitsGolden pins the int8 logits bit for bit: the gesture
 // fixture and the all-ops model, every sample, at batch 1 and 16, serial
-// and on a pooled context. The hashes were recorded against the plain
-// scalar kernels (int8Dot4 dense, four-row conv GEMM passes), so any kernel
-// rewrite must reproduce their integer sums exactly; cross-executor checks
-// alone cannot see an error every executor shares.
+// and on a pooled context. The hashes come from the plain scalar kernels
+// (one int32 multiply-add per weight, a separate max-pool op), so the
+// packed and fused kernels must reproduce their integer sums exactly;
+// cross-executor checks alone cannot see an error every executor shares.
 func TestInt8LogitsGolden(t *testing.T) {
 	gesture, _, gx, _ := convertGesture(t)
 	allOps, ax, _, _ := trainedAllOps(t)
