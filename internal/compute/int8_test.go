@@ -413,6 +413,8 @@ func TestInt8DenseEdges(t *testing.T) {
 	outs := []int{1, 2, 3, 4, 5, 35, 36, 37, 73}
 	for _, abits := range []int{4, 5, 6, 7, 8} {
 		hi := int32(1)<<uint(abits-1) - 1
+		// "plus-hi-signed" is +hi but for each row's last input, −hi: the
+		// signed path with its lanes growing as fast as they can.
 		acts := []struct {
 			name   string
 			lo, hi int32
@@ -423,6 +425,7 @@ func TestInt8DenseEdges(t *testing.T) {
 			{"plus-hi", hi, hi, 0, false},
 			{"minus-hi", -hi, -hi, 0, true},
 			{"signed", -hi, hi, 0, true},
+			{"plus-hi-signed", hi, hi, 0, true},
 		}
 		for _, in := range ins {
 			for _, out := range outs {
@@ -430,6 +433,11 @@ func TestInt8DenseEdges(t *testing.T) {
 					a := acts[(in+out+wi)%len(acts)]
 					const n = 2
 					x := fillInt8(rng, n*in, a.lo, a.hi, a.zeros)
+					if a.name == "plus-hi-signed" {
+						for i := 0; i < n; i++ {
+							x[i*in+in-1] = int8(-hi)
+						}
+					}
 					w := fillInt8(rng, out*in, wfill[0], wfill[1], 0)
 					bias := make([]int32, out)
 					for j := range bias {
