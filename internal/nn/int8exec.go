@@ -76,8 +76,6 @@ func (m *Int8Model) NewExecutor(ctx *compute.Context, maxBatch int) *Int8Executo
 	e.arena.actA = make([]int8, maxBatch*m.maxAct)
 	e.arena.actB = make([]int8, maxBatch*m.maxAct)
 	if m.maxCols > 0 {
-		// One sample's worth: the conv kernel walks a batch sample by
-		// sample through this scratch.
 		e.arena.cols = make([]int8, m.maxCols)
 		e.arena.acc = make([]int32, m.maxAcc)
 	}
