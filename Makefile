@@ -40,12 +40,12 @@ bench-obs:
 # bench-energy pins the joule ledger's hot-path cost: the enabled charge
 # must stay allocation-free and the nil-ledger no-op near zero, so
 # producers can charge unconditionally (no `if led != nil` at call sites).
-# BenchmarkLedgerContention then sets striped lanes against one shared
-# ledger across worker counts: the number that justifies striping the fleet
-# ledger, run long enough for the contention to show.
+# The fleet pair then sets the fleet with its ledger, inspector and
+# distributions attached against the bare fleet, at one and two cores and
+# ten samples each: the delta is what fleet energy accounting costs.
 bench-energy:
 	$(GO) test -run NONE -bench 'BenchmarkLedgerCharge|BenchmarkLedgerSync|BenchmarkNoopLedger' -benchtime 100x -benchmem ./internal/obs/energy/
-	$(GO) test -run NONE -bench 'BenchmarkLedgerContention' -benchtime 200000x -count 3 -benchmem ./internal/obs/energy/
+	$(GO) test -run NONE -bench 'BenchmarkFleetDeviceYears$$|BenchmarkFleetDeviceYearsInstrumented' -cpu 1,2 -count 10 -benchmem ./internal/firmware/
 
 # bench-fleet records the fleet simulation throughput pair into the
 # trajectory: BenchmarkFleetDeviceYears (event-driven core) against
@@ -132,7 +132,9 @@ search-resume-smoke:
 # carries the nn.arena buffer-reuse row, and that a dataset too small for
 # the train/test split is a flag error, not a panic; then record a seeded lifetime run and check the energy report
 # carries the ledger accounts, and that a multi-exit ladder run reports its
-# per-rung exit usage; finally run a fleet big enough to curl its
+# per-rung exit usage; run one fleet at one and at two workers and check
+# their output (the energy ledger included) is identical apart from the
+# wall-time line; finally run a fleet big enough to curl its
 # live /debug/fleet inspector mid-run, and check the per-device
 # distributions land in the CSV and the obs-report -fleet section. CI runs
 # this and uploads the artifacts. The final leg exercises the serving path:
@@ -172,6 +174,12 @@ smoke-report:
 	$(GO) build -o $(BUILD_DIR)/lifetime ./cmd/lifetime
 	$(BUILD_DIR)/lifetime -hours 2 -seed 1 -ladder > $(BUILD_DIR)/lifetime_ladder.txt
 	grep 'exit usage:' $(BUILD_DIR)/lifetime_ladder.txt
+	$(BUILD_DIR)/lifetime -hours 24 -devices 20000 -seed 3 -workers 1 > $(BUILD_DIR)/fleet_workers1.raw
+	$(BUILD_DIR)/lifetime -hours 24 -devices 20000 -seed 3 -workers 2 > $(BUILD_DIR)/fleet_workers2.raw
+	grep -v 'device-years/sec' $(BUILD_DIR)/fleet_workers1.raw > $(BUILD_DIR)/fleet_workers1.txt
+	grep -v 'device-years/sec' $(BUILD_DIR)/fleet_workers2.raw > $(BUILD_DIR)/fleet_workers2.txt
+	grep -q 'energy ledger' $(BUILD_DIR)/fleet_workers1.txt
+	diff $(BUILD_DIR)/fleet_workers1.txt $(BUILD_DIR)/fleet_workers2.txt
 	$(BUILD_DIR)/lifetime -hours 2 -devices 200000 -seed 1 \
 		-pprof 127.0.0.1:9190 -fleet-csv $(BUILD_DIR)/fleet_hist.csv \
 		-trace-out $(BUILD_DIR)/fleet_smoke.jsonl \

@@ -15,12 +15,14 @@
 // platforms (device i draws its Poisson arrival stream from seed+i) fanned
 // across -workers cores on the event-driven core, with outcome counters
 // and the joule ledger aggregated across the fleet. Per-interaction
-// tracing and spans are single-device features and are skipped. Fleet
-// energy books through a worker-striped ledger (same energy.* metric
-// names), per-device outcome distributions land in the fleet.* histograms
-// (and -fleet-csv writes them as CSV), and with -pprof set the run serves a
-// live inspector on /debug/fleet: progress JSON, or an SSE stream with
-// ?watch=1 — see DESIGN.md §14.
+// tracing and spans are single-device features and are skipped. Each
+// device books its energy privately and the fleet folds the devices into
+// the same joule ledger, in device order, so the energy.* series advance
+// while the fleet runs and are worker-count independent. Per-device
+// outcome distributions land in the fleet.* histograms (and -fleet-csv
+// writes them as CSV), and with -pprof set the run serves a live inspector
+// on /debug/fleet: progress JSON, or an SSE stream with ?watch=1 — see
+// DESIGN.md §14.
 //
 // -trace-out records the run as a JSONL obs trace — manifest, a
 // lifetime.run span, one firmware.session span per booted interaction with
@@ -83,7 +85,8 @@ func mainErr(obsFlags *obscli.Flags, hours float64, profile string, lux, gap, vt
 
 	// The joule ledger publishes into the session registry on every sampler
 	// tick and at close, so metrics snapshots (and a live /metrics scrape)
-	// carry the energy.* series alongside the outcome counters.
+	// carry the energy.* series alongside the outcome counters. A single
+	// device books it when its run ends; a fleet as each device finishes.
 	led := energy.NewLedger(sess.Reg)
 	sess.OnSample(led.Sync)
 
@@ -154,16 +157,12 @@ func mainErr(obsFlags *obscli.Flags, hours float64, profile string, lux, gap, vt
 
 // runFleet simulates a multi-device deployment on the event-driven core
 // and prints the aggregate: outcome counters, per-device distribution
-// quantiles, the striped fleet energy ledger, and the wall-clock simulation
-// throughput in device-years per second. With -pprof set, progress streams
-// live on /debug/fleet while the fleet runs.
+// quantiles, the fleet energy ledger (cfg.Energy), and the wall-clock
+// simulation throughput in device-years per second. With -pprof set,
+// progress streams live on /debug/fleet while the fleet runs.
 func runFleet(sess *obscli.Session, cfg firmware.Config,
 	devices, workers int, duration, hours, gap float64, seed int64, fleetCSV string) error {
-	stripes := firmware.FleetWorkers(workers)
-	// The striped ledger replaces the single-device one for fleets: same
-	// energy.* metric names, but every worker books on private cache lines.
-	// It registers its own registry hook, so no OnSample wiring is needed.
-	led := energy.NewShardedLedger(sess.Reg, stripes)
+	led := cfg.Energy
 	fc := firmware.FleetConfig{
 		Base:      cfg,
 		Devices:   devices,
@@ -171,10 +170,9 @@ func runFleet(sess *obscli.Session, cfg firmware.Config,
 		MeanGapS:  gap,
 		Seed:      seed,
 		Workers:   workers,
-		Ledger:    led,
 	}
 	if sess.Mounted() {
-		in := fleetobs.NewInspector("devices", devices, stripes)
+		in := fleetobs.NewInspector("devices", devices, firmware.FleetWorkers(workers))
 		in.SetAccounts(led.AccountTotals)
 		sess.Mount("/debug/fleet", in.Handler())
 		fc.Inspect = in

@@ -36,12 +36,12 @@ func main() {
 	}
 
 	// Supercap charging simulation: start just below the boot threshold
-	// and charge at 500 lux until the MCU can run. The ledger attached to
-	// the harvester books the income and the supercap leak as it happens.
+	// and charge at 500 lux until the MCU can run. The harvester books the
+	// income and the supercap leak as it charges; the ledger takes both
+	// once the charge is done.
 	fmt.Println("\nsupercap charging at 500 lux (1 F, from 1.75 V):")
 	led := energy.NewLedger(nil)
 	h := harvest.New()
-	h.Energy = led
 	h.Cap.V = 1.75
 	target := platform.Event.VMinSupercap
 	for t := 0.0; h.Cap.V < target; t += 10 {
@@ -51,6 +51,8 @@ func main() {
 		}
 	}
 	fmt.Printf("  boot threshold %.2f V reached\n", target)
+	led.Harvest(h.IncomeJ)
+	led.Charge(energy.AccountLeak, h.LeakJ)
 
 	// Weak-light guard: the N2 MOSFET keeps the MCU disconnected when the
 	// reference cell cannot reach its gate threshold.

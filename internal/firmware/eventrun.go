@@ -248,5 +248,6 @@ func (s *Simulator) Run(duration float64, eventTimes []float64) (*Stats, error) 
 		}
 	}
 	stats.FinalV = s.harv.Cap.V
+	s.foldEnergy()
 	return stats, nil
 }

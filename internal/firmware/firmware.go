@@ -135,10 +135,12 @@ type Config struct {
 	// span with firmware.detect/sense/infer children, each carrying its
 	// phase's energy as an energy_uj attribute.
 	Obs *obs.Recorder
-	// Energy, when set, books the run into the joule ledger: session
-	// phases under detect/sense/infer, harvest income and supercap leak
-	// via the harvester, and one joules-per-interaction observation per
-	// event. The simulation arithmetic is identical with or without it.
+	// Energy, when set, receives the run's energy books when Run returns:
+	// session phases under detect/sense/infer, harvest income and supercap
+	// leak from the harvester, one joules-per-interaction observation per
+	// event, and the supercap and harvest-rate gauges at the harvester's
+	// last booked step. The simulation arithmetic is identical with or
+	// without it.
 	Energy *energy.Ledger
 }
 
@@ -272,6 +274,9 @@ type Simulator struct {
 	// leanStats suppresses the per-interaction Events log (fleet runs
 	// aggregate counters and drop the log unread).
 	leanStats bool
+	// books holds the session phases and interactions booked so far; the
+	// harvester keeps the income and leak.
+	books energy.Books
 }
 
 // New returns a simulator over a fresh platform.
@@ -294,11 +299,33 @@ func New(cfg Config) (*Simulator, error) {
 		profile: mcu.NRF52840(),
 	}
 	s.harv.Cap.V = cfg.InitialV
-	s.harv.Energy = cfg.Energy
-	if cfg.Energy != nil {
-		cfg.Energy.SetSupercap(s.harv.Cap.V, s.harv.Cap.Energy())
-	}
+	s.harv.LevelV = s.harv.Cap.V
 	return s, nil
+}
+
+// energyBooks returns the run's energy books so far: the session phases
+// and interactions, plus the harvester's income and leak.
+func (s *Simulator) energyBooks() energy.Books {
+	b := s.books
+	b.Harvest(s.harv.IncomeJ)
+	b.Charge(energy.AccountLeak, s.harv.LeakJ)
+	return b
+}
+
+// foldEnergy adds the run's books to Config.Energy, sets its level gauges
+// from the harvester's last booked step, and empties the books, so a
+// further run books only its own energy.
+func (s *Simulator) foldEnergy() {
+	l := s.cfg.Energy
+	if l == nil {
+		return
+	}
+	b := s.energyBooks()
+	l.Fold(&b)
+	l.SetSupercap(s.harv.Level())
+	l.SetHarvestRate(s.harv.RateW)
+	s.books = energy.Books{}
+	s.harv.IncomeJ, s.harv.LeakJ = 0, 0
 }
 
 // sessionCost itemizes one full session's energy by phase, mapping onto
@@ -358,8 +385,8 @@ func (s *Simulator) chooseExit() (int, sessionCost) {
 }
 
 // chargePhase books one session phase: a child span named for the phase
-// (energy attributed via energy_uj) under parent, and the matching ledger
-// account. Span and ledger are independent — either may be disabled.
+// (energy attributed via energy_uj) under parent, and the matching account
+// in the run's books. The span may be disabled.
 func (s *Simulator) chargePhase(parent *obs.Span, acc energy.Account, name string, j float64) {
 	if j <= 0 {
 		return
@@ -369,7 +396,7 @@ func (s *Simulator) chargePhase(parent *obs.Span, acc energy.Account, name strin
 		child.AddEnergy(j)
 		child.End()
 	}
-	s.cfg.Energy.Charge(acc, j)
+	s.books.Charge(acc, j)
 }
 
 // interact runs the §III-B decision tree for one arrival at et and books
@@ -464,7 +491,7 @@ func (s *Simulator) interact(et float64, baseCost sessionCost, stats *Stats, ses
 			sp.End(obs.Str("outcome", ev.Outcome.String()), obs.Int("exit", ev.Exit))
 		}
 	}
-	s.cfg.Energy.ObserveInteraction(ev.EnergyJ)
+	s.books.ObserveInteraction(ev.EnergyJ)
 	stats.ConsumedJ += ev.EnergyJ
 	stats.Counts[ev.Outcome]++
 	stats.Interactions++

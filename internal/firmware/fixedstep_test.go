@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"solarml/internal/harvest"
-	"solarml/internal/obs/energy"
 )
 
 // The fixed-step integrator below is the pre-event-queue simulator. No
@@ -39,8 +38,8 @@ func (s *Simulator) charge(t0, t1, stepS float64, sensing bool) float64 {
 // chargeShaded is the harvester's fixed-step charge while the user's hand
 // shadows the array during a session (40% of the cells at 80% depth,
 // sensing cells switched out, as the event-driven Run charges them): the
-// shaded input power is deposited for dt, then the cap leaks, and an
-// attached ledger books the step as harvest.Harvester.Charge does.
+// shaded input power is deposited for dt, then the cap leaks, and the
+// harvester books the step as harvest.Harvester.Charge does.
 func chargeShaded(h *harvest.Harvester, lux, dt float64) {
 	p := h.Array.HarvestPowerShaded(lux, 0.4, 0.8, true)*h.Efficiency - h.QuiescentW
 	if p < 0 {
@@ -50,11 +49,7 @@ func chargeShaded(h *harvest.Harvester, lux, dt float64) {
 	h.Cap.AddEnergy(p * dt)
 	stored := h.Cap.Energy()
 	h.Cap.Leak(dt)
-	after := h.Cap.Energy()
-	h.Energy.Harvest(stored - before)
-	h.Energy.Charge(energy.AccountLeak, stored-after)
-	h.Energy.SetHarvestRate(p)
-	h.Energy.SetSupercap(h.Cap.V, after)
+	h.Book(stored-before, stored-h.Cap.Energy(), p)
 }
 
 // RunFixedStep simulates `duration` seconds with user interactions at the
@@ -85,6 +80,7 @@ func (s *Simulator) RunFixedStep(duration float64, eventTimes []float64, stepS f
 	}
 	stats.HarvestedJ += s.charge(now, duration, stepS, false)
 	stats.FinalV = s.harv.Cap.V
+	s.foldEnergy()
 	return stats, nil
 }
 

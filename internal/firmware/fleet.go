@@ -3,6 +3,7 @@ package firmware
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"solarml/internal/compute"
 	"solarml/internal/obs/energy"
@@ -14,10 +15,13 @@ import (
 // Poisson arrival stream, sharing one deployment configuration.
 type FleetConfig struct {
 	// Base is the per-device configuration. Base.Obs is ignored — per-
-	// interaction spans do not scale to fleets — but Base.Energy, when set,
-	// is shared by every device: the joule ledger is lock-free, so the
-	// fleet's aggregate energy books race-free into one set of accounts.
-	// At fleet scale prefer Ledger below; it overrides Base.Energy.
+	// interaction spans do not scale to fleets. Base.Energy, when set, is
+	// the fleet's ledger: each device books into its own plain books, and
+	// RunFleet folds every finished device's books into it in device
+	// order, so the ledger advances while the fleet runs and its totals
+	// are the same for every worker count. Its supercap and harvest-rate
+	// gauges are per-device levels with no fleet-wide meaning and are left
+	// alone.
 	Base Config
 	// Devices is the fleet size.
 	Devices int
@@ -33,18 +37,14 @@ type FleetConfig struct {
 	// Results are identical for every worker count: devices are
 	// independent and aggregation runs in device order.
 	Workers int
-	// Ledger, when set, books every device's energy on its worker's stripe
-	// of the sharded ledger (overriding Base.Energy), so fleet energy
-	// attribution costs no shared cache lines. Size it with FleetWorkers.
-	Ledger *energy.ShardedLedger
 	// Inspect, when set, receives per-device completion events for the
 	// /debug/fleet live inspector. Size it with FleetWorkers.
 	Inspect *fleetobs.Inspector
 }
 
 // FleetWorkers returns the worker count RunFleet will actually use for the
-// requested value (≤0 means every core) — the stripe count to size a
-// ShardedLedger or Inspector with so each fleet worker gets a private lane.
+// requested value (≤0 means every core) — the lane count to size an
+// Inspector with so each fleet worker gets a private lane.
 func FleetWorkers(requested int) int {
 	if requested <= 0 || requested > fleetPool.Workers() {
 		return fleetPool.Workers()
@@ -132,6 +132,37 @@ func (f *fleetSource) Int63() int64 { return int64(f.Uint64() >> 1) }
 // fleetRng returns device i's arrival stream generator.
 func fleetRng(seed int64) *rand.Rand { return rand.New(&fleetSource{s: uint64(seed)}) }
 
+// fleetDevice is one device's slot in a fleet run: its outcome, and its
+// energy books while they wait to be folded.
+type fleetDevice struct {
+	st    *Stats
+	err   error
+	books energy.Books
+}
+
+// fleetLedger folds finished devices' energy books into the fleet's ledger
+// in device order. Workers finish devices out of order, so each device's
+// books wait in its slot until every device before it is in; the cursor
+// then folds the run of finished devices under one mutex.
+type fleetLedger struct {
+	led  *energy.Ledger
+	mu   sync.Mutex
+	next int // first device not yet folded
+}
+
+// finish fills device i's slot and folds every device the cursor can now
+// reach. Slots are filled under the mutex, so the cursor sees only
+// finished devices.
+func (f *fleetLedger) finish(devs []fleetDevice, i int, st *Stats, dev *Simulator) {
+	f.mu.Lock()
+	devs[i].st, devs[i].books = st, dev.energyBooks()
+	for f.next < len(devs) && devs[f.next].st != nil {
+		f.led.Fold(&devs[f.next].books)
+		f.next++
+	}
+	f.mu.Unlock()
+}
+
 // RunFleet simulates fc.Devices independent devices and aggregates their
 // outcome counters and energy totals in device order, so the result is
 // bit-identical for every worker count.
@@ -146,32 +177,36 @@ func RunFleet(fc FleetConfig) (*FleetStats, error) {
 		return nil, fmt.Errorf("firmware: fleet needs a positive mean arrival gap, got %v", fc.MeanGapS)
 	}
 	workers := FleetWorkers(fc.Workers)
-	results := make([]*Stats, fc.Devices)
-	errs := make([]error, fc.Devices)
+	devs := make([]fleetDevice, fc.Devices)
 	grain := (fc.Devices + workers - 1) / workers
+	var fold *fleetLedger
+	if fc.Base.Energy != nil {
+		fold = &fleetLedger{led: fc.Base.Energy}
+	}
 	fleetPool.For(fc.Devices, grain, func(i0, i1 int) {
-		// Chunks are grain-aligned, so i0/grain is this chunk's worker
-		// index — the stripe every sharded instrument write lands on.
+		// i0/grain names this chunk's inspector lane.
 		w := i0 / grain
 		for i := i0; i < i1; i++ {
 			cfg := fc.Base
 			cfg.Obs = nil
-			if fc.Ledger != nil {
-				cfg.Energy = fc.Ledger.Stripe(w)
-			}
+			cfg.Energy = nil // the fold below books the device
 			dev, err := New(cfg)
 			if err != nil {
-				errs[i] = err
+				devs[i].err = err
 				return
 			}
 			dev.leanStats = true // the per-event log is dropped unread below
 			times := PoissonArrivals(fleetRng(fc.Seed+int64(i)), fc.DurationS, fc.MeanGapS)
 			st, err := dev.Run(fc.DurationS, times)
 			if err != nil {
-				errs[i] = err
+				devs[i].err = err
 				return
 			}
-			results[i] = st
+			if fold != nil {
+				fold.finish(devs, i, st, dev)
+			} else {
+				devs[i].st = st
+			}
 			fc.Inspect.Advance(w, 1, fc.DurationS)
 		}
 	})
@@ -183,12 +218,13 @@ func RunFleet(fc FleetConfig) (*FleetStats, error) {
 	if n := len(fc.Base.ExitMACs); n > 0 {
 		agg.ExitCounts = make([]int, n)
 	}
-	for i, err := range errs {
-		if err != nil {
+	for i := range devs {
+		if err := devs[i].err; err != nil {
 			return nil, fmt.Errorf("firmware: fleet device %d: %w", i, err)
 		}
 	}
-	for _, st := range results {
+	for i := range devs {
+		st := devs[i].st
 		agg.Interactions += st.Interactions
 		for o, n := range st.Counts {
 			agg.Counts[o] += n

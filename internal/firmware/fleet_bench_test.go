@@ -3,6 +3,7 @@ package firmware
 import (
 	"testing"
 
+	"solarml/internal/obs"
 	"solarml/internal/obs/energy"
 	"solarml/internal/obs/fleetobs"
 )
@@ -10,8 +11,8 @@ import (
 // benchFleet runs one fleet configuration and reports simulated
 // device-years per wall-clock second — the fleet-scale throughput figure
 // of merit. fixedStep > 0 selects the fixed-step oracle; 0 the event core;
-// instrumented attaches the full fleet observability stack (sharded
-// ledger, inspector, distribution capture runs unconditionally).
+// instrumented attaches the full fleet observability stack (a ledger over a
+// registry, the inspector; distribution capture runs unconditionally).
 func benchFleet(b *testing.B, devices int, fixedStep float64, instrumented bool) {
 	base := DefaultConfig()
 	base.Lux = OfficeDay(500)
@@ -24,9 +25,8 @@ func benchFleet(b *testing.B, devices int, fixedStep float64, instrumented bool)
 		Seed:      1,
 	}
 	if instrumented {
-		workers := FleetWorkers(0)
-		fc.Ledger = energy.NewShardedLedger(nil, workers)
-		fc.Inspect = fleetobs.NewInspector("devices", devices, workers)
+		fc.Base.Energy = energy.NewLedger(obs.NewRegistry())
+		fc.Inspect = fleetobs.NewInspector("devices", devices, FleetWorkers(0))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -50,10 +50,9 @@ func benchFleet(b *testing.B, devices int, fixedStep float64, instrumented bool)
 func BenchmarkFleetDeviceYears(b *testing.B) { benchFleet(b, 32, 0, false) }
 
 // BenchmarkFleetDeviceYearsInstrumented is the same fleet with the full
-// observability stack attached — striped joule ledger, live inspector,
+// observability stack attached — the fleet joule ledger, live inspector,
 // per-device distributions. The delta against BenchmarkFleetDeviceYears is
-// the total observability overhead; the ISSUE pins it at no throughput
-// loss.
+// the total observability overhead.
 func BenchmarkFleetDeviceYearsInstrumented(b *testing.B) { benchFleet(b, 32, 0, true) }
 
 // BenchmarkFleetDeviceYearsFixedStep is the accuracy-matched baseline: the

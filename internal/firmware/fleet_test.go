@@ -1,6 +1,8 @@
 package firmware
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,9 +161,9 @@ func TestRunFleetFixedStepBaseline(t *testing.T) {
 	}
 }
 
-// TestRunFleetInstrumentedBitIdentical pins the ISSUE contract: attaching
-// the sharded ledger, the inspector, and distribution capture must not
-// change a single bit of the fleet outcome, across worker counts.
+// TestRunFleetInstrumentedBitIdentical pins the observability contract:
+// attaching the fleet ledger, the inspector, and distribution capture must
+// not change a single bit of the fleet outcome, across worker counts.
 func TestRunFleetInstrumentedBitIdentical(t *testing.T) {
 	plain, err := RunFleet(fleetCfg(6, 2))
 	if err != nil {
@@ -169,7 +171,7 @@ func TestRunFleetInstrumentedBitIdentical(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		fc := fleetCfg(6, workers)
-		fc.Ledger = energy.NewShardedLedger(nil, FleetWorkers(workers))
+		fc.Base.Energy = energy.NewLedger(obs.NewRegistry())
 		fc.Inspect = fleetobs.NewInspector("devices", fc.Devices, FleetWorkers(workers))
 		inst, err := RunFleet(fc)
 		if err != nil {
@@ -199,30 +201,80 @@ func TestRunFleetInstrumentedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunFleetShardedLedgerBooks checks the striped ledger books the same
-// energy a shared ledger would.
+// TestRunFleetShardedLedgerBooks checks that the fleet's fold books a
+// device exactly as a single-device run books its ledger: a one-device
+// fleet and the same device run alone leave the same bits in every account,
+// in the income, and in the interaction histogram.
 func TestRunFleetShardedLedgerBooks(t *testing.T) {
-	shared := fleetCfg(4, 2)
-	sharedLed := energy.NewLedger(nil)
-	shared.Base.Energy = sharedLed
-	if _, err := RunFleet(shared); err != nil {
+	fc := fleetCfg(1, 1)
+	fleetReg := obs.NewRegistry()
+	fleetLed := energy.NewLedger(fleetReg)
+	fc.Base.Energy = fleetLed
+	if _, err := RunFleet(fc); err != nil {
 		t.Fatal(err)
 	}
 
-	striped := fleetCfg(4, 2)
-	striped.Ledger = energy.NewShardedLedger(nil, FleetWorkers(2))
-	if _, err := RunFleet(striped); err != nil {
+	cfg := fc.Base
+	liveReg := obs.NewRegistry()
+	liveLed := energy.NewLedger(liveReg)
+	cfg.Energy = liveLed
+	dev, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.Run(fc.DurationS, PoissonArrivals(fleetRng(fc.Seed), fc.DurationS, fc.MeanGapS)); err != nil {
 		t.Fatal(err)
 	}
 
-	a, b := sharedLed.Snapshot(), striped.Ledger.Snapshot()
-	if diff := a.HarvestedJ - b.HarvestedJ; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("harvested: shared %.12g striped %.12g", a.HarvestedJ, b.HarvestedJ)
+	checkLedgersIdentical(t, "fleet fold vs single run", fleetLed, liveLed, fleetReg, liveReg)
+	if fleetLed.TotalHarvested() <= 0 || fleetLed.Consumed(energy.AccountInfer) <= 0 {
+		t.Fatalf("degenerate device books:\n%s", fleetLed.Summary())
+	}
+}
+
+// checkLedgersIdentical fails unless two ledgers hold the same bits in
+// every account and in the income, and their registries' interaction
+// histograms agree in counts, min and max.
+func checkLedgersIdentical(t *testing.T, what string, a, b *energy.Ledger, ra, rb *obs.Registry) {
+	t.Helper()
+	sa, sb := a.Snapshot(), b.Snapshot()
+	if sa.HarvestedJ != sb.HarvestedJ {
+		t.Errorf("%s: harvested %.17g J vs %.17g J", what, sa.HarvestedJ, sb.HarvestedJ)
 	}
 	for _, acct := range energy.Accounts() {
-		if diff := a.Account(acct) - b.Account(acct); diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("account %s: shared %.12g striped %.12g", acct, a.Account(acct), b.Account(acct))
+		if sa.Account(acct) != sb.Account(acct) {
+			t.Errorf("%s: account %s %.17g J vs %.17g J", what, acct, sa.Account(acct), sb.Account(acct))
 		}
+	}
+	ha := ra.Snapshot().Histograms[energy.HistInteractionUJ]
+	hb := rb.Snapshot().Histograms[energy.HistInteractionUJ]
+	if ha.Count == 0 || ha.Count != hb.Count || ha.Min != hb.Min || ha.Max != hb.Max {
+		t.Errorf("%s: interaction histogram count/min/max %d/%g/%g vs %d/%g/%g",
+			what, ha.Count, ha.Min, ha.Max, hb.Count, hb.Min, hb.Max)
+	}
+	if !slices.Equal(ha.Counts, hb.Counts) {
+		t.Errorf("%s: interaction buckets %v vs %v", what, ha.Counts, hb.Counts)
+	}
+}
+
+// TestRunFleetLedgerWorkerIndependent pins the fleet ledger's determinism:
+// devices fold in device order, so the ledger's totals are the same bits
+// for every worker count and on a repeated run.
+func TestRunFleetLedgerWorkerIndependent(t *testing.T) {
+	run := func(workers int) (*energy.Ledger, *obs.Registry) {
+		fc := fleetCfg(12, workers)
+		reg := obs.NewRegistry()
+		led := energy.NewLedger(reg)
+		fc.Base.Energy = led
+		if _, err := RunFleet(fc); err != nil {
+			t.Fatal(err)
+		}
+		return led, reg
+	}
+	ref, refReg := run(1)
+	for _, workers := range []int{2, 3, 2} {
+		led, reg := run(workers)
+		checkLedgersIdentical(t, fmt.Sprintf("workers=1 vs workers=%d", workers), ref, led, refReg, reg)
 	}
 }
 

@@ -3,8 +3,6 @@ package harvest
 import (
 	"fmt"
 	"math"
-
-	"solarml/internal/obs/energy"
 )
 
 // This file holds the analytic time-advance core of the harvester: the
@@ -28,7 +26,7 @@ import (
 // crossing time, so a single Advance call over hours is as accurate as a
 // million-step replay. Leakage over the interval falls out by energy
 // balance — leak = ∫p dt − ΔE on the unclamped trajectory — which keeps
-// the joule ledger's harvested−consumed=Δstored invariant exact.
+// the books' income−leak=Δstored invariant exact.
 
 // kernels returns e^{−kΔ}, G1, and G2 for one interval. This sits on the
 // per-event hot path of fleet runs, so it avoids transcendentals where it
@@ -207,21 +205,6 @@ func (h *Harvester) rampRegimes(dt, p0, p1 float64, depth int) (dE, leak float64
 	}
 }
 
-// book records one analytic advance into the joule ledger, mirroring the
-// fixed-step deposit semantics: storable income (deposit net of shed
-// overvoltage) as harvested, the leak integral to the leak account, and the
-// level gauges. income = ΔE + leak by construction, so the ledger's
-// harvested−consumed=Δstored balance holds exactly.
-func (h *Harvester) book(dE, leak, pEnd float64) {
-	if h.Energy == nil {
-		return
-	}
-	h.Energy.Harvest(dE + leak)
-	h.Energy.Charge(energy.AccountLeak, leak)
-	h.Energy.SetHarvestRate(pEnd)
-	h.Energy.SetSupercap(h.Cap.V, h.Cap.Energy())
-}
-
 // clockTo validates an absolute-time advance target against the harvester
 // clock and returns the interval length.
 func (h *Harvester) clockTo(t float64) float64 {
@@ -243,7 +226,7 @@ func (h *Harvester) AdvanceTo(t, lux float64) float64 {
 	dt := h.clockTo(t)
 	p := h.InputPower(lux, false)
 	dE, leak := h.constStep(dt, p)
-	h.book(dE, leak, p)
+	h.Book(dE+leak, leak, p)
 	return dE
 }
 
@@ -254,7 +237,7 @@ func (h *Harvester) AdvanceToShaded(t, lux, handCover, handShade float64, sensin
 	dt := h.clockTo(t)
 	p := h.shadedPower(lux, handCover, handShade, sensingActive)
 	dE, leak := h.constStep(dt, p)
-	h.book(dE, leak, p)
+	h.Book(dE+leak, leak, p)
 	return dE
 }
 
@@ -320,7 +303,7 @@ func (h *Harvester) advanceRamp(t, lux0, lux1 float64) float64 {
 			dE, leak = d1+d2, l1+l2
 		}
 	}
-	h.book(dE, leak, math.Max(r1, 0))
+	h.Book(dE+leak, leak, math.Max(r1, 0))
 	return dE
 }
 

@@ -3,8 +3,6 @@ package harvest
 import (
 	"math"
 	"testing"
-
-	"solarml/internal/obs/energy"
 )
 
 // fineReplay advances h by `dur` seconds at constant lux using the legacy
@@ -71,8 +69,6 @@ func TestAdvanceToSingleStepComposes(t *testing.T) {
 func TestAdvanceToClampPinsAtVMax(t *testing.T) {
 	h := New()
 	h.Cap.V = 3.0
-	led := energy.NewLedger(nil)
-	h.Energy = led
 	// Hours of bright light: the store must sit pinned at the clamp with
 	// income booked only for what was storable (leak replacement), and the
 	// ledger balance must hold exactly.
@@ -80,12 +76,11 @@ func TestAdvanceToClampPinsAtVMax(t *testing.T) {
 	if h.Cap.V != h.Cap.VMax {
 		t.Fatalf("V = %v, want clamp at %v", h.Cap.V, h.Cap.VMax)
 	}
-	s := led.Snapshot()
 	dStored := h.Cap.Energy() - 0.5*h.Cap.Farads*9
-	if got := s.HarvestedJ - s.ConsumedJ; math.Abs(got-dStored) > 1e-9 {
+	if got := h.IncomeJ - h.LeakJ; math.Abs(got-dStored) > 1e-9 {
 		t.Fatalf("ledger imbalance at clamp: %.12g vs Δstored %.12g", got, dStored)
 	}
-	if s.Account(energy.AccountLeak) <= 0 {
+	if h.LeakJ <= 0 {
 		t.Fatal("no leak booked while pinned at VMax")
 	}
 }
@@ -93,14 +88,11 @@ func TestAdvanceToClampPinsAtVMax(t *testing.T) {
 func TestAdvanceToLedgerBalanceExact(t *testing.T) {
 	h := New()
 	h.Cap.V = 2.0
-	led := energy.NewLedger(nil)
-	h.Energy = led
 	e0 := h.Cap.Energy()
 	for i, lux := range []float64{500, 0, 120, 1000, 5} {
 		h.AdvanceTo(float64(i+1)*1800, lux)
 	}
-	s := led.Snapshot()
-	if got, want := s.HarvestedJ-s.ConsumedJ, h.Cap.Energy()-e0; math.Abs(got-want) > 1e-9 {
+	if got, want := h.IncomeJ-h.LeakJ, h.Cap.Energy()-e0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("harvested−leak = %.12g J, Δstored = %.12g J", got, want)
 	}
 }

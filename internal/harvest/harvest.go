@@ -12,7 +12,6 @@ import (
 
 	"solarml/internal/circuit"
 	"solarml/internal/obs"
-	"solarml/internal/obs/energy"
 	"solarml/internal/solar"
 )
 
@@ -33,12 +32,16 @@ type Harvester struct {
 	// Obs, when set, records one harvest.time event per TimeToHarvest
 	// query. The per-step Charge path stays uninstrumented.
 	Obs *obs.Recorder
-	// Energy, when set, books every charge step into the joule ledger:
-	// the post-clamp deposit as harvested income, leakage to the leak
-	// account, plus supercap-level and harvest-rate gauges. The ledger's
-	// per-call cost is one atomic add, cheap enough for replay loops; a
-	// nil ledger keeps the original arithmetic bit-identical.
-	Energy *energy.Ledger
+	// IncomeJ and LeakJ are the running energy books of every charge
+	// step: the storable income deposited (post-clamp, pre-leak) and the
+	// supercap's self-discharge, in joules. LevelV and RateW are the
+	// supercap voltage and the net input power at the last booked step
+	// (Level adds the stored joules). They are plain fields, owned like
+	// the rest of the harvester by one goroutine; a caller keeping a
+	// shared energy.Ledger folds them into it when the run is done.
+	// Booking never changes the arithmetic of the charge itself.
+	IncomeJ, LeakJ float64
+	LevelV, RateW  float64
 
 	// memo caches the last InputPower evaluation. Indoor lighting is
 	// piecewise constant for long stretches, so consecutive charge steps
@@ -94,24 +97,39 @@ func (h *Harvester) Charge(lux, dt float64, sensingActive bool) {
 
 // deposit applies one constant-power charge step: energy in, then leakage —
 // the exact operation order the golden seeded-search fixtures depend on.
-// With a ledger attached it additionally books the post-clamp deposit as
-// harvested income (energy clipped at VMax never existed as storable
-// income), the leak drop to the leak account, and the level gauges.
+// It books the post-clamp deposit as income (energy clipped at VMax never
+// existed as storable income) and the leak drop as leakage.
 func (h *Harvester) deposit(p, dt float64) {
-	if h.Energy == nil {
-		h.Cap.AddEnergy(p * dt)
-		h.Cap.Leak(dt)
-		return
-	}
 	before := h.Cap.Energy()
 	h.Cap.AddEnergy(p * dt)
 	stored := h.Cap.Energy()
 	h.Cap.Leak(dt)
-	after := h.Cap.Energy()
-	h.Energy.Harvest(stored - before)
-	h.Energy.Charge(energy.AccountLeak, stored-after)
-	h.Energy.SetHarvestRate(p)
-	h.Energy.SetSupercap(h.Cap.V, after)
+	h.Book(stored-before, stored-h.Cap.Energy(), p)
+}
+
+// Book records one charge step in the harvester's books: income and leak
+// joules (non-positive amounts are dropped, as rounding can leave them
+// slightly below zero), the net input power, and the supercap level after
+// the step. Every charge path books through it, the analytic advances with
+// income = ΔE + leak so that income − leak = Δstored exactly; a caller
+// that steps the supercap itself books the step here.
+func (h *Harvester) Book(income, leak, rateW float64) {
+	if income > 0 {
+		h.IncomeJ += income
+	}
+	if leak > 0 {
+		h.LeakJ += leak
+	}
+	h.RateW = rateW
+	h.LevelV = h.Cap.V
+}
+
+// Level returns the supercap voltage and stored joules at the last booked
+// step.
+func (h *Harvester) Level() (volts, joules float64) {
+	c := *h.Cap
+	c.V = h.LevelV
+	return c.V, c.Energy()
 }
 
 // shadedPower is InputPower's hand-shadow variant, memoized the same way.

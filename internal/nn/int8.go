@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"solarml/internal/bytecodec"
 	"solarml/internal/compute"
@@ -682,15 +683,16 @@ func readF64s(r *bytecodec.Reader) []float64 {
 	return out
 }
 
+// readI8s reads one length-prefixed int8 field. int8 and byte share size
+// and layout, so the weights land in one bulk copy rather than a
+// conversion per byte.
 func readI8s(r *bytecodec.Reader) []int8 {
 	raw := r.Bytes()
 	if r.Err() != nil {
 		return nil
 	}
 	out := make([]int8, len(raw))
-	for i, x := range raw {
-		out[i] = int8(x)
-	}
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), len(out)), raw)
 	return out
 }
 

@@ -75,25 +75,6 @@ func TestDistObserveZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHistogramDrain checks Drain hands over every observation once and
-// leaves the histogram empty over the same bounds.
-func TestHistogramDrain(t *testing.T) {
-	h := NewHistogram([]float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(5)
-	first := h.Drain()
-	if first.Count != 2 || first.Min != 0.5 || first.Max != 5 {
-		t.Fatalf("first drain = %+v", first)
-	}
-	if s := h.Drain(); s.Count != 0 || len(s.Counts) != 3 {
-		t.Fatalf("second drain = %+v, want empty over the same buckets", s)
-	}
-	h.Observe(50)
-	if s := h.Snapshot(); s.Count != 1 || s.Counts[2] != 1 || s.Min != 50 {
-		t.Fatalf("after drain = %+v", s)
-	}
-}
-
 // TestGaugeAdd checks concurrent adds on one gauge lose nothing.
 func TestGaugeAdd(t *testing.T) {
 	var g Gauge

@@ -21,7 +21,7 @@ func TestNoopLedgerZeroAlloc(t *testing.T) {
 		l.Harvest(2e-3)
 		l.SetSupercap(3.0, 4.5)
 		l.SetHarvestRate(0.01)
-		l.ObserveInteraction(1e-3)
+		l.Fold(&Books{})
 		l.Sync()
 	})
 	if allocs != 0 {
@@ -29,14 +29,20 @@ func TestNoopLedgerZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEnabledChargeZeroAlloc pins the enabled hot path: Charge/Harvest on a
-// live ledger are one atomic add, no allocations — the property that lets
-// harvest replays charge the ledger inside their per-step loop.
+// TestEnabledChargeZeroAlloc pins the enabled hot paths: Charge/Harvest on
+// a live ledger are one atomic add, booking into a device's Books is plain
+// float arithmetic, and folding the books into the ledger allocates
+// nothing either.
 func TestEnabledChargeZeroAlloc(t *testing.T) {
 	l := NewLedger(obs.NewRegistry())
+	var b Books
 	allocs := testing.AllocsPerRun(1000, func() {
 		l.Charge(AccountInfer, 1e-6)
 		l.Harvest(2e-6)
+		b.Charge(AccountSense, 1e-6)
+		b.Harvest(2e-6)
+		b.ObserveInteraction(3e-6)
+		l.Fold(&b)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled ledger charge allocated %.1f times per op, want 0", allocs)

@@ -9,15 +9,18 @@
 //   - A nil *Ledger is a valid disabled ledger: every method returns
 //     immediately and allocates nothing, so the producers (harvest steps,
 //     firmware sessions, training loops) carry no conditionals.
-//   - The enabled hot path — Charge, Harvest — is one obs.Gauge.Add per
-//     call (an atomic CAS add), no locks, no allocations; 50 kHz harvest
-//     replays stay cheap.
+//   - Charge and Harvest are one obs.Gauge.Add per call (an atomic CAS
+//     add), no locks, no allocations.
+//   - A simulated device books into its own Books — plain floats — and
+//     folds them into the ledger once, when it is done. A fleet folds its
+//     devices in device order, so the totals are the same for every worker
+//     count.
 //   - Sync publishes the accumulated totals into an obs.Registry as
 //     monotonic microjoule counters (delta-published so rounding never
-//     accumulates), supercap/harvest-rate gauges, and the per-interaction
-//     joule histogram, which the Prometheus /metrics endpoint and metrics
-//     snapshots then expose without further glue. Ledger and the striped
-//     ShardedLedger publish through one shared publisher.
+//     accumulates) and supercap/harvest-rate gauges; Fold merges
+//     interactions into the registry's joules-per-interaction histogram.
+//     The Prometheus /metrics endpoint and metrics snapshots then expose
+//     them without further glue.
 package energy
 
 import (
@@ -95,15 +98,73 @@ const (
 // "energy.mcu-sleep_uj" (Prometheus-sanitized to energy_mcu_sleep_uj).
 func AccountCounter(a Account) string { return "energy." + a.String() + "_uj" }
 
-// InteractionBucketsUJ are the default bucket bounds of the
-// joules-per-interaction histogram, in µJ: from a rejected wake-up
-// (tens of µJ) to a deep multi-exit KWS session (tens of mJ).
-var InteractionBucketsUJ = []float64{
+// interactionBounds holds the joules-per-interaction bucket bounds in µJ,
+// from a rejected wake-up (tens of µJ) to a deep multi-exit KWS session
+// (tens of mJ). It is an array so Books can keep its bucket counts inline.
+var interactionBounds = [...]float64{
 	10, 50, 100, 500, 1e3, 5e3, 1e4, 5e4, 1e5, 1e6,
 }
 
-// Ledger attributes joules to accounts. Concurrent Charge/Harvest calls are
-// safe and lock-free; Sync serializes publication under a short mutex.
+// InteractionBucketsUJ are the bucket bounds of the joules-per-interaction
+// histogram, in µJ.
+var InteractionBucketsUJ = interactionBounds[:]
+
+// Books is one producer's private energy books: joules per account,
+// harvested income, and the joules-per-interaction histogram, in plain
+// fields. A Books belongs to one goroutine (a simulated device), so booking
+// costs no atomic, no lock and no allocation; Ledger.Fold adds the books to
+// a shared ledger once the producer is done. The zero value is empty.
+type Books struct {
+	accountJ   [numAccounts]float64
+	harvestedJ float64
+	// The interaction histogram in µJ, bucketed as obs.Dist buckets it:
+	// counts[i] holds the values v ≤ interactionBounds[i] above every
+	// lower bound, and the last entry the overflow.
+	counts              [len(interactionBounds) + 1]uint64
+	n                   uint64
+	sumUJ, minUJ, maxUJ float64
+}
+
+// Charge attributes joules of consumption to the account. Non-positive
+// charges are dropped (producers pass raw deltas that can round to zero or
+// slightly below).
+func (b *Books) Charge(a Account, joules float64) {
+	if joules <= 0 || a >= numAccounts {
+		return
+	}
+	b.accountJ[a] += joules
+}
+
+// Harvest credits joules of income (energy actually deposited into
+// storage). Non-positive amounts are dropped.
+func (b *Books) Harvest(joules float64) {
+	if joules > 0 {
+		b.harvestedJ += joules
+	}
+}
+
+// ObserveInteraction records one end-to-end interaction's energy in the
+// joules-per-interaction histogram (µJ buckets).
+func (b *Books) ObserveInteraction(joules float64) {
+	uj := joules * 1e6
+	i := 0
+	for i < len(interactionBounds) && !(interactionBounds[i] >= uj) {
+		i++
+	}
+	b.counts[i]++
+	if b.n == 0 || uj < b.minUJ {
+		b.minUJ = uj
+	}
+	if b.n == 0 || uj > b.maxUJ {
+		b.maxUJ = uj
+	}
+	b.n++
+	b.sumUJ += uj
+}
+
+// Ledger attributes joules to accounts. Charge, Harvest and Fold are safe
+// for concurrent use and lock-free apart from the interaction histogram's
+// short mutex; Sync serializes publication under its own mutex.
 type Ledger struct {
 	consumed  [numAccounts]obs.Gauge
 	harvested obs.Gauge
@@ -111,30 +172,42 @@ type Ledger struct {
 	supercapV obs.Gauge
 	harvestW  obs.Gauge
 
-	// Pre-resolved registry level gauges (nil with a nil registry; every
-	// nil instrument is a valid no-op).
-	gSupercapJ *obs.Gauge
-	gSupercapV *obs.Gauge
-	gHarvestW  *obs.Gauge
-	// hInteraction receives ObserveInteraction: the registry histogram of
-	// a NewLedger ledger, a private unregistered one on a ShardedLedger
-	// stripe.
+	// Pre-resolved registry instruments (nil with a nil registry; every
+	// nil instrument is a valid no-op). hInteraction receives the folded
+	// books' interactions.
+	gSupercapJ   *obs.Gauge
+	gSupercapV   *obs.Gauge
+	gHarvestW    *obs.Gauge
 	hInteraction *obs.Histogram
+	accountC     [numAccounts]*obs.Counter
+	harvestedC   *obs.Counter
+	consumedC    *obs.Counter
 
-	// pub publishes the totals into the registry counters (nil with a nil
-	// registry).
-	pub *publisher
+	// The µJ already published into the counters, so each Sync adds exact
+	// deltas: a counter always equals round(total µJ) and per-sync
+	// rounding never accumulates.
+	mu          sync.Mutex
+	accountUJ   [numAccounts]int64
+	harvestedUJ int64
+	consumedUJ  int64
 }
 
 // NewLedger returns a ledger publishing into reg on Sync. reg may be nil:
 // the ledger still accumulates (Snapshot, Summary, and WriteCSV work) but
-// publishes nothing — the shape examples and tests use.
+// publishes nothing and keeps no interaction histogram — the shape
+// examples and tests use.
 func NewLedger(reg *obs.Registry) *Ledger {
-	l := &Ledger{pub: newPublisher(reg, nil)}
-	l.gSupercapJ = reg.Gauge(GaugeSupercapJ)
-	l.gSupercapV = reg.Gauge(GaugeSupercapV)
-	l.gHarvestW = reg.Gauge(GaugeHarvestRateW)
-	l.hInteraction = reg.Histogram(HistInteractionUJ, InteractionBucketsUJ)
+	l := &Ledger{
+		gSupercapJ:   reg.Gauge(GaugeSupercapJ),
+		gSupercapV:   reg.Gauge(GaugeSupercapV),
+		gHarvestW:    reg.Gauge(GaugeHarvestRateW),
+		hInteraction: reg.Histogram(HistInteractionUJ, InteractionBucketsUJ),
+		harvestedC:   reg.Counter(CounterHarvestedUJ),
+		consumedC:    reg.Counter(CounterConsumedUJ),
+	}
+	for a := Account(0); a < numAccounts; a++ {
+		l.accountC[a] = reg.Counter(AccountCounter(a))
+	}
 	return l
 }
 
@@ -173,6 +246,31 @@ func (l *Ledger) Harvest(joules float64) {
 	l.harvested.Add(joules)
 }
 
+// Fold adds a producer's books to the ledger: every account, the harvested
+// income, and the interactions into the registry histogram. Folding
+// producers in a fixed order fixes the ledger's float sums, so its totals
+// do not depend on how the producers were scheduled. Folding books into an
+// empty ledger reproduces them bit for bit.
+func (l *Ledger) Fold(b *Books) {
+	if l == nil || b == nil {
+		return
+	}
+	for a, j := range b.accountJ {
+		if j > 0 {
+			l.consumed[a].Add(j)
+		}
+	}
+	if b.harvestedJ > 0 {
+		l.harvested.Add(b.harvestedJ)
+	}
+	if b.n > 0 {
+		l.hInteraction.Merge(obs.HistogramSnapshot{
+			Bounds: InteractionBucketsUJ, Counts: b.counts[:],
+			Count: b.n, Sum: b.sumUJ, Min: b.minUJ, Max: b.maxUJ,
+		})
+	}
+}
+
 // SetSupercap records the storage level: terminal voltage and stored
 // joules. Published immediately as gauges when a registry is attached.
 func (l *Ledger) SetSupercap(volts, joules float64) {
@@ -193,15 +291,6 @@ func (l *Ledger) SetHarvestRate(watts float64) {
 	}
 	l.harvestW.Set(watts)
 	l.gHarvestW.Set(watts)
-}
-
-// ObserveInteraction records one end-to-end interaction's energy in the
-// joules-per-interaction histogram (µJ buckets).
-func (l *Ledger) ObserveInteraction(joules float64) {
-	if l == nil {
-		return
-	}
-	l.hInteraction.Observe(joules * 1e6)
 }
 
 // Consumed returns the joules charged to one account so far.
@@ -233,80 +322,29 @@ func (l *Ledger) TotalHarvested() float64 {
 }
 
 // Sync publishes the accumulated totals into the registry instruments:
-// counter deltas in µJ (the counter tracks round(total µJ) exactly) and the
-// level gauges. Call it from a sampler hook (obs/cli wires this) or before
-// any explicit metrics flush; a nil ledger or one built over a nil registry
-// is a no-op.
+// counter deltas in µJ (the counter tracks round(total µJ) exactly, and
+// consumption is the sum of the accounts' µJ) and the level gauges. The
+// totals are read under the mutex, so concurrent syncs never move a counter
+// backwards. Call it from a sampler hook (obs/cli wires this) or before any
+// explicit metrics flush; a nil ledger or one built over a nil registry is
+// a no-op.
 func (l *Ledger) Sync() {
-	if l == nil || l.pub == nil {
+	if l == nil || l.consumedC == nil {
 		return
 	}
-	l.pub.sync(l)
+	l.mu.Lock()
+	var consumedUJ float64
+	for i := range l.accountUJ {
+		uj := l.consumed[i].Value() * 1e6
+		consumedUJ += uj
+		l.accountUJ[i] = publishUJ(l.accountC[i], l.accountUJ[i], uj)
+	}
+	l.consumedUJ = publishUJ(l.consumedC, l.consumedUJ, consumedUJ)
+	l.harvestedUJ = publishUJ(l.harvestedC, l.harvestedUJ, l.harvested.Value()*1e6)
+	l.mu.Unlock()
 	l.gSupercapV.Set(l.supercapV.Value())
 	l.gSupercapJ.Set(l.supercapJ.Value())
 	l.gHarvestW.Set(l.harvestW.Value())
-}
-
-// publisher turns ledger totals into the registry's µJ counters. It tracks
-// the µJ already published, so each sync adds exact deltas: a counter
-// always equals round(total µJ) and per-sync rounding never accumulates.
-// Ledger and ShardedLedger share it; the striped lane also gives it the
-// registry interaction histogram as sink, into which every sync drains the
-// stripes' private histograms.
-type publisher struct {
-	accountC   [numAccounts]*obs.Counter
-	harvestedC *obs.Counter
-	consumedC  *obs.Counter
-	sink       *obs.Histogram
-
-	mu          sync.Mutex
-	accountUJ   [numAccounts]int64
-	harvestedUJ int64
-	consumedUJ  int64
-}
-
-// newPublisher resolves the counters in reg; nil with a nil registry.
-func newPublisher(reg *obs.Registry, sink *obs.Histogram) *publisher {
-	if reg == nil {
-		return nil
-	}
-	p := &publisher{
-		harvestedC: reg.Counter(CounterHarvestedUJ),
-		consumedC:  reg.Counter(CounterConsumedUJ),
-		sink:       sink,
-	}
-	for a := Account(0); a < numAccounts; a++ {
-		p.accountC[a] = reg.Counter(AccountCounter(a))
-	}
-	return p
-}
-
-// sync publishes the ledgers' summed totals. Each account is summed across
-// the ledgers, and consumption is the sum of the accounts' µJ, so one
-// ledger publishes exactly what it holds. The totals are read under the
-// mutex, so concurrent syncs never move a counter backwards.
-func (p *publisher) sync(ledgers ...*Ledger) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var consumedUJ, harvestedJ float64
-	for i := range p.accountUJ {
-		var j float64
-		for _, l := range ledgers {
-			j += l.consumed[i].Value()
-		}
-		consumedUJ += j * 1e6
-		p.accountUJ[i] = publishUJ(p.accountC[i], p.accountUJ[i], j*1e6)
-	}
-	p.consumedUJ = publishUJ(p.consumedC, p.consumedUJ, consumedUJ)
-	for _, l := range ledgers {
-		harvestedJ += l.harvested.Value()
-	}
-	p.harvestedUJ = publishUJ(p.harvestedC, p.harvestedUJ, harvestedJ*1e6)
-	if p.sink != nil {
-		for _, l := range ledgers {
-			p.sink.Merge(l.hInteraction.Drain())
-		}
-	}
 }
 
 // publishUJ adds round(uj) minus the published total to c and returns the
@@ -355,4 +393,18 @@ func (l *Ledger) Snapshot() Snapshot {
 	s.SupercapV = l.supercapV.Value()
 	s.HarvestRateW = l.harvestW.Value()
 	return s
+}
+
+// AccountTotals flattens the ledger's snapshot to name → joules, with
+// harvested and consumed totals — the shape the fleet inspector serves on
+// /debug/fleet.
+func (l *Ledger) AccountTotals() map[string]float64 {
+	s := l.Snapshot()
+	out := make(map[string]float64, numAccounts+2)
+	for _, a := range Accounts() {
+		out[a.String()] = s.Account(a)
+	}
+	out["harvested"] = s.HarvestedJ
+	out["consumed"] = s.ConsumedJ
+	return out
 }

@@ -3,6 +3,7 @@ package energy
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +56,43 @@ func TestLedgerAccounting(t *testing.T) {
 	if got := s.Account(AccountInfer); got != 5e-3 {
 		t.Errorf("snapshot infer = %g, want 5e-3", got)
 	}
+	tot := l.AccountTotals()
+	if tot["infer"] != 5e-3 || tot["harvested"] != 10e-3 || tot["consumed"] != s.ConsumedJ || len(tot) != len(Accounts())+2 {
+		t.Errorf("AccountTotals = %v", tot)
+	}
+}
+
+// TestBooksFoldMatchesLiveLedger pins the fold: books folded into an empty
+// ledger hold the bits a ledger charged call by call holds, and their
+// interactions land in the registry histogram exactly as direct
+// observations would, bucket edges and overflow included.
+func TestBooksFoldMatchesLiveLedger(t *testing.T) {
+	var b Books
+	live := NewLedger(nil)
+	direct := obs.NewHistogram(InteractionBucketsUJ)
+	for i, j := range []float64{0, 10e-6, 10.5e-6, 3.3e-3, 1e-3, 2, 0.1e-6, 47e-6} {
+		acc := Account(i % int(numAccounts))
+		b.Charge(acc, j)
+		live.Charge(acc, j)
+		b.Harvest(3 * j)
+		live.Harvest(3 * j)
+		b.ObserveInteraction(j)
+		direct.Observe(j * 1e6)
+	}
+	b.Charge(AccountSense, -1)
+	b.Harvest(0)
+
+	reg := obs.NewRegistry()
+	folded := NewLedger(reg)
+	folded.Fold(&b)
+	if got, want := folded.Snapshot(), live.Snapshot(); !slices.Equal(got.AccountJ, want.AccountJ) || got.HarvestedJ != want.HarvestedJ {
+		t.Errorf("folded %+v, charged live %+v", got, want)
+	}
+	got, want := reg.Snapshot().Histograms[HistInteractionUJ], direct.Snapshot()
+	if !slices.Equal(got.Counts, want.Counts) || got.Count != want.Count ||
+		got.Sum != want.Sum || got.Min != want.Min || got.Max != want.Max {
+		t.Errorf("folded histogram %+v, observed directly %+v", got, want)
+	}
 }
 
 func TestNilLedgerIsNoop(t *testing.T) {
@@ -64,7 +102,7 @@ func TestNilLedgerIsNoop(t *testing.T) {
 	l.Harvest(1)
 	l.SetSupercap(3.0, 4.5)
 	l.SetHarvestRate(0.01)
-	l.ObserveInteraction(1e-3)
+	l.Fold(&Books{})
 	l.Sync()
 	if l.Enabled() {
 		t.Error("nil ledger reports Enabled")
@@ -119,8 +157,10 @@ func TestGaugesAndHistogram(t *testing.T) {
 	l := NewLedger(reg)
 	l.SetSupercap(2.5, 3.125)
 	l.SetHarvestRate(0.002)
-	l.ObserveInteraction(450e-6) // 450 µJ
-	l.ObserveInteraction(30e-6)  // 30 µJ
+	var b Books
+	b.ObserveInteraction(450e-6) // 450 µJ
+	b.ObserveInteraction(30e-6)  // 30 µJ
+	l.Fold(&b)
 	l.Sync()
 
 	snap := reg.Snapshot()

@@ -108,9 +108,9 @@ func NewInspector(units string, total, workers int) *Inspector {
 	return in
 }
 
-// SetAccounts attaches a ledger-account source (for example the fleet's
-// striped joule ledger's Snapshot, flattened to name→joules). Safe to call
-// while serving.
+// SetAccounts attaches a ledger-account source (for example the fleet
+// joule ledger's AccountTotals: its snapshot flattened to name→joules).
+// Safe to call while serving.
 func (in *Inspector) SetAccounts(fn func() map[string]float64) {
 	if in == nil || fn == nil {
 		return

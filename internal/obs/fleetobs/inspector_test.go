@@ -136,12 +136,13 @@ func TestInspectorSSE(t *testing.T) {
 }
 
 // TestConcurrentScrapeRace is the race-detector workout of the fleet path:
-// workers charge the striped joule ledger and report to the inspector
-// while registry snapshots (the Prometheus scrape path and the sampler's
-// sync) run concurrently.
+// workers book simulated devices into private energy books, fold each into
+// the one joule ledger and report to the inspector, while ledger syncs and
+// registry snapshots (the sampler's and the Prometheus scrape's paths) run
+// concurrently.
 func TestConcurrentScrapeRace(t *testing.T) {
 	reg := obs.NewRegistry()
-	led := energy.NewShardedLedger(reg, 4)
+	led := energy.NewLedger(reg)
 	in := NewInspector("devices", 10000, 4)
 
 	var writers, readers sync.WaitGroup
@@ -152,16 +153,18 @@ func TestConcurrentScrapeRace(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
-				led.Stripe(w).Charge(energy.AccountInfer, 1e-6)
-				led.Stripe(w).ObserveInteraction(float64(i%100) * 1e-6)
+				var b energy.Books
+				b.Charge(energy.AccountInfer, 1e-6)
+				b.ObserveInteraction(float64(i%100) * 1e-6)
+				led.Fold(&b)
 				in.Advance(w, 1, 1)
 			}
 		}(w)
 	}
 
-	// Scraper: snapshot the registry (runs OnSnapshot hooks) and hit the
-	// inspector status while the workers are writing. A second snapshotter
-	// runs alongside to exercise concurrent hook execution.
+	// Scrapers: publish the ledger, snapshot the registry and hit the
+	// inspector status while the workers are writing. Two run side by
+	// side to exercise concurrent syncs.
 	for r := 0; r < 2; r++ {
 		readers.Add(1)
 		go func() {
@@ -172,6 +175,7 @@ func TestConcurrentScrapeRace(t *testing.T) {
 					return
 				default:
 				}
+				led.Sync()
 				_ = reg.Snapshot()
 				_ = in.Status()
 			}
@@ -182,6 +186,7 @@ func TestConcurrentScrapeRace(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
+	led.Sync()
 	s := reg.Snapshot()
 	if got := s.Histograms[energy.HistInteractionUJ].Count; got != 8000 {
 		t.Fatalf("interaction histogram count = %d, want 8000", got)

@@ -20,9 +20,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	hookMu sync.Mutex
-	hooks  []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -80,34 +77,6 @@ func (g *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// OnSnapshot registers fn to run at the start of every Snapshot call —
-// before any instrument is read. Striped instruments (the fleet's energy
-// ledger) register their sum-and-publish step here, so every
-// consumer of the registry — a Prometheus scrape, the periodic sampler, the
-// final -metrics-out flush, expvar — sees up-to-date totals without the
-// producers ever touching a shared cache line on the hot path. Hooks may
-// run concurrently (Snapshot has no exclusive section around them) and must
-// therefore be internally synchronized and idempotent; they must not call
-// Snapshot themselves. Safe on a nil registry.
-func (g *Registry) OnSnapshot(fn func()) {
-	if g == nil || fn == nil {
-		return
-	}
-	g.hookMu.Lock()
-	g.hooks = append(g.hooks, fn)
-	g.hookMu.Unlock()
-}
-
-// runSnapshotHooks executes the registered read-side hooks.
-func (g *Registry) runSnapshotHooks() {
-	g.hookMu.Lock()
-	hooks := g.hooks
-	g.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
 // Counter is a monotonically increasing integer.
 type Counter struct{ v atomic.Int64 }
 
@@ -150,9 +119,10 @@ func (g *Gauge) Value() float64 {
 }
 
 // Add adds d to the stored value. It is a compare-and-swap loop on the
-// float bits; with one writer per gauge, as in the striped ledger and the
-// fleet inspector, the first attempt succeeds. The atomicity is what keeps
-// concurrent readers race-free.
+// float bits; with one writer per gauge at a time, as in the fleet
+// inspector's lanes and a fleet ledger folded under one mutex, the first
+// attempt succeeds. The atomicity is what keeps concurrent readers
+// race-free.
 func (g *Gauge) Add(d float64) {
 	if g == nil {
 		return
@@ -186,8 +156,8 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Merge folds a snapshot into the histogram; see Dist.Merge. This is the
-// bulk-publication path for per-device distributions and striped
-// histograms.
+// bulk-publication path for per-device distributions and folded energy
+// books.
 func (h *Histogram) Merge(s HistogramSnapshot) {
 	if h == nil {
 		return
@@ -205,20 +175,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.d.Snapshot()
-}
-
-// Drain returns the histogram state and empties the histogram, so an owner
-// that merges it into a shared histogram on every read publishes each
-// observation exactly once.
-func (h *Histogram) Drain() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.d.Snapshot()
-	h.d = NewDist(h.d.bounds)
-	return s
 }
 
 // HistogramSnapshot is the exported state of one histogram. Counts has one
@@ -282,14 +238,12 @@ type Snapshot struct {
 }
 
 // Snapshot copies the registry state. A nil registry yields a zero
-// snapshot. Read-side hooks registered via OnSnapshot run first, so striped
-// instruments publish their summed state before it is copied.
+// snapshot.
 func (g *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if g == nil {
 		return s
 	}
-	g.runSnapshotHooks()
 	g.mu.Lock()
 	counters := make(map[string]*Counter, len(g.counters))
 	for k, v := range g.counters {

@@ -149,28 +149,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
-// TestOnSnapshotHook pins the sum-on-read contract: a hook registered with
-// OnSnapshot runs before the instruments are copied, so state it publishes
-// is visible in the same Snapshot call.
-func TestOnSnapshotHook(t *testing.T) {
-	g := NewRegistry()
-	var pending int64 = 41
-	g.OnSnapshot(func() {
-		g.Counter("hooked").Add(pending)
-		pending = 0
-	})
-	if got := g.Snapshot().Counters["hooked"]; got != 41 {
-		t.Fatalf("hook not applied before read: got %d, want 41", got)
-	}
-	// Idempotent on re-read: the hook published a delta once.
-	if got := g.Snapshot().Counters["hooked"]; got != 41 {
-		t.Fatalf("second snapshot drifted: got %d, want 41", got)
-	}
-	var nilReg *Registry
-	nilReg.OnSnapshot(func() { t.Fatal("hook on nil registry must not run") })
-	nilReg.Snapshot()
-}
-
 // TestHistogramMerge checks bulk merge equals direct observation and that
 // bound-mismatched snapshots are rejected rather than corrupting buckets.
 func TestHistogramMerge(t *testing.T) {

@@ -36,7 +36,9 @@ func recordEnergy(t testing.TB) []byte {
 	}
 	led.Harvest(10e-3)
 	led.Charge(energy.AccountLeak, 50e-6)
-	led.ObserveInteraction(3.1e-3)
+	var interaction energy.Books
+	interaction.ObserveInteraction(3.1e-3)
+	led.Fold(&interaction)
 	led.Sync()
 	rec.FlushMetrics(reg)
 	rec.Finish("ok")
