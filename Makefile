@@ -59,11 +59,12 @@ bench-fleet:
 # forward pass against its float baseline (0 allocs/op and ≥2× the float
 # ns/op at batch 1 are the gates), the same pass split per op
 # (BenchmarkInt8Ops: quant, conv, pool, dense, logits), the model load
-# that packs the dense weights, plus end-to-end serve latency across
-# batch sizes. Multi-iteration benchtime: the 2× gate is a ratio of two
+# that packs the dense weights, the /classify decode of one gesture window
+# (BenchmarkDecodeInstances), plus end-to-end serve latency across batch
+# sizes. Multi-iteration benchtime: the 2× gate is a ratio of two
 # microsecond-scale numbers, far too noisy at one iteration.
 bench-int8:
-	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_TIME=200x BENCH_PATTERN='BenchmarkInt8Forward|BenchmarkInt8Ops|BenchmarkLoadInt8Model|BenchmarkFloatForward|BenchmarkServeLatency'
+	$(MAKE) bench-json BENCH_FLAGS='-merge' BENCH_TIME=200x BENCH_PATTERN='BenchmarkInt8Forward|BenchmarkInt8Ops|BenchmarkLoadInt8Model|BenchmarkFloatForward|BenchmarkServeLatency|BenchmarkDecodeInstances'
 
 # bench-json runs the benchmarks and parses the output into the
 # BENCH_solarml.json perf trajectory (benchmark → ns/op, B/op, allocs/op).

@@ -179,13 +179,17 @@ func RunFleet(fc FleetConfig) (*FleetStats, error) {
 	workers := FleetWorkers(fc.Workers)
 	devs := make([]fleetDevice, fc.Devices)
 	grain := (fc.Devices + workers - 1) / workers
+	// For cuts the devices into this many contiguous chunks, chunk c
+	// starting at c*Devices/chunks, and each chunk reports on its own
+	// inspector lane.
+	chunks := (fc.Devices + grain - 1) / grain
 	var fold *fleetLedger
 	if fc.Base.Energy != nil {
 		fold = &fleetLedger{led: fc.Base.Energy}
 	}
 	fleetPool.For(fc.Devices, grain, func(i0, i1 int) {
-		// i0/grain names this chunk's inspector lane.
-		w := i0 / grain
+		// The chunk index: the one c with c*Devices/chunks == i0.
+		w := (i0*chunks + fc.Devices - 1) / fc.Devices
 		for i := i0; i < i1; i++ {
 			cfg := fc.Base
 			cfg.Obs = nil

@@ -201,6 +201,33 @@ func TestRunFleetInstrumentedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRunFleetInspectorLanes checks that each fleet chunk reports on its
+// own inspector lane. Two workers cut 5 devices into chunks of 2 and 3 and
+// 7 devices into 3 and 4 (chunk c starts at c*n/2), so the second chunk
+// starts below the grain of 3 or 4 that a start/grain lane would need.
+func TestRunFleetInspectorLanes(t *testing.T) {
+	if FleetWorkers(2) < 2 {
+		t.Skip("needs two fleet workers")
+	}
+	for _, tc := range []struct {
+		devices int
+		lanes   []int64
+	}{{5, []int64{2, 3}}, {7, []int64{3, 4}}} {
+		fc := fleetCfg(tc.devices, 2)
+		fc.DurationS = 600
+		fc.Inspect = fleetobs.NewInspector("devices", fc.Devices, FleetWorkers(2))
+		if _, err := RunFleet(fc); err != nil {
+			t.Fatal(err)
+		}
+		fc.Inspect.Finish()
+		for i, w := range fc.Inspect.Status().Workers {
+			if w.Done != tc.lanes[i] {
+				t.Errorf("%d devices: lane %d did %d, want %d", tc.devices, i, w.Done, tc.lanes[i])
+			}
+		}
+	}
+}
+
 // TestRunFleetShardedLedgerBooks checks that the fleet's fold books a
 // device exactly as a single-device run books its ledger: a one-device
 // fleet and the same device run alone leave the same bits in every account,

@@ -68,3 +68,22 @@ func TestClassifyHandlerAllocs(t *testing.T) {
 		t.Errorf("warm /classify: %.0f allocs per request, want ≤ 1", allocs)
 	}
 }
+
+// TestDecodeInstancesAllocs pins the /classify decode stage at zero
+// allocations on a gesture window: every number is parsed in place into the
+// caller's row.
+func TestDecodeInstancesAllocs(t *testing.T) {
+	body := gestureBody(t)
+	row := make([]float64, gestureInVol)
+	rowFn := func(int) []float64 { return row }
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		_, err = decodeInstances(body, gestureInVol, rowFn)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("decodeInstances: %.0f allocs per body, want 0", allocs)
+	}
+}

@@ -42,28 +42,36 @@ func BenchmarkServeLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeInstances measures the /classify decode stage alone on the
-// body perfbench's serve workload sends: one 720-value gesture window (6
-// channels × 120 steps) of 8-bit readings over [-1, 1], as json.Marshal
-// writes them.
-func BenchmarkDecodeInstances(b *testing.B) {
-	const inVol = 720
+// gestureInVol is the gesture model's input volume: 6 channels × 120 steps.
+const gestureInVol = 720
+
+// gestureBody returns the /classify body perfbench's serve workload sends:
+// one gesture window of 8-bit readings over [-1, 1], as json.Marshal writes
+// them.
+func gestureBody(tb testing.TB) []byte {
 	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, inVol)
+	x := make([]float64, gestureInVol)
 	for i := range x {
 		x[i] = quant.QuantizeInt(2*rng.Float64()-1, 8, -1, 1)
 	}
 	body, err := json.Marshal(classifyRequest{Instances: [][]float64{x}})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	row := make([]float64, inVol)
+	return body
+}
+
+// BenchmarkDecodeInstances measures the /classify decode stage alone on
+// gestureBody.
+func BenchmarkDecodeInstances(b *testing.B) {
+	body := gestureBody(b)
+	row := make([]float64, gestureInVol)
 	rowFn := func(int) []float64 { return row }
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeInstances(body, inVol, rowFn); err != nil {
+		if _, err := decodeInstances(body, gestureInVol, rowFn); err != nil {
 			b.Fatal(err)
 		}
 	}

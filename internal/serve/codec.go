@@ -99,19 +99,24 @@ const instancesKey = `"instances"`
 type decoder struct {
 	b   []byte
 	off int
+	pow *pow10s // pow10Table(), fetched once for the body
+}
+
+// skipWS returns the offset of the first byte at or after off that is not
+// JSON whitespace.
+func skipWS(b []byte, off int) int {
+	for ; off < len(b); off++ {
+		switch b[off] {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return off
+		}
+	}
+	return off
 }
 
 // ws skips JSON whitespace.
-func (d *decoder) ws() {
-	for d.off < len(d.b) {
-		switch d.b[d.off] {
-		case ' ', '\t', '\n', '\r':
-			d.off++
-		default:
-			return
-		}
-	}
-}
+func (d *decoder) ws() { d.off = skipWS(d.b, d.off) }
 
 // peek returns the next non-whitespace byte without consuming it, or 0 at
 // the end of the body.
@@ -141,9 +146,9 @@ func (d *decoder) empty() bool {
 	return true
 }
 
-// next consumes the separator after an array element and reports whether
-// it closed the array.
-func (d *decoder) next(where string) (bool, error) {
+// next consumes the separator after an instance and reports whether it
+// closed the instances array.
+func (d *decoder) next() (bool, error) {
 	switch d.peek() {
 	case ',':
 		d.off++
@@ -152,16 +157,41 @@ func (d *decoder) next(where string) (bool, error) {
 		d.off++
 		return true, nil
 	}
-	return false, &syntaxError{d.off, "',' or ']' " + where}
+	return false, &syntaxError{d.off, "',' or ']' after an instance"}
 }
 
-// number scans one JSON number and parses it to the float64
-// encoding/json decodes it to.
-func (d *decoder) number() (float64, error) {
-	d.ws()
-	v, end, err := parseNumber(d.b, d.off)
-	d.off = end
-	return v, err
+// values reads the numbers of one instance, whose '[' is consumed, into x
+// and consumes its ']'. It returns how many it read, or len(x)+1 at the
+// first value past len(x), which it does not store. The offset lives in a
+// local for the whole instance, so the scan from one number to the next
+// does not go through memory.
+func (d *decoder) values(x []float64) (int, error) {
+	if d.empty() {
+		return 0, nil
+	}
+	b, off := d.b, d.off
+	for have := 0; ; have++ {
+		v, end, err := parseNumber(b, skipWS(b, off), d.pow)
+		if err != nil {
+			return 0, err
+		}
+		if have == len(x) {
+			return have + 1, nil
+		}
+		x[have] = v
+		if off = end; off < len(b) && b[off] != ',' { // whitespace before a ',' is rare
+			off = skipWS(b, off)
+		}
+		switch {
+		case off < len(b) && b[off] == ',':
+			off++
+		case off < len(b) && b[off] == ']':
+			d.off = off + 1
+			return have + 1, nil
+		default:
+			return 0, &syntaxError{off, "',' or ']' in an instance"}
+		}
+	}
 }
 
 // decodeInstances scans a /classify body. For each instance it calls row
@@ -170,7 +200,7 @@ func (d *decoder) number() (float64, error) {
 // count. An instance of any other length is rejected at its first extra
 // value or its early ']', so no row is ever written out of bounds.
 func decodeInstances(body []byte, inVol int, row func(i int) []float64) (int, error) {
-	d := decoder{b: body}
+	d := decoder{b: body, pow: pow10Table()}
 	if err := d.expect('{', "'{'"); err != nil {
 		return 0, err
 	}
@@ -190,26 +220,14 @@ func decodeInstances(body []byte, inVol int, row func(i int) []float64) (int, er
 		if err := d.expect('[', "'[' opening an instance"); err != nil {
 			return 0, err
 		}
-		x, have := row(n), 0
-		for done := d.empty(); !done; {
-			v, err := d.number()
-			if err != nil {
-				return 0, err
-			}
-			if have == inVol {
-				return 0, &lengthError{n, have + 1, inVol}
-			}
-			x[have] = v
-			have++
-			if done, err = d.next("in an instance"); err != nil {
-				return 0, err
-			}
+		have, err := d.values(row(n)[:inVol])
+		if err != nil {
+			return 0, err
 		}
 		if have != inVol {
 			return 0, &lengthError{n, have, inVol}
 		}
-		var err error
-		if end, err = d.next("after an instance"); err != nil {
+		if end, err = d.next(); err != nil {
 			return 0, err
 		}
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"math"
 	"math/big"
 	"math/bits"
@@ -29,6 +30,17 @@ import (
 //
 // Every path rounds to nearest, ties to even, so each value is the one
 // strconv.ParseFloat(…, 64), and so encoding/json, returns.
+//
+// The digits are gathered eight at a time (Lemire 2021 again): where eight
+// bytes remain before len(b) and eight more digits fit in the mantissa, one
+// little-endian 64-bit load reads them, two masks test that all eight are
+// digits, and three multiply-and-shift steps give their value. In a
+// fraction the leading zeros are skipped first, so every chunk after them
+// holds only significant digits, and a fraction that holds the first
+// significant digit tries two chunks under one test. A byte loop takes the
+// rest: the last digits of a run when fewer than eight remain or fit, and
+// the digits past the 19th, which only move the exponent or send the
+// number to strconv.
 
 // maxMantDigits is the most significant digits a uint64 holds for any
 // digits: 10^19 − 1 < 2^64.
@@ -38,10 +50,28 @@ const maxMantDigits = 19
 var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
+// isEightDigits reports whether all eight bytes of c are ASCII digits: each
+// byte's high nibble is 3, and adding 6 to it leaves the high nibble 3.
+func isEightDigits(c uint64) bool {
+	return c&0xf0f0f0f0f0f0f0f0|(c+0x0606060606060606)&0xf0f0f0f0f0f0f0f0>>4 == 0x3333333333333333
+}
+
+// eightDigits returns the value of the eight ASCII digits in c, the first
+// digit in the low byte.
+func eightDigits(c uint64) uint64 {
+	c -= 0x3030303030303030
+	c = c*10 + c>>8 // bytes 0, 2, 4, 6 hold the two-digit pairs
+	const pairs = 0x000000ff000000ff
+	// Pairs 0 and 2 scaled by 10^6 and 10^2, pairs 1 and 3 by 10^4 and 1,
+	// all landing in the high word.
+	return ((c&pairs)*(100+1000000<<32) + (c>>16&pairs)*(1+10000<<32)) >> 32
+}
+
 // parseNumber scans the JSON number that starts at b[start] and returns its
-// value and the offset just past it. A number that breaks the grammar or
-// overflows float64 is a *syntaxError.
-func parseNumber(b []byte, start int) (float64, int, error) {
+// value and the offset just past it. pow is pow10Table(), fetched once per
+// body. A number that breaks the grammar or overflows float64 is a
+// *syntaxError.
+func parseNumber(b []byte, start int, pow *pow10s) (float64, int, error) {
 	i := start
 	neg := i < len(b) && b[i] == '-'
 	if neg {
@@ -59,6 +89,14 @@ func parseNumber(b []byte, start int) (float64, int, error) {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && b[i]-'1' < 9:
+		for ; nd+8 <= maxMantDigits && i+8 <= len(b); i += 8 {
+			c := binary.LittleEndian.Uint64(b[i:])
+			if !isEightDigits(c) {
+				break
+			}
+			mant = mant*1e8 + eightDigits(c)
+			nd += 8
+		}
 		for ; i < len(b) && b[i]-'0' < 10; i++ {
 			if nd < maxMantDigits {
 				mant = mant*10 + uint64(b[i]-'0')
@@ -74,11 +112,35 @@ func parseNumber(b []byte, start int) (float64, int, error) {
 	if i < len(b) && b[i] == '.' {
 		i++
 		frac := i
+		if mant == 0 { // zeros before the first nonzero digit are not significant
+			for ; i < len(b) && b[i] == '0'; i++ {
+				exp10--
+			}
+		}
+		// Readings in [-1, 1] carry 16 or 17 significant digits, all in
+		// the fraction, so a fraction that holds the first significant
+		// digit tries two chunks under one test first.
+		if nd == 0 && i+16 <= len(b) {
+			c, c2 := binary.LittleEndian.Uint64(b[i:]), binary.LittleEndian.Uint64(b[i+8:])
+			if isEightDigits(c) && isEightDigits(c2) {
+				mant = eightDigits(c)*1e8 + eightDigits(c2)
+				nd, exp10, i = 16, exp10-16, i+16
+			}
+		}
+		for ; nd+8 <= maxMantDigits && i+8 <= len(b); i += 8 {
+			c := binary.LittleEndian.Uint64(b[i:])
+			if !isEightDigits(c) {
+				break
+			}
+			mant = mant*1e8 + eightDigits(c)
+			nd += 8
+			exp10 -= 8
+		}
 		for ; i < len(b) && b[i]-'0' < 10; i++ {
 			if nd < maxMantDigits {
 				mant = mant*10 + uint64(b[i]-'0')
 				exp10--
-				if mant != 0 { // zeros before the first nonzero digit are not significant
+				if mant != 0 {
 					nd++
 				}
 			} else {
@@ -112,7 +174,7 @@ func parseNumber(b []byte, start int) (float64, int, error) {
 		exp10 += e
 	}
 	if !slow {
-		if v, ok := decimalToFloat(mant, exp10, neg); ok {
+		if v, ok := decimalToFloat(mant, exp10, neg, pow); ok {
 			return v, i, nil
 		}
 	}
@@ -127,7 +189,7 @@ func parseNumber(b []byte, start int) (float64, int, error) {
 
 // decimalToFloat returns ±mant × 10^exp10 correctly rounded, through
 // Clinger's fast path or Eisel–Lemire; ok is false when neither decides it.
-func decimalToFloat(mant uint64, exp10 int, neg bool) (f float64, ok bool) {
+func decimalToFloat(mant uint64, exp10 int, neg bool, pow *pow10s) (f float64, ok bool) {
 	switch {
 	case mant == 0:
 		f, ok = 0, true
@@ -139,7 +201,7 @@ func decimalToFloat(mant uint64, exp10 int, neg bool) (f float64, ok bool) {
 			f *= exactPow10[exp10]
 		}
 	default:
-		f, ok = eiselLemire(mant, exp10)
+		f, ok = eiselLemire(mant, exp10, pow)
 	}
 	if neg {
 		f = -f
@@ -155,12 +217,16 @@ const (
 	maxPow10 = 347
 )
 
-// pow10Table holds, for each exponent e in range, 10^e scaled by a power of
-// two into [2^127, 2^128) and truncated: {high 64 bits, low 64 bits}. It is
-// built on first use so that a binary importing the package pays nothing
-// until a number needs it.
-var pow10Table = sync.OnceValue(func() *[maxPow10 - minPow10 + 1][2]uint64 {
-	var t [maxPow10 - minPow10 + 1][2]uint64
+// pow10s holds, for each exponent e in range, 10^e scaled by a power of two
+// into [2^127, 2^128) and truncated: {high 64 bits, low 64 bits}.
+type pow10s [maxPow10 - minPow10 + 1][2]uint64
+
+// pow10Table returns the power table, built on first use so that a binary
+// importing the package pays nothing until a body needs it. Callers fetch
+// it once per body and pass it down rather than through the sync.Once on
+// every number.
+var pow10Table = sync.OnceValue(func() *pow10s {
+	var t pow10s
 	mask := new(big.Int).SetUint64(math.MaxUint64)
 	set := func(e int, x *big.Int) {
 		t[e-minPow10] = [2]uint64{new(big.Int).Rsh(x, 64).Uint64(), new(big.Int).And(x, mask).Uint64()}
@@ -193,11 +259,11 @@ func log2Pow10(e int) int { return 217706 * e >> 16 }
 // normal float64, or ok false when the 128-bit product cannot decide the
 // rounding, exp10 is outside the table, or the result is not a normal
 // float64.
-func eiselLemire(mant uint64, exp10 int) (f float64, ok bool) {
+func eiselLemire(mant uint64, exp10 int, pow10 *pow10s) (f float64, ok bool) {
 	if exp10 < minPow10 || exp10 > maxPow10 {
 		return 0, false
 	}
-	pow := &pow10Table()[exp10-minPow10]
+	pow := &pow10[exp10-minPow10]
 	lz := bits.LeadingZeros64(mant)
 	w := mant << lz
 	// The biased exponent the result has when the product's top bit is

@@ -19,7 +19,7 @@ import (
 func checkParse(t *testing.T, s string) {
 	t.Helper()
 	want, werr := strconv.ParseFloat(s, 64)
-	got, end, err := parseNumber([]byte(s), 0)
+	got, end, err := parseNumber([]byte(s), 0, pow10Table())
 	switch {
 	case werr != nil:
 		if !errors.Is(werr, strconv.ErrRange) {
@@ -34,6 +34,27 @@ func checkParse(t *testing.T, s string) {
 		t.Fatalf("%s: stopped at %d of %d bytes", s, end, len(s))
 	case math.Float64bits(got) != math.Float64bits(want):
 		t.Fatalf("%s: %v (%#x), strconv %v (%#x)", s, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// checkStop holds parseNumber to strconv on a number with more bytes after
+// it: it must stop at the end of the longest prefix that is a JSON number,
+// with strconv's value for that prefix.
+func checkStop(t *testing.T, b []byte) {
+	t.Helper()
+	want := 0
+	for p := 1; p <= len(b); p++ {
+		if json.Valid(b[:p]) {
+			want = p
+		}
+	}
+	got, end, err := parseNumber(b, 0, pow10Table())
+	if err != nil || end != want {
+		t.Fatalf("%q: stopped at %d (err %v), want %d", b, end, err, want)
+	}
+	v, err := strconv.ParseFloat(string(b[:end]), 64)
+	if err != nil || math.Float64bits(got) != math.Float64bits(v) {
+		t.Fatalf("%q: %v, strconv %v (%v)", b[:end], got, v, err)
 	}
 }
 
@@ -74,7 +95,8 @@ func TestPow10Table(t *testing.T) {
 // TestParseNumberMatchesStrconv compares parseNumber with
 // strconv.ParseFloat bit for bit over every table exponent, random float64
 // bit patterns in shortest and fixed-precision forms, 8-bit readings, long
-// mantissas and the edge values of float64.
+// mantissas, digit runs around the eight-digit steps and the edge values
+// of float64.
 func TestParseNumberMatchesStrconv(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 
@@ -135,6 +157,69 @@ func TestParseNumberMatchesStrconv(t *testing.T) {
 		checkParse(t, fmt.Sprintf("%se%d", s, rng.Intn(700)-360))
 	}
 
+	// Digit runs of 1–20 around the eight-digit steps: the chunks at 8 and
+	// 16 digits and the 19-digit cap, in the integer, in the fraction and
+	// in both, with random digits, all nines and all zeros after the first.
+	run := func(n int, fill byte) string { // n copies of fill, or n random digits for fill 0
+		if fill != 0 {
+			return strings.Repeat(string(rune(fill)), n)
+		}
+		d := make([]byte, n)
+		for j := range d {
+			d[j] = byte('0' + rng.Intn(10))
+		}
+		return string(d)
+	}
+	for n := 1; n <= 20; n++ {
+		for _, fill := range []byte{0, '9', '0'} {
+			lead := string(rune('1' + rng.Intn(9)))
+			checkParse(t, lead+run(n-1, fill))
+			checkParse(t, "0."+run(n, fill))
+			checkParse(t, "-"+lead+"."+run(n, fill)+"e-3")
+			for m := 1; m <= 20; m++ {
+				checkParse(t, lead+run(n-1, fill)+"."+run(m, fill))
+			}
+		}
+	}
+
+	// Leading fraction zeros, fewer and more than a chunk, before runs of
+	// 1–20 significant digits: only the digits after them count.
+	for z := 0; z <= 20; z++ {
+		for n := 1; n <= 20; n++ {
+			checkParse(t, "0."+strings.Repeat("0", z)+string(rune('1'+rng.Intn(9)))+run(n-1, 0))
+		}
+	}
+
+	// A non-digit at each offset of the first three chunks, in the integer
+	// and in the fraction, with eight more bytes behind it so that a chunk
+	// load would reach past it. '/' and ':' are the bytes either side of
+	// the digits.
+	for n := 1; n <= 24; n++ {
+		for _, stop := range []string{"e", ",", "]", ".", "-", "/", ":"} {
+			for _, pre := range []string{"", "0.", "1.", "0.00"} {
+				digits := string(rune('1'+rng.Intn(9))) + run(n-1, 0)
+				checkStop(t, []byte(pre+digits+stop+"00000012]"))
+			}
+			checkStop(t, []byte("0."+run(n, '0')+stop+"00000012]"))
+		}
+	}
+
+	// A number that ends at len(b) of a slice whose backing array goes on
+	// with digits: the parser must not read past len(b).
+	for _, whole := range []string{"123456789012345678901234567", "0.12345678901234567890123456", "0.0000000012345678901234"} {
+		buf := []byte(whole)
+		for n := 1; n <= len(buf); n++ {
+			b := buf[:n]
+			if !json.Valid(b) {
+				continue
+			}
+			got, end, err := parseNumber(b, 0, pow10Table())
+			if want, _ := strconv.ParseFloat(string(b), 64); err != nil || end != n || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%q of %q: %v to %d (err %v), strconv %v", b, whole, got, end, err, want)
+			}
+		}
+	}
+
 	for _, s := range []string{
 		"0", "-0", "0.0", "-0.0", "0e0", "-0e-5", "0e999999999999", "0.000000000000000000000000000",
 		"5e-324", "4.9406564584124654e-324", "2e-324", "3e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
@@ -162,7 +247,7 @@ func fastPath(v float64) bool {
 	if err1 != nil || err2 != nil {
 		panic(fmt.Sprint(v, err1, err2))
 	}
-	_, ok := decimalToFloat(m, e-(len(digits)-1), false)
+	_, ok := decimalToFloat(m, e-(len(digits)-1), false, pow10Table())
 	return ok
 }
 
@@ -178,10 +263,17 @@ func FuzzParseNumber(f *testing.F) {
 	f.Add([]byte("x"), 0.1, uint8(0), int8(-1))
 	f.Add([]byte("x"), 2.2250738585072014e-308, uint8(1), int8(17))
 	f.Add([]byte("x"), -1e300, uint8(2), int8(3))
+	// The eight-digit steps: runs that end inside, at and past a chunk and
+	// the 19-digit cap, leading fraction zeros, and a chunk cut short.
+	for _, s := range []string{"12345678", "123456789012345678", "1234567890123456789", "12345678901234567890",
+		"0.5686274509803921", "-0.00392156862745098", "0.000000001234567890123", "99999999.99999999e-5",
+		"1234567e8,", "1234567890123.]", "0.1234567-", "1.00000000000000000001"} {
+		f.Add([]byte(s), 0.0, uint8(0), int8(-1))
+	}
 	f.Fuzz(func(t *testing.T, b []byte, x float64, format uint8, prec int8) {
 		if len(b) > 0 && json.Valid(b) && (b[0] == '-' || b[0]-'0' < 10) && b[len(b)-1]-'0' < 10 {
 			checkParse(t, string(b)) // a whole JSON number
-		} else if v, end, err := parseNumber(b, 0); err == nil {
+		} else if v, end, err := parseNumber(b, 0, pow10Table()); err == nil {
 			if !json.Valid(b[:end]) {
 				t.Fatalf("%q: accepted %q, not a JSON number", b, b[:end])
 			}
